@@ -65,6 +65,7 @@ from .sensing import (
     VarianceConvention,
     measure_linear,
     measure_phase_only,
+    sample_back_projection,
     sample_sensing_matrix,
     sample_sparse_signal,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "run_m_sweep",
     "run_tau_sweep",
     "run_trial",
+    "sample_back_projection",
     "sample_complexity_bound",
     "sample_sensing_matrix",
     "sample_sparse_signal",

@@ -104,4 +104,5 @@ def adjoint_matvec(A, v) -> np.ndarray:
     v = np.asarray(v)
     if A.ndim != 2 or v.ndim != 1 or A.shape[0] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape}^H @ {v.shape}")
-    return A.conj().T @ v
+    # conj(conj(v) A) == A^H v, without materialising the conjugated matrix
+    return (v.conj() @ A).conj()

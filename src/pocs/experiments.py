@@ -1,16 +1,21 @@
 """Seeded Monte Carlo sweeps over the sensing-and-reconstruction pipeline.
 
 A sweep cell is one (scheme, s, m, tau) combination. Every trial draws a
-fresh sensing matrix and sparse signal, measures (phase-only with bounded
-phase noise, or unaltered linear), reconstructs with PBP and records the
-direction error. Trial t of a cell runs on the stream id
+fresh sparse signal, then the back-projection ``Phi^H z`` of its
+measurements (phase-only with bounded phase noise, or unaltered linear)
+straight from its exact law (:func:`pocs.sensing.sample_back_projection`),
+without forming the m x n sensing matrix: m + n complex normals and, on the
+phase-only channel, m uniforms per trial, whatever s is. The trial then
+keeps the s strongest entries, as PBP does, and records the direction
+error. Trial t of a cell runs on the stream id
 
-    fnv1a64(b"<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<t>")
+    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<t>")
 
 under the configured master seed, so any single trial is replayable in
 isolation and results are independent of worker count and scheduling.
-Aggregation folds trials in index order, which makes repeated runs
-byte-identical.
+``ENGINE`` names the way a trial consumes its stream; it changes whenever
+the draws do, and the JSON output echoes it. Aggregation folds trials in
+index order, which makes repeated runs byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -31,17 +36,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .recon import DegenerateEstimateError, direction_error, pbp
+from .core import hard_threshold
+from .recon import DegenerateEstimateError, direction_error
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import (
     VarianceConvention,
-    measure_linear,
-    measure_phase_only,
+    sample_back_projection,
     sample_sensing_matrix,
     sample_sparse_signal,
 )
 
+# Stream-key version: names how a trial consumes its stream.
+ENGINE = "rank1-v1"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
@@ -111,23 +118,19 @@ class SweepResult:
 
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs."""
-    key = f"{scheme}|s={s}|m={m}|tau={tau:.17g}|trial={trial_index}"
+    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial={trial_index}"
     return fnv1a64(key.encode("ascii"))
 
 
 def run_trial(
     scheme: str, n: int, s: int, m: int, tau: float, master_seed: int, trial_index: int
 ) -> TrialRecord:
-    """One independent draw-measure-reconstruct trial."""
+    """One trial: draw x0 and the back-projection of its measurements, keep
+    the s strongest entries (PBP) and score the direction error."""
     sid = trial_stream_id(scheme, s, m, tau, trial_index)
     gen = RngStream(master_seed, sid).generator()
-    Phi = sample_sensing_matrix(gen, m, n, VarianceConvention(scheme))
     x0 = sample_sparse_signal(gen, n, s)
-    if scheme == "po":
-        z = measure_phase_only(Phi, x0, tau, gen).z
-    else:
-        z = measure_linear(Phi, x0)
-    estimate = pbp(Phi, z, s)
+    estimate, _ = hard_threshold(sample_back_projection(gen, x0.vec, m, scheme, tau), s)
     try:
         error = direction_error(x0, estimate)
         failed = False
@@ -180,6 +183,13 @@ def _aggregate_cell(cell, errors: np.ndarray, failed: np.ndarray) -> CellAggrega
     )
 
 
+def pool_size(workers: int, num_tasks: int) -> int:
+    """Worker processes for ``num_tasks`` chunks: never more than there are chunks."""
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
+    return min(workers, num_tasks)
+
+
 def _run_cells(cells, n, trials, master_seed, workers):
     errors = [np.empty(trials) for _ in cells]
     failed = [np.zeros(trials, dtype=bool) for _ in cells]
@@ -188,10 +198,11 @@ def _run_cells(cells, n, trials, master_seed, workers):
         for start in range(0, trials, _TRIAL_CHUNK):
             stop = min(start + _TRIAL_CHUNK, trials)
             tasks.append((ci, scheme, n, s, m, tau, master_seed, start, stop))
-    if workers <= 1:
+    size = pool_size(workers, len(tasks))
+    if size <= 1:
         outputs = map(_run_chunk, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             outputs = list(pool.map(_run_chunk, tasks))
     for ci, start, errs, flags in outputs:
         errors[ci][start : start + errs.size] = errs
@@ -232,11 +243,20 @@ def run_m_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ConfigError("log2_m_over_n: measurement-count sweep needs a ratio grid")
     if any(t != 0.0 for t in config.tau_grid):
         raise ConfigError("tau_grid: measurement-count sweep runs at tau = 0 only")
+    ms = {}
+    for ratio in config.log2_m_over_n:
+        m = _ratio_to_m(config.n, ratio)
+        if m in ms:
+            raise ConfigError(
+                f"log2_m_over_n: ratios {ms[m]:g} and {ratio:g} both give m={m} "
+                f"at n={config.n}"
+            )
+        ms[m] = ratio
     cells = [
-        (scheme, s, _ratio_to_m(config.n, ratio), 0.0)
+        (scheme, s, m, 0.0)
         for scheme in config.schemes
         for s in config.sparsity_levels
-        for ratio in config.log2_m_over_n
+        for m in ms
     ]
     aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
     return SweepResult(config=config, cells=aggregates)
@@ -322,6 +342,7 @@ def render_csv(result: SweepResult) -> str:
 def result_to_dict(result: SweepResult) -> dict:
     cfg = result.config
     return {
+        "engine": ENGINE,
         "config": {
             "n": cfg.n,
             "sparsity_levels": list(cfg.sparsity_levels),

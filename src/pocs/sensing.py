@@ -150,3 +150,67 @@ def measure_phase_only(
     xi = gen.uniform(-tau, tau, size=y.shape[0])
     z = csign(y) * np.exp(1j * xi)
     return PhaseMeasurements(z=z, xi=xi, tau=float(tau))
+
+
+def sample_back_projection(
+    rng: RngStream | np.random.Generator,
+    x0: np.ndarray,
+    m: int,
+    convention: VarianceConvention | str,
+    tau: float,
+) -> np.ndarray:
+    """Exact sample of the back-projection ``Phi^H z`` without drawing ``Phi``.
+
+    ``Phi`` is an m x n matrix under ``convention`` (per-part standard
+    deviation sigma) and ``z`` its measurements of the unit-norm vector
+    ``x0``: phase-only with phase noise bounded by ``tau`` for
+    ``PHASE_ONLY``, linear (``z = Phi x0``, ``tau`` must be 0) for
+    ``CLASSICAL_CS``. The output has the same law as ``pbp``'s input
+    ``adjoint_matvec(Phi, z)`` for a freshly sampled ``Phi``.
+
+    Derivation. Split each row of ``Phi`` along ``x0``:
+    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y_i = phi_i x0``, so
+
+        Phi^H z = x0 (y^H z) + (I - x0 x0^H) Phi^H z.
+
+    For i.i.d. circular Gaussian rows and ``||x0||_2 = 1``, ``y = Phi x0``
+    has m i.i.d. circular Gaussian entries with per-part sigma, and it is
+    uncorrelated with, hence independent of, ``Phi (I - x0 x0^H)``. The
+    measurements ``z`` depend only on ``y`` and the phase noise, so given
+    ``z`` the second term is ``(I - x0 x0^H)`` applied to a circular Gaussian
+    n-vector with per-part deviation ``sigma ||z||_2``. Hence
+
+        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
+
+    with ``g`` n i.i.d. standard complex normals (per-part deviation 1).
+    ``||z||_2 = sqrt(m)`` on the phase-only channel; on the linear one
+    ``z = y``. A call draws m + n complex normals, then m uniforms for the
+    phase noise on the phase-only channel, whatever the sparsity of ``x0``.
+    As in :func:`measure_phase_only`, zero entries of ``y`` go through
+    :func:`csign` and bump its diagnostic counter.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    if m < 1:
+        raise ValueError("measurement count m must be positive")
+    convention = VarianceConvention(convention)
+    if convention is VarianceConvention.CLASSICAL_CS and tau != 0:
+        raise ValueError("the linear channel has no phase noise; tau must be 0")
+    x0 = np.asarray(x0, dtype=np.complex128)
+    if abs(np.linalg.norm(x0) - 1.0) > 1e-9:
+        raise ValueError("x0 must have unit l2 norm")
+    n = x0.shape[0]
+    sigma = per_part_sigma(m, convention)
+    gen = as_generator(rng)
+    normals = gen.standard_normal((m + n, 2)).view(np.complex128)[:, 0]
+    y = sigma * normals[:m]
+    g = normals[m:]
+    if convention is VarianceConvention.PHASE_ONLY:
+        z = csign(y) * np.exp(1j * gen.uniform(-tau, tau, size=m))
+        z_norm = math.sqrt(m)
+    else:
+        z = y
+        z_norm = float(np.linalg.norm(y))
+    scale = sigma * z_norm
+    # x0 (y^H z) + scale (g - x0 (x0^H g)), with one O(n) pass over x0
+    return scale * g + x0 * (np.vdot(y, z) - scale * np.vdot(x0, g))

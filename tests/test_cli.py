@@ -48,6 +48,11 @@ class TestSweepM:
         assert run_main(*self.ARGS, "--out", str(base)) == 0
         assert out.read_bytes() == base.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tmp_path, workers):
+        code = run_main(*self.ARGS, "--workers", workers, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+
     def test_bad_sparsity_exits_2(self, tmp_path):
         code = run_main(
             "sweep-m", "--n", "16", "--s", "17", "--log2-ratio", "0",

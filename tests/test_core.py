@@ -175,6 +175,17 @@ class TestMatvec:
         rhs = np.vdot(adjoint_matvec(A, w), v)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_adjoint_matches_conjugate_transpose(self):
+        # the adjoint avoids a conjugated copy of A; it must equal A^H v
+        gen = RngStream(108).generator()
+        for m, n in [(1, 1), (1, 5), (5, 1), (3, 7), (16, 64), (64, 16), (9, 9)]:
+            A = random_complex(gen, m * n).reshape(m, n)
+            v = random_complex(gen, m)
+            ref = A.conj().T @ v
+            got = adjoint_matvec(A, v)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             matvec(np.eye(2), np.ones(3))

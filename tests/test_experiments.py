@@ -1,5 +1,6 @@
 """Sweep harness tests: seeding, determinism, aggregation, CSV/JSON, rate fits."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pocs import (
     SweepConfig,
     SweepResult,
     fit_rate,
+    fnv1a64,
     load_sweep_result,
     render_csv,
     render_json,
@@ -21,6 +23,7 @@ from pocs import (
     trial_stream_id,
     write_result,
 )
+from pocs.experiments import ENGINE, pool_size
 
 TINY = SweepConfig(
     n=16,
@@ -34,6 +37,10 @@ TINY = SweepConfig(
 
 
 class TestSeeding:
+    def test_stream_id_is_fnv1a_of_the_engine_tagged_key(self):
+        key = f"{ENGINE}|po|s=10|m=64|tau=0.5|trial=3"
+        assert trial_stream_id("po", 10, 64, 0.5, 3) == fnv1a64(key.encode("ascii"))
+
     def test_stream_ids_are_stable_and_distinct(self):
         a = trial_stream_id("po", 10, 64, 0.0, 3)
         assert a == trial_stream_id("po", 10, 64, 0.0, 3)
@@ -96,6 +103,8 @@ class TestMSweep:
             (dict(log2_m_over_n=None), "log2_m_over_n"),
             (dict(log2_m_over_n=(-10.0,)), "log2_m_over_n"),
             (dict(tau_grid=(0.5,)), "tau_grid"),
+            # 16 * 2**0.01 rounds to m = 16: two cells with one stream id
+            (dict(log2_m_over_n=(0.0, 0.01)), "log2_m_over_n"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
@@ -109,6 +118,20 @@ class TestMSweep:
         with pytest.raises(ConfigError) as err:
             run_m_sweep(cfg)
         assert field in str(err.value)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "workers,tasks,size", [(1, 8, 1), (2, 8, 2), (8, 3, 3), (4, 1, 1)]
+    )
+    def test_never_more_workers_than_chunks(self, workers, tasks, size):
+        assert pool_size(workers, tasks) == size
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ConfigError) as err:
+            pool_size(workers, 4)
+        assert "workers" in str(err.value)
 
 
 class TestTauSweep:
@@ -210,6 +233,10 @@ class TestCsvContract:
         from_json = load_sweep_result(str(json_path))
         assert from_json.cells == result.cells
         assert from_json.config == result.config
+
+    def test_json_echoes_the_engine(self):
+        payload = json.loads(render_json(run_m_sweep(TINY)))
+        assert payload["engine"] == ENGINE
 
     def test_json_text_is_deterministic(self):
         assert render_json(run_m_sweep(TINY)) == render_json(run_m_sweep(TINY))
