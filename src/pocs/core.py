@@ -33,14 +33,20 @@ def csign(v) -> np.ndarray:
     is tallied in a diagnostic counter (see :func:`zero_sign_count`). Every
     output entry has unit modulus.
     """
-    global _zero_sign_seen
     v = np.asarray(v, dtype=np.complex128)
     mod = np.abs(v)
     zero = mod == 0.0
-    nzero = int(np.count_nonzero(zero))
-    if nzero:
-        _zero_sign_seen += nzero
+    record_zero_signs(int(np.count_nonzero(zero)))
     return np.where(zero, np.complex128(1.0), v / np.where(zero, 1.0, mod))
+
+
+def record_zero_signs(count: int) -> None:
+    """Add ``count`` exact zeros mapped by the csign convention to the counter.
+
+    For code that applies the convention without calling :func:`csign`.
+    """
+    global _zero_sign_seen
+    _zero_sign_seen += count
 
 
 def zero_sign_count() -> int:
@@ -54,28 +60,37 @@ def reset_zero_sign_count() -> None:
 
 
 def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best s-term approximation of ``v`` in l2.
+    """Best s-term approximation of ``v`` in l2, along the last axis.
 
     Keeps the ``s`` entries of largest modulus unchanged and zeroes the rest.
     Ties break toward the lowest index, making the output deterministic and
-    platform independent.
+    platform independent. A stack of rows is thresholded row by row.
 
     Returns
     -------
     (thresholded, support)
         ``thresholded`` is ``v`` with everything off the selected support set
-        to zero; ``support`` is the sorted index array of retained entries.
+        to zero; ``support`` holds the sorted indices of the retained entries,
+        shape ``v.shape[:-1] + (s,)``.
     """
     v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError("hard_threshold expects a 1-d vector")
-    if not 1 <= s <= v.size:
-        raise ValueError(f"sparsity level s={s} out of range [1, {v.size}]")
-    order = np.argsort(-np.abs(v), kind="stable")
-    support = np.sort(order[:s])
-    out = np.zeros_like(v)
-    out[support] = v[support]
-    return out, support
+    if v.ndim == 0:
+        raise ValueError("hard_threshold expects a vector or a stack of rows")
+    n = v.shape[-1]
+    if not 1 <= s <= n:
+        raise ValueError(f"sparsity level s={s} out of range [1, {n}]")
+    mod = np.abs(v)
+    # Keep every entry at or above the s-th largest modulus of its row. Where
+    # more entries tie at that modulus than places are left, keep the
+    # lowest-index ones, as a stable sort would.
+    kth = np.partition(mod, n - s, axis=-1)[..., n - s, None]
+    keep = mod >= kth
+    if (keep.sum(axis=-1) > s).any():
+        above = mod > kth
+        tie = mod == kth
+        keep = above | (tie & (np.cumsum(tie, axis=-1) <= s - above.sum(axis=-1, keepdims=True)))
+    support = np.nonzero(keep)[-1].reshape(v.shape[:-1] + (s,))
+    return np.where(keep, v, 0), support
 
 
 def restrict(v, support) -> np.ndarray:

@@ -4,25 +4,35 @@ A sweep cell is one (scheme, s, m, tau) combination. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
 straight from its exact law (:func:`pocs.sensing.sample_back_projection`),
-without forming the m x n sensing matrix: m + n complex normals and, on the
-phase-only channel, m uniforms per trial, whatever s is. The trial then
-keeps the s strongest entries, as PBP does, and records the direction
-error. Trial t of a cell runs on the stream id
+without forming the m x n sensing matrix. The trial then keeps the s
+strongest entries, as PBP does, and records the direction error. Trial t
+of a cell runs on the stream id
 
     fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<t>")
 
 under the configured master seed, so any single trial is replayable in
 isolation and results are independent of worker count and scheduling.
 ``ENGINE`` names the way a trial consumes its stream; it changes whenever
-the draws do, and the JSON output echoes it. Aggregation folds trials in
-index order, which makes repeated runs byte-identical.
+the draws do, and the JSON output echoes it. A trial draws, in order: n + s
+uniforms for the signal (redrawing the s values while they are all zero),
+m + n complex normals, and on the phase-only channel with tau > 0 m
+uniforms for the phase noise.
+
+Trials run in batches (:func:`_run_trials`): only the draws run trial by
+trial, and each trial's m-length draws shrink at once to the two scalars
+``y^H z`` and ``sigma ||z||_2``. Support selection, the rank-one combine,
+the thresholding and the error run once per batch on (trials, n) rows.
+Aggregation folds trials in index order, which makes repeated runs
+byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
 
     scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
 
-``mean_error_db`` is 10 log10 of the mean linear error.
+``mean_error_db`` is 10 log10 of the mean linear error. The JSON output
+also carries each cell's ``zero_sign_hits``: how many measurements met the
+zero-signum convention of :func:`pocs.core.csign`.
 """
 
 from __future__ import annotations
@@ -37,14 +47,17 @@ from typing import Sequence
 import numpy as np
 
 from .core import hard_threshold
-from .recon import DegenerateEstimateError, direction_error
+from .recon import direction_error
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import (
     VarianceConvention,
-    sample_back_projection,
+    _back_projection_convention,
+    _combine_back_projection,
+    _draw_back_projection,
+    _redraw_zero_values,
+    _support_value_rows,
     sample_sensing_matrix,
-    sample_sparse_signal,
 )
 
 # Stream-key version: names how a trial consumes its stream.
@@ -52,7 +65,8 @@ ENGINE = "rank1-v1"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
-_TRIAL_CHUNK = 256
+# Trials per batch; larger batches run no faster and hold more memory.
+_TRIAL_CHUNK = 32
 
 
 class ConfigError(ValueError):
@@ -108,6 +122,7 @@ class CellAggregate:
     mean_error: float
     mean_error_db: float
     stderr_error: float
+    zero_sign_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,51 +131,87 @@ class SweepResult:
     cells: tuple[CellAggregate, ...]
 
 
+def _cell_key_hash(scheme: str, s: int, m: int, tau: float) -> int:
+    # FNV-1a state after the key prefix that every trial of a cell shares
+    return fnv1a64(f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial=".encode("ascii"))
+
+
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs."""
-    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial={trial_index}"
-    return fnv1a64(key.encode("ascii"))
+    return fnv1a64(b"%d" % trial_index, _cell_key_hash(scheme, s, m, tau))
+
+
+def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
+    """Trials ``start`` to ``stop - 1`` of one cell, run as one batch.
+
+    Each trial draws from its own stream in the documented order; only the
+    draws run per trial. Returns ``(errors, failed, supports, zero_signs)``:
+    per-trial errors (NaN where failed), flags for estimates that came out
+    identically zero, the supports found (one sorted row of s per trial) and
+    how many measurements met the zero-signum convention.
+    """
+    if not 1 <= s <= n:
+        raise ValueError(f"sparsity s={s} out of range [1, {n}]")
+    convention = _back_projection_convention(m, scheme, tau)
+    prefix = _cell_key_hash(scheme, s, m, tau)
+    count = stop - start
+    u = np.empty((count, n + s))
+    g = np.empty((count, n), dtype=np.complex128)
+    yz = np.empty(count, dtype=np.complex128)
+    scale = np.empty(count)
+    normals = np.empty((m + n, 2))
+    zero_signs = 0
+    for k in range(count):
+        gen = RngStream(master_seed, fnv1a64(b"%d" % (start + k), prefix)).generator()
+        gen.random(out=u[k])
+        if u[k, n] == 0.5:  # the s values can all be zero only if the first is
+            _redraw_zero_values(gen, u[k : k + 1], n)
+        yz[k], scale[k], zeros = _draw_back_projection(gen, m, convention, tau, normals)
+        g[k] = normals[m:].view(np.complex128)[:, 0]
+        zero_signs += zeros
+    supports, values = _support_value_rows(u, s)
+    x0 = np.zeros((count, n), dtype=np.complex128)
+    np.put_along_axis(x0, supports, values, axis=1)
+    estimate, found = hard_threshold(_combine_back_projection(x0, yz, scale, g), s)
+    del u, g  # spent; freed before scoring, which holds the batch's peak memory
+    # a zero estimate has no direction: score x0 in its place, then void the trial
+    failed = ~estimate.any(axis=1)
+    estimate[failed] = x0[failed]
+    errors = direction_error(x0, estimate)
+    errors[failed] = math.nan
+    return errors, failed, found, zero_signs
 
 
 def run_trial(
     scheme: str, n: int, s: int, m: int, tau: float, master_seed: int, trial_index: int
 ) -> TrialRecord:
     """One trial: draw x0 and the back-projection of its measurements, keep
-    the s strongest entries (PBP) and score the direction error."""
-    sid = trial_stream_id(scheme, s, m, tau, trial_index)
-    gen = RngStream(master_seed, sid).generator()
-    x0 = sample_sparse_signal(gen, n, s)
-    estimate, _ = hard_threshold(sample_back_projection(gen, x0.vec, m, scheme, tau), s)
-    try:
-        error = direction_error(x0, estimate)
-        failed = False
-    except DegenerateEstimateError:
-        error = math.nan
-        failed = True
+    the s strongest entries (PBP) and score the direction error. This is the
+    one-trial batch of the sweep kernel."""
+    errors, failed, _, _ = _run_trials(
+        scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1
+    )
     return TrialRecord(
         scheme=scheme,
         s=s,
         m=m,
         tau=tau,
         trial_index=trial_index,
-        seed_used=sid,
-        error=error,
-        failed=failed,
+        seed_used=trial_stream_id(scheme, s, m, tau, trial_index),
+        error=float(errors[0]),
+        failed=bool(failed[0]),
     )
 
 
 def _run_chunk(task):
     ci, scheme, n, s, m, tau, master_seed, start, stop = task
-    errors = np.empty(stop - start)
-    failed = np.zeros(stop - start, dtype=bool)
-    for i, t in enumerate(range(start, stop)):
-        rec = run_trial(scheme, n, s, m, tau, master_seed, t)
-        errors[i] = rec.error
-        failed[i] = rec.failed
-    return ci, start, errors, failed
+    errors, failed, _, zero_signs = _run_trials(scheme, n, s, m, tau, master_seed, start, stop)
+    return ci, start, errors, failed, zero_signs
 
 
-def _aggregate_cell(cell, errors: np.ndarray, failed: np.ndarray) -> CellAggregate:
+def _aggregate_cell(
+    cell, errors: np.ndarray, failed: np.ndarray, zero_signs: int
+) -> CellAggregate:
     scheme, s, m, tau = cell
     ok = errors[~failed]
     if ok.size == 0:
@@ -180,6 +231,7 @@ def _aggregate_cell(cell, errors: np.ndarray, failed: np.ndarray) -> CellAggrega
         mean_error=mean,
         mean_error_db=db,
         stderr_error=se,
+        zero_sign_hits=int(zero_signs),
     )
 
 
@@ -193,6 +245,7 @@ def pool_size(workers: int, num_tasks: int) -> int:
 def _run_cells(cells, n, trials, master_seed, workers):
     errors = [np.empty(trials) for _ in cells]
     failed = [np.zeros(trials, dtype=bool) for _ in cells]
+    zero_signs = [0] * len(cells)
     tasks = []
     for ci, (scheme, s, m, tau) in enumerate(cells):
         for start in range(0, trials, _TRIAL_CHUNK):
@@ -204,11 +257,13 @@ def _run_cells(cells, n, trials, master_seed, workers):
     else:
         with ProcessPoolExecutor(max_workers=size) as pool:
             outputs = list(pool.map(_run_chunk, tasks))
-    for ci, start, errs, flags in outputs:
+    for ci, start, errs, flags, zeros in outputs:
         errors[ci][start : start + errs.size] = errs
         failed[ci][start : start + flags.size] = flags
+        zero_signs[ci] += zeros
     return tuple(
-        _aggregate_cell(cell, errors[ci], failed[ci]) for ci, cell in enumerate(cells)
+        _aggregate_cell(cell, errors[ci], failed[ci], zero_signs[ci])
+        for ci, cell in enumerate(cells)
     )
 
 
@@ -222,11 +277,22 @@ def _check_common(config: SweepConfig) -> None:
     for s in config.sparsity_levels:
         if not 1 <= s <= config.n:
             raise ConfigError(f"sparsity_levels: s={s} outside [1, n={config.n}]")
+    _check_distinct("sparsity_levels", config.sparsity_levels)
     if not config.schemes:
         raise ConfigError("schemes: at least one scheme is required")
     for scheme in config.schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
+    _check_distinct("schemes", config.schemes)
+
+
+def _check_distinct(field: str, values) -> None:
+    # a repeated value would give two cells with the same stream ids
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{field}: {value!r} is given more than once")
+        seen.add(value)
 
 
 def _ratio_to_m(n: int, ratio: float) -> int:
@@ -276,6 +342,7 @@ def run_tau_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     for tau in config.tau_grid:
         if tau < 0:
             raise ConfigError(f"tau_grid: tau must be nonnegative, got {tau:g}")
+    _check_distinct("tau_grid", config.tau_grid)
     s = config.sparsity_levels[0]
     cells = [("po", s, config.m, float(tau)) for tau in config.tau_grid]
     aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
@@ -309,6 +376,12 @@ def fit_rate(
         raise ValueError(
             f"fit_rate needs at least 3 grid points, found {len(points)}"
         )
+    for m, mean in points:
+        if not mean > 0:
+            raise ValueError(
+                f"fit_rate: cell scheme={scheme} s={s} m={m} has mean_error {mean:g}; "
+                "a log-log fit needs positive means"
+            )
     x = np.log10([p[0] for p in points])
     y = np.log10([p[1] for p in points])
     return float(np.polyfit(x, y, 1)[0])

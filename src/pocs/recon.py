@@ -40,16 +40,25 @@ def pbp_oracle_support(Phi, z, support) -> np.ndarray:
     return restrict(adjoint_matvec(mat, np.asarray(z)), support)
 
 
-def direction_error(x0, xhat) -> float:
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v.real * v.real).sum(axis=-1) + (v.imag * v.imag).sum(axis=-1))
+
+
+def direction_error(x0, xhat):
     """l2 distance between ``x0`` and the normalized estimate ``xhat/||xhat||_2``.
 
     Scale invariant in ``xhat``; at most 2 when both directions are unit
-    vectors. A zero estimate has no direction and raises
-    :class:`DegenerateEstimateError`.
+    vectors. Works along the last axis: stacks of rows give one error per
+    row (an array), vectors a float. A zero estimate has no direction and
+    raises :class:`DegenerateEstimateError`.
     """
     ref = np.asarray(getattr(x0, "vec", x0))
     est = np.asarray(getattr(xhat, "xhat", xhat))
-    nrm = np.linalg.norm(est)
-    if nrm == 0.0:
+    nrm = _row_norm(est)
+    if np.any(nrm == 0.0):
         raise DegenerateEstimateError("estimate is identically zero")
-    return float(np.linalg.norm(ref - est / nrm))
+    # ref - est / nrm, where est / nrm is taken as numpy divides a complex
+    # entry by a real one: times 1 / nrm
+    residual = np.multiply(est, (1.0 / nrm)[..., None], dtype=np.result_type(ref, est, 1.0))
+    error = _row_norm(np.subtract(ref, residual, out=residual))
+    return float(error) if error.ndim == 0 else error

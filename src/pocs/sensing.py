@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import csign, matvec
+from .core import csign, matvec, record_zero_signs
 from .rng import RngStream, as_generator
 
 
@@ -91,22 +91,35 @@ def sample_sensing_matrix(
     return SensingMatrix(mat=mat, convention=convention, sigma=sigma)
 
 
-def _support_value_batch(gen, n, s, count):
-    # One contiguous block of n+s uniforms per draw: the support comes from a
-    # partial sort of the first n (uniform over all (n choose s) subsets),
-    # the values from the last s mapped onto [-1, 1] and row-normalized.
-    # Draw k of a batch consumes exactly the same stream slice as the k-th
-    # sequential single draw, so batch size never changes the samples.
-    u = gen.random((count, n + s))
+def _redraw_zero_values(gen, u, n):
+    # The values 2u - 1 of a row (columns n:) are all zero only when every
+    # value uniform is exactly 0.5. Such a row has no direction: redraw its
+    # value uniforms from gen, all such rows of a pass in one draw.
+    while True:
+        bad = (u[:, n:] == 0.5).all(axis=1)
+        if not bad.any():
+            return
+        u[bad, n:] = gen.random((int(bad.sum()), u.shape[1] - n))
+
+
+def _support_value_rows(u, s):
+    # Row-wise map of (count, n + s) uniforms to a draw each: the support comes
+    # from a partial sort of the first n (uniform over all (n choose s)
+    # subsets), the values from the last s mapped onto [-1, 1] and normalized.
+    n = u.shape[1] - s
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
     values = 2.0 * u[:, n:] - 1.0
-    while True:
-        norms = np.sqrt((values * values).sum(axis=1))
-        bad = norms < 1e-300
-        if not bad.any():
-            break
-        values[bad] = 2.0 * gen.random((int(bad.sum()), s)) - 1.0
+    norms = np.sqrt((values * values).sum(axis=1))
     return supports, values / norms[:, None]
+
+
+def _support_value_batch(gen, n, s, count):
+    # One contiguous block of n+s uniforms per draw. Draw k of a batch
+    # consumes exactly the same stream slice as the k-th sequential single
+    # draw, so batch size never changes the samples.
+    u = gen.random((count, n + s))
+    _redraw_zero_values(gen, u, n)
+    return _support_value_rows(u, s)
 
 
 def sample_sparse_signal(
@@ -152,6 +165,77 @@ def measure_phase_only(
     return PhaseMeasurements(z=z, xi=xi, tau=float(tau))
 
 
+def _back_projection_convention(
+    m: int, convention: VarianceConvention | str, tau: float
+) -> VarianceConvention:
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    if m < 1:
+        raise ValueError("measurement count m must be positive")
+    convention = VarianceConvention(convention)
+    if convention is VarianceConvention.CLASSICAL_CS and tau != 0:
+        raise ValueError("the linear channel has no phase noise; tau must be 0")
+    return convention
+
+
+def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[complex, int]:
+    """``y^H z`` for the phase-only measurements ``z = csign(y) exp(1j xi)``.
+
+    ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
+    computed without forming ``z``. ``xi=None`` stands for no phase noise;
+    the value is then ``sum_i |y_i|``, but it is taken through the signum as
+    csign computes it, ``y_i (1 / |y_i|)``, because its rounding is all the
+    error there is when a trial recovers the support exactly (s = 1). An
+    exact zero of ``y`` adds 0 whatever csign maps it to, and bumps the csign
+    counter as csign does. Returns the statistic and that zero count.
+    """
+    mod = np.abs(y)
+    zeros = mod.size - int(np.count_nonzero(mod))
+    record_zero_signs(zeros)
+    if xi is not None:
+        return complex(mod @ np.cos(xi), mod @ np.sin(xi)), zeros
+    if zeros:  # a zero's term conj(0) z_i is 0 whatever its reciprocal
+        inv = np.divide(1.0, mod, out=np.zeros_like(mod), where=mod > 0)
+    else:
+        inv = 1.0 / mod
+    return complex(np.vdot(y, y * inv)), zeros
+
+
+def _draw_back_projection(
+    gen: np.random.Generator,
+    m: int,
+    convention: VarianceConvention,
+    tau: float,
+    normals: np.ndarray,
+) -> tuple[complex, float, int]:
+    """One draw of what the back-projection law needs from m-length samples.
+
+    Fills ``normals``, an (m + n, 2) float array, with m + n standard complex
+    normals: the first m make ``y``, the last n are ``g``. On the phase-only
+    channel with ``tau > 0`` it then draws the m phase-noise uniforms. At
+    ``tau = 0`` the noise is identically 0 and its draw, the last of a
+    sample, is skipped. Returns ``(y^H z, sigma ||z||_2, zero signs)``.
+    """
+    gen.standard_normal(out=normals)
+    sigma = per_part_sigma(m, convention)
+    y = sigma * normals[:m].view(np.complex128)[:, 0]
+    if convention is VarianceConvention.CLASSICAL_CS:
+        return complex(np.vdot(y, y)), sigma * float(np.linalg.norm(y)), 0
+    xi = gen.uniform(-tau, tau, size=m) if tau > 0 else None
+    yz, zeros = _phase_only_statistic(y, xi)
+    return yz, sigma * math.sqrt(m), zeros
+
+
+def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
+    """``x0 (y^H z) + scale (I - x0 x0^H) g`` along the last axis, written into ``g``."""
+    yz = np.asarray(yz, dtype=np.complex128)[..., None]
+    scale = np.asarray(scale, dtype=np.complex128)[..., None]
+    x0_g = np.einsum("...i,...i->...", x0.conj(), g)[..., None]
+    g *= scale
+    g += x0 * (yz - scale * x0_g)
+    return g
+
+
 def sample_back_projection(
     rng: RngStream | np.random.Generator,
     x0: np.ndarray,
@@ -183,34 +267,17 @@ def sample_back_projection(
         Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
 
     with ``g`` n i.i.d. standard complex normals (per-part deviation 1).
-    ``||z||_2 = sqrt(m)`` on the phase-only channel; on the linear one
-    ``z = y``. A call draws m + n complex normals, then m uniforms for the
-    phase noise on the phase-only channel, whatever the sparsity of ``x0``.
-    As in :func:`measure_phase_only`, zero entries of ``y`` go through
-    :func:`csign` and bump its diagnostic counter.
+    ``||z||_2 = sqrt(m)`` on the phase-only channel, where
+    ``y^H z = sum_i |y_i| exp(1j xi_i)``; on the linear one ``z = y``. A call
+    draws m + n complex normals, then, on the phase-only channel with
+    ``tau > 0``, m uniforms for the phase noise, whatever the sparsity of
+    ``x0``. Exact zeros of ``y`` follow the :func:`csign` convention and bump
+    its diagnostic counter, as in :func:`measure_phase_only`.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if m < 1:
-        raise ValueError("measurement count m must be positive")
-    convention = VarianceConvention(convention)
-    if convention is VarianceConvention.CLASSICAL_CS and tau != 0:
-        raise ValueError("the linear channel has no phase noise; tau must be 0")
+    convention = _back_projection_convention(m, convention, tau)
     x0 = np.asarray(x0, dtype=np.complex128)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-9:
         raise ValueError("x0 must have unit l2 norm")
-    n = x0.shape[0]
-    sigma = per_part_sigma(m, convention)
-    gen = as_generator(rng)
-    normals = gen.standard_normal((m + n, 2)).view(np.complex128)[:, 0]
-    y = sigma * normals[:m]
-    g = normals[m:]
-    if convention is VarianceConvention.PHASE_ONLY:
-        z = csign(y) * np.exp(1j * gen.uniform(-tau, tau, size=m))
-        z_norm = math.sqrt(m)
-    else:
-        z = y
-        z_norm = float(np.linalg.norm(y))
-    scale = sigma * z_norm
-    # x0 (y^H z) + scale (g - x0 (x0^H g)), with one O(n) pass over x0
-    return scale * g + x0 * (np.vdot(y, z) - scale * np.vdot(x0, g))
+    normals = np.empty((m + x0.shape[0], 2))
+    yz, scale, _ = _draw_back_projection(as_generator(rng), m, convention, tau, normals)
+    return _combine_back_projection(x0, yz, scale, normals[m:].view(np.complex128)[:, 0])

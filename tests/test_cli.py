@@ -60,6 +60,16 @@ class TestSweepM:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--s", "2", "sparsity_levels"), ("--scheme", "po", "schemes"),
+    ])
+    def test_repeated_values_exit_2(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x.csv"
+        code = run_main(*self.ARGS, "--scheme", "po", flag, value, "--out", str(out))
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         code = run_main(*self.ARGS, "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 3
@@ -81,6 +91,14 @@ class TestSweepTau:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "po"
+
+    def test_repeated_tau_exits_2(self, tmp_path, capsys):
+        code = run_main(
+            "sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0.5",
+            "--tau", "0.5", "--trials", "5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "tau_grid" in capsys.readouterr().err
 
     def test_negative_tau_exits_2(self, tmp_path):
         code = run_main(
@@ -153,6 +171,22 @@ class TestFitRate:
             "fit-rate", "--in", str(sweep_out), "--scheme", "po", "--s", "2",
             "--n", "16",
         ) == 2
+
+    def test_zero_mean_error_exits_2(self, tmp_path, capsys):
+        from pocs import CellAggregate, SweepConfig, SweepResult, write_result
+
+        cells = tuple(
+            CellAggregate(scheme="po", s=1, m=m, tau=0.0, trials=10, failures=0,
+                          mean_error=err, mean_error_db=db, stderr_error=0.0)
+            for m, err, db in [(16, 0.5, -3.0), (32, 0.0, float("-inf")), (64, 0.25, -6.0)]
+        )
+        config = SweepConfig(n=16, sparsity_levels=(1,), trials=10, master_seed=0)
+        path = tmp_path / "sweep.csv"
+        write_result(SweepResult(config=config, cells=cells), str(path))
+        code = run_main("fit-rate", "--in", str(path), "--scheme", "po", "--s", "1",
+                        "--n", "16")
+        assert code == 2
+        assert "m=32" in capsys.readouterr().err
 
     def test_missing_input_exits_3(self):
         assert run_main(

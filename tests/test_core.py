@@ -127,6 +127,24 @@ class TestHardThreshold:
                     fixed = norm(v - restrict(v, np.array(S, dtype=np.intp)), 2)
                     assert thresh_err <= fixed + 1e-12
 
+    def test_rows_match_stable_argsort_with_ties(self):
+        # integer moduli on axis-aligned phases tie exactly and often
+        gen = RngStream(105).generator()
+        for _ in range(40):
+            rows, n = int(gen.integers(1, 6)), int(gen.integers(1, 20))
+            phases = np.array([1, -1, 1j, -1j])[gen.integers(0, 4, size=(rows, n))]
+            v = gen.integers(0, 4, size=(rows, n)) * phases
+            for s in range(1, n + 1):
+                out, supp = hard_threshold(v, s)
+                assert supp.shape == (rows, s)
+                for r in range(rows):
+                    ref = np.sort(np.argsort(-np.abs(v[r]), kind="stable")[:s])
+                    assert np.array_equal(supp[r], ref)
+                    assert np.array_equal(out[r], restrict(v[r], ref))
+                    row_out, row_supp = hard_threshold(v[r], s)
+                    assert np.array_equal(row_out, out[r])
+                    assert np.array_equal(row_supp, ref)
+
     def test_s_out_of_range(self):
         v = np.ones(3, dtype=complex)
         with pytest.raises(ValueError):

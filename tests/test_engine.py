@@ -15,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-import pocs.sensing
 from pocs import (
     RngStream,
     adjoint_matvec,
@@ -28,7 +27,9 @@ from pocs import (
     sample_back_projection,
     sample_sensing_matrix,
     sample_sparse_signal,
+    zero_sign_count,
 )
+from pocs.sensing import _phase_only_statistic
 
 REFERENCE_SEED = 31
 ENGINE_SEED = 32
@@ -132,15 +133,18 @@ class TestSampleBackProjection:
         with pytest.raises(ValueError):
             sample_back_projection(RngStream(0), x0, 8, convention, tau)
 
-    @pytest.mark.parametrize("convention,calls", [("po", 1), ("cs", 0)])
-    def test_phase_channel_goes_through_csign(self, monkeypatch, convention, calls):
-        # csign keeps the zero-signum tally, so the phase-only channel must use it
-        seen = []
-
-        def spy(v):
-            seen.append(np.asarray(v).shape)
-            return csign(v)
-
-        monkeypatch.setattr(pocs.sensing, "csign", spy)
-        sample_back_projection(RngStream(0), self.X0, 8, convention, 0.0)
-        assert seen == [(8,)] * calls
+    @pytest.mark.parametrize(
+        "xi",
+        [None, np.array([0.3, -1.1, 0.7, 2.0, -0.2, 0.9])],
+        ids=["noiseless", "noisy"],
+    )
+    def test_phase_only_statistic_counts_zero_signs(self, xi):
+        # y^H z is computed without csign, but each exact zero of y must still
+        # reach csign's zero-sign counter, once per zero
+        y = np.array([0.0, 1 - 2j, 0.0, -0.5j, 0.0, 3.0 + 0.25j])
+        before = zero_sign_count()
+        value, zeros = _phase_only_statistic(y, xi)
+        assert zeros == 3
+        assert zero_sign_count() - before == 3
+        noise = np.zeros(y.size) if xi is None else xi
+        assert abs(value - np.vdot(y, csign(y) * np.exp(1j * noise))) <= 1e-12

@@ -1,7 +1,9 @@
 """Sweep harness tests: seeding, determinism, aggregation, CSV/JSON, rate fits."""
 
+import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -105,6 +107,9 @@ class TestMSweep:
             (dict(tau_grid=(0.5,)), "tau_grid"),
             # 16 * 2**0.01 rounds to m = 16: two cells with one stream id
             (dict(log2_m_over_n=(0.0, 0.01)), "log2_m_over_n"),
+            # repeated values would give cells with identical stream ids
+            (dict(sparsity_levels=(2, 3, 2)), "sparsity_levels"),
+            (dict(schemes=("po", "cs", "po")), "schemes"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
@@ -173,6 +178,7 @@ class TestTauSweep:
             (dict(schemes=("cs",)), "schemes"),
             (dict(tau_grid=()), "tau_grid"),
             (dict(tau_grid=(-0.1,)), "tau_grid"),
+            (dict(tau_grid=(0.0, 0.5, 0.5)), "tau_grid"),
         ],
     )
     def test_config_errors(self, patch, field):
@@ -242,6 +248,47 @@ class TestCsvContract:
         assert render_json(run_m_sweep(TINY)) == render_json(run_m_sweep(TINY))
 
 
+class TestZeroSignHits:
+    CFG = SweepConfig(
+        n=16, sparsity_levels=(2,), m=8, tau_grid=(0.0, 0.5),
+        schemes=("po",), trials=40, master_seed=3,
+    )
+
+    def test_json_cells_carry_the_count_and_csv_does_not(self):
+        result = run_tau_sweep(self.CFG)
+        payload = json.loads(render_json(result))
+        assert [c["zero_sign_hits"] for c in payload["cells"]] == [0, 0]
+        assert "zero_sign" not in render_csv(result)
+
+    def test_json_without_the_field_still_loads(self, tmp_path):
+        payload = json.loads(render_json(run_tau_sweep(self.CFG)))
+        for cell in payload["cells"]:
+            del cell["zero_sign_hits"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        assert all(c.zero_sign_hits == 0 for c in load_sweep_result(str(path)).cells)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched draw reaches worker processes only when they are forked",
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_from_every_worker_are_summed_per_cell(self, monkeypatch, workers):
+        import pocs.experiments
+
+        draw = pocs.experiments._draw_back_projection
+
+        def two_zeros_per_trial(*args):
+            yz, scale, _ = draw(*args)
+            return yz, scale, 2
+
+        plain = render_csv(run_tau_sweep(self.CFG))
+        monkeypatch.setattr(pocs.experiments, "_draw_back_projection", two_zeros_per_trial)
+        result = run_tau_sweep(self.CFG, workers=workers)
+        assert [c.zero_sign_hits for c in result.cells] == [2 * self.CFG.trials] * 2
+        assert render_csv(result) == plain
+
+
 def synthetic_power_law(exponent, coeff=0.9):
     n = 64
     cells = []
@@ -299,6 +346,14 @@ class TestFitRate:
         assert fit_rate(result, "po", 2, min_log2_ratio=1.0) == pytest.approx(-0.5, abs=1e-9)
         with pytest.raises(ValueError):
             fit_rate(result, "po", 2, min_log2_ratio=2.0)  # only 2 points remain
+
+    def test_zero_mean_names_the_cell(self):
+        result = synthetic_power_law(-0.5)
+        cells = list(result.cells)
+        cells[1] = dataclasses.replace(cells[1], mean_error=0.0, mean_error_db=float("-inf"))
+        with pytest.raises(ValueError) as err:
+            fit_rate(SweepResult(config=result.config, cells=tuple(cells)), "po", 2)
+        assert f"m={cells[1].m}" in str(err.value)
 
     def test_needs_dimension_for_csv_loads(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -149,3 +149,21 @@ class TestDirectionError:
         x0 = sample_sparse_signal(RngStream(31), 8, 2)
         with pytest.raises(DegenerateEstimateError):
             direction_error(x0, np.zeros(8, complex))
+
+    def test_rows_score_like_single_vectors(self):
+        gen = RngStream(32).generator()
+        x0 = np.stack([sample_sparse_signal(gen, 16, 4).vec for _ in range(5)])
+        xhat = gen.standard_normal((5, 16)) + 1j * gen.standard_normal((5, 16))
+        errors = direction_error(x0, xhat)
+        assert errors.shape == (5,)
+        for r in range(5):
+            ref = np.linalg.norm(x0[r] - xhat[r] / np.linalg.norm(xhat[r]))
+            assert errors[r] == pytest.approx(ref, rel=1e-13)
+            assert direction_error(x0[r], xhat[r]) == pytest.approx(ref, rel=1e-13)
+
+    def test_any_zero_row_raises(self):
+        x0 = np.eye(3, dtype=complex)
+        xhat = np.eye(3, dtype=complex)
+        xhat[1] = 0.0
+        with pytest.raises(DegenerateEstimateError):
+            direction_error(x0, xhat)
