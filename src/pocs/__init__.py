@@ -37,7 +37,6 @@ from .experiments import (
     run_tau_sweep,
     run_trial,
     trial_stream_id,
-    write_result,
 )
 from .recon import (
     DegenerateEstimateError,
@@ -57,7 +56,7 @@ from .rip import (
     rip_distortion_probe,
     sample_complexity_bound,
 )
-from .rng import RngStream, as_generator, fnv1a64, gaussian_stream
+from .rng import RngStream, as_generator, fnv1a64
 from .sensing import (
     PhaseMeasurements,
     SensingMatrix,
@@ -65,7 +64,6 @@ from .sensing import (
     VarianceConvention,
     measure_linear,
     measure_phase_only,
-    sample_back_projection,
     sample_sensing_matrix,
     sample_sparse_signal,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "expectation_identity_test",
     "fit_rate",
     "fnv1a64",
-    "gaussian_stream",
     "hard_threshold",
     "load_sweep_result",
     "matvec",
@@ -117,11 +114,9 @@ __all__ = [
     "run_m_sweep",
     "run_tau_sweep",
     "run_trial",
-    "sample_back_projection",
     "sample_complexity_bound",
     "sample_sensing_matrix",
     "sample_sparse_signal",
     "trial_stream_id",
-    "write_result",
     "zero_sign_count",
 ]

@@ -3,7 +3,7 @@
 A sweep cell is one (scheme, s, m, tau) combination. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
-straight from its exact law (:func:`pocs.sensing.sample_back_projection`),
+straight from its exact law (:func:`pocs.sensing._draw_back_projection`),
 without forming the m x n sensing matrix. The trial then keeps the s
 strongest entries, as PBP does, and records the direction error. Trial t
 of a cell runs on the stream id
@@ -82,9 +82,7 @@ class SweepConfig:
     """Declarative description of one sweep.
 
     ``log2_m_over_n`` drives a measurement-count sweep (tau fixed at 0);
-    ``m`` plus ``tau_grid`` drives a phase-noise sweep. ``aggregate`` names
-    the headline scale ("mean_error_db" or "mean_error"); both columns are
-    always emitted.
+    ``m`` plus ``tau_grid`` drives a phase-noise sweep.
     """
 
     n: int
@@ -95,8 +93,6 @@ class SweepConfig:
     m: int | None = None
     tau_grid: Sequence[float] = (0.0,)
     schemes: Sequence[str] = SCHEMES
-    output_path: str | None = None
-    aggregate: str = "mean_error_db"
 
 
 @dataclass(frozen=True)
@@ -270,8 +266,10 @@ def _run_cells(cells, n, trials, master_seed, workers):
 def _check_common(config: SweepConfig) -> None:
     if config.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {config.trials}")
-    if config.n < 1:
+    if config.n is None or config.n < 1:  # None: loaded from a CSV
         raise ConfigError(f"n: must be >= 1, got {config.n}")
+    if config.master_seed is None:
+        raise ConfigError("master_seed: a sweep needs a master seed, got None")
     if not config.sparsity_levels:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
     for s in config.sparsity_levels:
@@ -363,7 +361,7 @@ def fit_rate(
     points. ``n`` falls back to the result's config.
     """
     dim = int(n) if n else result.config.n
-    if dim < 1:
+    if dim is None or dim < 1:
         raise ValueError("signal dimension n unknown; pass n explicitly")
     points = sorted(
         (c.m, c.mean_error)
@@ -427,8 +425,6 @@ def result_to_dict(result: SweepResult) -> dict:
             "schemes": list(cfg.schemes),
             "trials": cfg.trials,
             "master_seed": cfg.master_seed,
-            "output_path": cfg.output_path,
-            "aggregate": cfg.aggregate,
         },
         "cells": [asdict(c) for c in result.cells],
     }
@@ -436,12 +432,6 @@ def result_to_dict(result: SweepResult) -> dict:
 
 def render_json(result: SweepResult) -> str:
     return json.dumps(result_to_dict(result), indent=2) + "\n"
-
-
-def write_result(result: SweepResult, path: str, fmt: str = "csv") -> None:
-    text = render_json(result) if fmt == "json" else render_csv(result)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _cells_from_rows(rows) -> tuple[CellAggregate, ...]:
@@ -462,10 +452,12 @@ def _cells_from_rows(rows) -> tuple[CellAggregate, ...]:
 
 
 def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
-    """Read a sweep written by :func:`write_result` (CSV or JSON).
+    """Read a sweep rendered by :func:`render_csv` or :func:`render_json`.
 
-    CSV files carry no config echo; pass ``n`` when a later step (rate
-    fitting, for example) needs the signal dimension.
+    CSV files carry no config echo: ``sparsity_levels``, ``schemes`` and
+    ``trials`` come from the cells, ``master_seed`` is None and so is ``n``
+    unless passed, for a later step (rate fitting, for example) that needs
+    the signal dimension. Config keys that JSON no longer echoes are ignored.
     """
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -482,8 +474,6 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
             m=cfg["m"],
             tau_grid=tuple(cfg["tau_grid"]),
             schemes=tuple(cfg["schemes"]),
-            output_path=cfg["output_path"],
-            aggregate=cfg["aggregate"],
         )
         cells = tuple(CellAggregate(**c) for c in payload["cells"])
         return SweepResult(config=config, cells=cells)
@@ -492,10 +482,11 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
         raise ValueError(f"{path}: not a sweep CSV (unexpected header)")
     cells = _cells_from_rows(ln.split(",") for ln in lines[1:])
     config = SweepConfig(
-        n=int(n) if n else 0,
+        n=int(n) if n else None,
         sparsity_levels=tuple(sorted({c.s for c in cells})),
         trials=cells[0].trials if cells else 0,
-        master_seed=0,
+        master_seed=None,
+        schemes=tuple(dict.fromkeys(c.scheme for c in cells)),
     )
     return SweepResult(config=config, cells=cells)
 

@@ -50,10 +50,6 @@ class RngStream:
         )
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Sibling stream under the same master seed."""
-        return RngStream(self.master_seed, stream_id)
-
 
 def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     """Accept a stream or an already-running generator.
@@ -68,13 +64,3 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
-
-def gaussian_stream(
-    rng: RngStream | np.random.Generator, count: int, stddev: float
-) -> np.ndarray:
-    """``count`` i.i.d. N(0, stddev^2) samples drawn from ``rng``."""
-    if stddev <= 0:
-        raise ValueError("stddev must be positive")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return as_generator(rng).normal(0.0, stddev, size=count)

@@ -208,13 +208,32 @@ def _draw_back_projection(
     tau: float,
     normals: np.ndarray,
 ) -> tuple[complex, float, int]:
-    """One draw of what the back-projection law needs from m-length samples.
+    """One draw of what the exact law of the back-projection needs.
+
+    ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` under ``convention``
+    (per-part deviation sigma) and its measurements ``z`` of a unit-norm
+    ``x0``, is sampled without drawing ``Phi``. Split each row along ``x0``,
+    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y = Phi x0``: for
+    i.i.d. circular Gaussian rows ``y`` has m i.i.d. circular Gaussian
+    entries with per-part sigma and is uncorrelated with, hence independent
+    of, ``Phi (I - x0 x0^H)``. ``z`` depends only on ``y`` and the phase
+    noise, so given ``z`` the part of ``Phi^H z`` orthogonal to ``x0`` is
+    ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
+    deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
+
+        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
+
+    with ``g`` n i.i.d. standard complex normals, which
+    :func:`_combine_back_projection` forms. ``||z||_2 = sqrt(m)`` on the
+    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``); on
+    the linear one ``z = y`` and ``tau`` is 0.
 
     Fills ``normals``, an (m + n, 2) float array, with m + n standard complex
     normals: the first m make ``y``, the last n are ``g``. On the phase-only
-    channel with ``tau > 0`` it then draws the m phase-noise uniforms. At
-    ``tau = 0`` the noise is identically 0 and its draw, the last of a
-    sample, is skipped. Returns ``(y^H z, sigma ||z||_2, zero signs)``.
+    channel with ``tau > 0`` it then draws the m phase-noise uniforms; at
+    ``tau = 0`` the noise is identically 0 and that last draw is skipped.
+    Exact zeros of ``y`` bump the csign zero counter. Returns
+    ``(y^H z, sigma ||z||_2, zero signs)``.
     """
     gen.standard_normal(out=normals)
     sigma = per_part_sigma(m, convention)
@@ -235,49 +254,3 @@ def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
     g += x0 * (yz - scale * x0_g)
     return g
 
-
-def sample_back_projection(
-    rng: RngStream | np.random.Generator,
-    x0: np.ndarray,
-    m: int,
-    convention: VarianceConvention | str,
-    tau: float,
-) -> np.ndarray:
-    """Exact sample of the back-projection ``Phi^H z`` without drawing ``Phi``.
-
-    ``Phi`` is an m x n matrix under ``convention`` (per-part standard
-    deviation sigma) and ``z`` its measurements of the unit-norm vector
-    ``x0``: phase-only with phase noise bounded by ``tau`` for
-    ``PHASE_ONLY``, linear (``z = Phi x0``, ``tau`` must be 0) for
-    ``CLASSICAL_CS``. The output has the same law as ``pbp``'s input
-    ``adjoint_matvec(Phi, z)`` for a freshly sampled ``Phi``.
-
-    Derivation. Split each row of ``Phi`` along ``x0``:
-    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y_i = phi_i x0``, so
-
-        Phi^H z = x0 (y^H z) + (I - x0 x0^H) Phi^H z.
-
-    For i.i.d. circular Gaussian rows and ``||x0||_2 = 1``, ``y = Phi x0``
-    has m i.i.d. circular Gaussian entries with per-part sigma, and it is
-    uncorrelated with, hence independent of, ``Phi (I - x0 x0^H)``. The
-    measurements ``z`` depend only on ``y`` and the phase noise, so given
-    ``z`` the second term is ``(I - x0 x0^H)`` applied to a circular Gaussian
-    n-vector with per-part deviation ``sigma ||z||_2``. Hence
-
-        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
-
-    with ``g`` n i.i.d. standard complex normals (per-part deviation 1).
-    ``||z||_2 = sqrt(m)`` on the phase-only channel, where
-    ``y^H z = sum_i |y_i| exp(1j xi_i)``; on the linear one ``z = y``. A call
-    draws m + n complex normals, then, on the phase-only channel with
-    ``tau > 0``, m uniforms for the phase noise, whatever the sparsity of
-    ``x0``. Exact zeros of ``y`` follow the :func:`csign` convention and bump
-    its diagnostic counter, as in :func:`measure_phase_only`.
-    """
-    convention = _back_projection_convention(m, convention, tau)
-    x0 = np.asarray(x0, dtype=np.complex128)
-    if abs(np.linalg.norm(x0) - 1.0) > 1e-9:
-        raise ValueError("x0 must have unit l2 norm")
-    normals = np.empty((m + x0.shape[0], 2))
-    yz, scale, _ = _draw_back_projection(as_generator(rng), m, convention, tau, normals)
-    return _combine_back_projection(x0, yz, scale, normals[m:].view(np.complex128)[:, 0])

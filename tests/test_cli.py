@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pocs import cli
+from pocs import cli, experiments
 
 
 def run_main(*argv):
@@ -173,7 +173,7 @@ class TestFitRate:
         ) == 2
 
     def test_zero_mean_error_exits_2(self, tmp_path, capsys):
-        from pocs import CellAggregate, SweepConfig, SweepResult, write_result
+        from pocs import CellAggregate, SweepConfig, SweepResult, render_csv
 
         cells = tuple(
             CellAggregate(scheme="po", s=1, m=m, tau=0.0, trials=10, failures=0,
@@ -182,11 +182,43 @@ class TestFitRate:
         )
         config = SweepConfig(n=16, sparsity_levels=(1,), trials=10, master_seed=0)
         path = tmp_path / "sweep.csv"
-        write_result(SweepResult(config=config, cells=cells), str(path))
+        path.write_text(render_csv(SweepResult(config=config, cells=cells)))
         code = run_main("fit-rate", "--in", str(path), "--scheme", "po", "--s", "1",
                         "--n", "16")
         assert code == 2
         assert "m=32" in capsys.readouterr().err
+
+    def test_csv_without_n_exits_2(self, tmp_path, capsys):
+        sweep_out = tmp_path / "sweep.csv"
+        assert run_main(
+            "sweep-m", "--n", "16", "--s", "2", "--log2-ratio", "0",
+            "--log2-ratio", "1", "--log2-ratio", "2", "--scheme", "po",
+            "--trials", "10", "--out", str(sweep_out),
+        ) == 0
+        code = run_main("fit-rate", "--in", str(sweep_out), "--scheme", "po", "--s", "2")
+        assert code == 2
+        assert "signal dimension n unknown" in capsys.readouterr().err
+
+    def test_json_with_old_config_keys_still_loads(self, tmp_path, capsys):
+        # sweep JSON from before the config echo lost output_path and aggregate
+        sweep_out = tmp_path / "sweep.json"
+        assert run_main(
+            "sweep-m", "--n", "16", "--s", "2", "--log2-ratio", "0",
+            "--log2-ratio", "1", "--log2-ratio", "2", "--scheme", "po",
+            "--trials", "40", "--seed", "9", "--format", "json", "--out", str(sweep_out),
+        ) == 0
+        payload = json.loads(sweep_out.read_text())
+        capsys.readouterr()
+        assert run_main("fit-rate", "--in", str(sweep_out), "--scheme", "po", "--s", "2") == 0
+        slope = capsys.readouterr().out
+        payload["config"]["output_path"] = "sweep.json"
+        payload["config"]["aggregate"] = "mean_error_db"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload, indent=2) + "\n")
+        loaded = experiments.load_sweep_result(str(old))
+        assert loaded == experiments.load_sweep_result(str(sweep_out))
+        assert run_main("fit-rate", "--in", str(old), "--scheme", "po", "--s", "2") == 0
+        assert capsys.readouterr().out == slope
 
     def test_missing_input_exits_3(self):
         assert run_main(
@@ -217,3 +249,17 @@ def test_stdout_default_via_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("scheme,s,m,tau,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    TestSweepM.ARGS,
+    ("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0", "--tau", "1",
+     "--trials", "10", "--seed", "3"),
+], ids=["sweep-m", "sweep-tau"])
+def test_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, argv, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    assert run_main(*argv, "--format", fmt, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_main(*argv, "--format", fmt) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")

@@ -1,7 +1,8 @@
 """Statistical-equivalence gate for the sweep's back-projection sampler.
 
-Sweep trials draw ``Phi^H z`` from its exact law with
-:func:`sample_back_projection` instead of forming the m x n sensing matrix.
+Sweep trials draw ``Phi^H z`` from its exact law
+(:func:`pocs.sensing._draw_back_projection`) instead of forming the m x n
+sensing matrix.
 These tests check the rank-one split that law rests on, then compare the
 direction error of :func:`run_trial` against a full-matrix reference trial
 built from the paper-facing API (matrix draw, channel, PBP), cell by cell:
@@ -24,7 +25,6 @@ from pocs import (
     measure_phase_only,
     pbp,
     run_trial,
-    sample_back_projection,
     sample_sensing_matrix,
     sample_sparse_signal,
     zero_sign_count,
@@ -74,6 +74,12 @@ def assert_same_law(scheme, n, s, m, tau, trials):
     ref = reference_errors(scheme, n, s, m, tau, trials)
     new = engine_errors(scheme, n, s, m, tau, trials)
     assert np.isfinite(new).all()
+    ref, new = np.round(ref, 9), np.round(new, 9)  # the grid ks_statistic uses
+    if not (ref.any() or new.any()):
+        # both samplers recover the support in every trial: the errors are
+        # rounding residue, with no spread to test the means against
+        print(f"\n{scheme} n={n} s={s} m={m} tau={tau:g}: exact in all {trials} trials")
+        return
     se = math.sqrt(ref.var(ddof=1) / ref.size + new.var(ddof=1) / new.size)
     z = (new.mean() - ref.mean()) / se
     d = ks_statistic(ref, new)
@@ -119,19 +125,18 @@ def test_matches_full_matrix_reference_acceptance_cells(tau):
 
 
 class TestSampleBackProjection:
-    X0 = np.array([0.6, 0.0, -0.8, 0.0], dtype=np.complex128)
-
     @pytest.mark.parametrize(
-        "x0,convention,tau",
+        "scheme,m,tau",
         [
-            (X0, "po", -0.1),        # negative phase-noise bound
-            (X0, "cs", 0.5),         # the linear channel has no phase noise
-            (2.0 * X0, "po", 0.0),   # the law needs ||x0||_2 = 1
+            ("po", 8, -0.1),   # negative phase-noise bound
+            ("cs", 8, 0.5),    # the linear channel has no phase noise
+            ("po", 0, 0.0),    # no measurements
         ],
+        ids=["negative-tau", "cs-with-tau", "m-below-1"],
     )
-    def test_rejects_invalid_input(self, x0, convention, tau):
+    def test_rejects_invalid_input(self, scheme, m, tau):
         with pytest.raises(ValueError):
-            sample_back_projection(RngStream(0), x0, 8, convention, tau)
+            run_trial(scheme, 4, 2, m, tau, 0, 0)
 
     @pytest.mark.parametrize(
         "xi",

@@ -23,8 +23,8 @@ from pocs import (
     run_tau_sweep,
     run_trial,
     trial_stream_id,
-    write_result,
 )
+from pocs import cli
 from pocs.experiments import ENGINE, pool_size
 
 TINY = SweepConfig(
@@ -110,6 +110,9 @@ class TestMSweep:
             # repeated values would give cells with identical stream ids
             (dict(sparsity_levels=(2, 3, 2)), "sparsity_levels"),
             (dict(schemes=("po", "cs", "po")), "schemes"),
+            # a config loaded from a CSV holds neither
+            (dict(n=None), "n"),
+            (dict(master_seed=None), "master_seed"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
@@ -218,17 +221,21 @@ class TestCsvContract:
         assert row.split(",")[8] == "1"
 
     def test_lf_endings_and_utf8(self, tmp_path):
+        # the CLI's file writer adds no \r and writes the rendered text as is
         path = tmp_path / "sweep.csv"
-        write_result(run_m_sweep(TINY), str(path), fmt="csv")
+        assert cli.main([
+            "sweep-m", "--n", "16", "--s", "2", "--log2-ratio", "-1", "--log2-ratio", "0",
+            "--trials", "20", "--seed", "7", "--out", str(path),
+        ]) == 0
         raw = path.read_bytes()
         assert b"\r" not in raw
-        raw.decode("utf-8")
+        assert raw.decode("utf-8") == render_csv(run_m_sweep(TINY))
 
     def test_roundtrip_csv_and_json(self, tmp_path):
         result = run_m_sweep(TINY)
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
-        write_result(result, str(csv_path), fmt="csv")
-        write_result(result, str(json_path), fmt="json")
+        csv_path.write_text(render_csv(result), encoding="utf-8", newline="")
+        json_path.write_text(render_json(result), encoding="utf-8", newline="")
         # CSV carries 10 significant digits; re-rendering the load is lossless
         from_csv = load_sweep_result(str(csv_path), n=TINY.n)
         assert render_csv(from_csv) == csv_path.read_text()
@@ -239,6 +246,20 @@ class TestCsvContract:
         from_json = load_sweep_result(str(json_path))
         assert from_json.cells == result.cells
         assert from_json.config == result.config
+
+    def test_csv_load_leaves_unknown_config_none(self, tmp_path):
+        # a CSV holds cells only: what they show is derived, the rest is None
+        path = tmp_path / "r.csv"
+        path.write_text(render_csv(run_m_sweep(TINY)), encoding="utf-8", newline="")
+        config = load_sweep_result(str(path)).config
+        assert (config.n, config.master_seed) == (None, None)
+        assert config.schemes == ("po", "cs")
+        assert config.sparsity_levels == (2,)
+        assert config.trials == TINY.trials
+        assert load_sweep_result(str(path), n=16).config.n == 16
+        cs_only = render_csv(run_m_sweep(dataclasses.replace(TINY, schemes=("cs",))))
+        path.write_text(cs_only, encoding="utf-8", newline="")
+        assert load_sweep_result(str(path)).config.schemes == ("cs",)
 
     def test_json_echoes_the_engine(self):
         payload = json.loads(render_json(run_m_sweep(TINY)))
@@ -357,9 +378,9 @@ class TestFitRate:
 
     def test_needs_dimension_for_csv_loads(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_result(synthetic_power_law(-0.5), str(path), fmt="csv")
+        path.write_text(render_csv(synthetic_power_law(-0.5)), encoding="utf-8", newline="")
         loaded = load_sweep_result(str(path))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="signal dimension n unknown"):
             fit_rate(loaded, "po", 2)
         assert fit_rate(loaded, "po", 2, n=64) == pytest.approx(-0.5, abs=1e-9)
 
