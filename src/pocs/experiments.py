@@ -268,8 +268,7 @@ def _check_common(config: SweepConfig) -> None:
         raise ConfigError(f"trials: must be >= 1, got {config.trials}")
     if config.n is None or config.n < 1:  # None: loaded from a CSV
         raise ConfigError(f"n: must be >= 1, got {config.n}")
-    if config.master_seed is None:
-        raise ConfigError("master_seed: a sweep needs a master seed, got None")
+    _check_master_seed(config.master_seed)
     if not config.sparsity_levels:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
     for s in config.sparsity_levels:
@@ -282,6 +281,15 @@ def _check_common(config: SweepConfig) -> None:
         if scheme not in SCHEMES:
             raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
     _check_distinct("schemes", config.schemes)
+
+
+def _check_master_seed(seed) -> None:
+    # RngStream keeps the low 64 bits only: outside [0, 2^64) two seeds would
+    # give the same draws
+    if seed is None:
+        raise ConfigError("master_seed: a master seed is required, got None")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"master_seed: must lie in [0, 2^64), got {seed}")
 
 
 def _check_distinct(field: str, values) -> None:
@@ -495,6 +503,16 @@ def rip_estimate_report(
     m: int, n: int, s: int, num_probes: int, master_seed: int
 ) -> dict:
     """Probe a fresh PHASE_ONLY matrix and report the implied error bounds."""
+    # checked before the m x n matrix is drawn
+    if m < 1:
+        raise ConfigError(f"m: must be >= 1, got {m}")
+    if n < 1:
+        raise ConfigError(f"n: must be >= 1, got {n}")
+    if not 1 <= s <= n:
+        raise ConfigError(f"s: s={s} outside [1, n={n}]")
+    if num_probes < 1:
+        raise ConfigError(f"num_probes: must be >= 1, got {num_probes}")
+    _check_master_seed(master_seed)
     gen = RngStream(master_seed).generator()
     Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)
     estimate = rip_distortion_probe(Phi, s, num_probes, gen)

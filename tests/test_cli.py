@@ -144,6 +144,46 @@ class TestRipTools:
         assert header.split(",")[0] == "m"
         assert len(row.split(",")) == len(header.split(","))
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--m", "0", "m"), ("--n", "0", "n"), ("--s", "0", "s"), ("--s", "17", "s"),
+        ("--probes", "0", "num_probes"), ("--seed", "-1", "master_seed"),
+    ])
+    def test_rip_estimate_bad_input_exits_2_before_the_matrix_draw(
+        self, monkeypatch, capsys, flag, value, field
+    ):
+        drawn = []
+        monkeypatch.setattr(
+            experiments, "sample_sensing_matrix", lambda *a, **k: drawn.append(a)
+        )
+        argv = {"--m": "32", "--n": "16", "--s": "2", "--probes": "20", "--seed": "4"}
+        argv[flag] = value
+        code = run_main("rip-estimate", *[t for kv in argv.items() for t in kv])
+        assert code == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+        assert drawn == []
+
+
+# RngStream keeps a seed's low 64 bits, so -1 would alias 2^64 - 1 and 2^64 would alias 0
+SWEEP_TAU = ("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0.5", "--trials", "5")
+RIP_ESTIMATE = ("rip-estimate", "--m", "8", "--n", "4", "--s", "2", "--probes", "5")
+
+
+@pytest.mark.parametrize("argv", [SWEEP_TAU, TestSweepM.ARGS[:-2], RIP_ESTIMATE],
+                         ids=["sweep-tau", "sweep-m", "rip-estimate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64))])
+def test_seed_outside_64_bits_exits_2(capsys, argv, seed):
+    assert run_main(*argv, "--seed", seed) == 2
+    assert "configuration error: master_seed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [SWEEP_TAU, RIP_ESTIMATE], ids=["sweep-tau", "rip-estimate"])
+def test_64_bit_seed_range_ends_are_accepted(capsys, argv):
+    outputs = []
+    for seed in ("0", str(2**64 - 1)):
+        assert run_main(*argv, "--seed", seed) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
 
 class TestFitRate:
     def test_fit_rate_from_csv(self, tmp_path):

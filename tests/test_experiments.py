@@ -113,6 +113,9 @@ class TestMSweep:
             # a config loaded from a CSV holds neither
             (dict(n=None), "n"),
             (dict(master_seed=None), "master_seed"),
+            # RngStream keeps a seed's low 64 bits: these would alias 2^64 - 1 and 0
+            (dict(master_seed=-1), "master_seed"),
+            (dict(master_seed=1 << 64), "master_seed"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):

@@ -17,6 +17,8 @@ from pocs import (
     sample_complexity_bound,
     sample_sensing_matrix,
 )
+from pocs.rip import _probe_stats
+from pocs.sensing import _support_value_batch
 
 
 class TestDistortionProbe:
@@ -88,6 +90,75 @@ class TestDistortionProbe:
             rip_distortion_probe(Phi, 5, 10, RngStream(0))
         with pytest.raises(ValueError):
             rip_distortion_probe(Phi, 2, 0, RngStream(0))
+
+
+def gathered_stats(mat, supports, values):
+    """Per-probe | ||Phi x||_1 - 1 | by gathering the support columns (reference)."""
+    cols = mat[:, supports]  # (m, count, s)
+    proj = np.einsum("ick,ck->ci", cols, values)
+    return np.abs(np.abs(proj).sum(axis=1) - 1.0)
+
+
+def reference_search(Phi, s, num_probes, gen, local_search_rounds=2):
+    """The probe search written from the gathered formula, all random probes in one draw."""
+    mat = Phi.mat
+    n = mat.shape[1]
+    supports, values = _support_value_batch(gen, n, s, num_probes)
+    stats = gathered_stats(mat, supports, values)
+    k = int(np.argmax(stats))
+    best, support, vals = float(stats[k]), supports[k], values[k].astype(np.complex128)
+    col_stats = np.abs(np.abs(mat).sum(axis=0) - 1.0)
+    j = int(np.argmax(col_stats))
+    if col_stats[j] > best:
+        best, support, vals = float(col_stats[j]), np.array([j]), np.ones(1, np.complex128)
+    evaluated = num_probes + n
+    proj = mat[:, support] @ vals
+    for _ in range(local_search_rounds):
+        flipped = proj[:, None] - 2.0 * mat[:, support] * vals[None, :]
+        stats = np.abs(np.abs(flipped).sum(axis=0) - 1.0)
+        evaluated += support.size
+        k = int(np.argmax(stats))
+        if stats[k] <= best:
+            break
+        best, proj = float(stats[k]), flipped[:, k].copy()
+        vals = vals.copy()
+        vals[k] = -vals[k]
+    worst = np.zeros(n, dtype=np.complex128)
+    worst[support] = vals
+    return best, worst, evaluated
+
+
+class TestProbeKernel:
+    """The dense real GEMM against the gathered complex einsum it replaced."""
+
+    def test_per_probe_statistics_match_gathered_einsum(self):
+        gen = np.random.default_rng(70)
+        shapes = [(1, 1, 1), (1, 9, 9), (1, 9, 1), (6, 1, 1), (13, 13, 13), (64, 256, 20)]
+        shapes += [
+            (int(m), int(n), int(gen.integers(1, n + 1)))
+            for m, n in zip(gen.integers(1, 300, 40), gen.integers(1, 80, 40))
+        ]
+        for m, n, s in shapes:
+            Phi = sample_sensing_matrix(gen, m, n, "po")
+            supports, values = _support_value_batch(gen, n, s, int(gen.integers(1, 50)))
+            mat_t = np.ascontiguousarray(Phi.mat.T)
+            got = _probe_stats(mat_t, supports, values)
+            want = gathered_stats(Phi.mat, supports, values)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, n, s)
+
+    # at n <= m = 4096 the search runs 262,144 // 4096 = 64 probes per batch:
+    # 40 ends inside the first batch, 209 spans four and ends inside the last
+    @pytest.mark.parametrize("num_probes", [40, 209])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_search_matches_gathered_reference(self, num_probes, seed):
+        Phi = sample_sensing_matrix(RngStream(71, seed), 4096, 32, "po")
+        gen, ref_gen = RngStream(72, seed).generator(), RngStream(72, seed).generator()
+        est = rip_distortion_probe(Phi, 5, num_probes, gen)
+        best, worst, evaluated = reference_search(Phi, 5, num_probes, ref_gen)
+        assert est.delta_lower == pytest.approx(best, rel=0.0, abs=1e-12)
+        assert np.array_equal(est.worst_probe, worst)
+        assert est.num_probes == evaluated
+        assert gen.random() == ref_gen.random()  # drew exactly num_probes probes
 
 
 class TestExpectationIdentity:
