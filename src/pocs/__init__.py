@@ -17,9 +17,7 @@ from .core import (
     hard_threshold,
     matvec,
     norm,
-    reset_zero_sign_count,
     restrict,
-    zero_sign_count,
 )
 from .experiments import (
     CellAggregate,
@@ -107,7 +105,6 @@ __all__ = [
     "pbp_oracle_support",
     "render_csv",
     "render_json",
-    "reset_zero_sign_count",
     "restrict",
     "rip_distortion_probe",
     "rip_estimate_report",
@@ -118,5 +115,4 @@ __all__ = [
     "sample_sensing_matrix",
     "sample_sparse_signal",
     "trial_stream_id",
-    "zero_sign_count",
 ]

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_zero_sign_seen = 0
-
 
 def norm(v, p=2) -> float:
     """lp norm of a complex vector for p in {1, 2, inf}, modulus-based."""
@@ -29,34 +27,14 @@ def norm(v, p=2) -> float:
 def csign(v) -> np.ndarray:
     """Componentwise complex signum ``v_i / |v_i|``.
 
-    Exact zeros map to ``1+0j`` so the operator stays total; each occurrence
-    is tallied in a diagnostic counter (see :func:`zero_sign_count`). Every
-    output entry has unit modulus.
+    Exact zeros map to ``1+0j`` so the operator stays total; a sweep reports
+    how many measurements met this convention in each cell's
+    ``zero_sign_hits``. Every output entry has unit modulus.
     """
     v = np.asarray(v, dtype=np.complex128)
     mod = np.abs(v)
     zero = mod == 0.0
-    record_zero_signs(int(np.count_nonzero(zero)))
     return np.where(zero, np.complex128(1.0), v / np.where(zero, 1.0, mod))
-
-
-def record_zero_signs(count: int) -> None:
-    """Add ``count`` exact zeros mapped by the csign convention to the counter.
-
-    For code that applies the convention without calling :func:`csign`.
-    """
-    global _zero_sign_seen
-    _zero_sign_seen += count
-
-
-def zero_sign_count() -> int:
-    """How many exact-zero entries :func:`csign` has mapped to 1 so far."""
-    return _zero_sign_seen
-
-
-def reset_zero_sign_count() -> None:
-    global _zero_sign_seen
-    _zero_sign_seen = 0
 
 
 def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:

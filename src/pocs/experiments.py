@@ -3,10 +3,10 @@
 A sweep cell is one (scheme, s, m, tau) combination. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
-straight from its exact law (:func:`pocs.sensing._draw_back_projection`),
-without forming the m x n sensing matrix. The trial then keeps the s
-strongest entries, as PBP does, and records the direction error. Trial t
-of a cell runs on the stream id
+straight from its exact rank-one law (:func:`_run_trials`), without forming
+the m x n sensing matrix. The trial then keeps the s strongest entries, as
+PBP does, and records the direction error. Trial t of a cell runs on the
+stream id
 
     fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<t>")
 
@@ -52,11 +52,9 @@ from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_pro
 from .rng import RngStream, fnv1a64
 from .sensing import (
     VarianceConvention,
-    _back_projection_convention,
-    _combine_back_projection,
-    _draw_back_projection,
     _redraw_zero_values,
     _support_value_rows,
+    per_part_sigma,
     sample_sensing_matrix,
 )
 
@@ -137,24 +135,84 @@ def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -
     return fnv1a64(b"%d" % trial_index, _cell_key_hash(scheme, s, m, tau))
 
 
+def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[complex, int]:
+    """``y^H z`` for the phase-only measurements ``z = csign(y) exp(1j xi)``.
+
+    ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
+    computed without forming ``z``. ``xi=None`` stands for no phase noise;
+    the value is then ``sum_i |y_i|``, but it is taken through the signum as
+    csign computes it, ``y_i (1 / |y_i|)``, because its rounding is all the
+    error there is when a trial recovers the support exactly (s = 1). An
+    exact zero of ``y`` adds 0 whatever csign maps it to. Returns the
+    statistic and the number of such zeros.
+    """
+    mod = np.abs(y)
+    zeros = mod.size - int(np.count_nonzero(mod))
+    if xi is not None:
+        return complex(mod @ np.cos(xi), mod @ np.sin(xi)), zeros
+    if zeros:  # a zero's term conj(0) z_i is 0 whatever its reciprocal
+        inv = np.divide(1.0, mod, out=np.zeros_like(mod), where=mod > 0)
+    else:
+        inv = 1.0 / mod
+    return complex(np.vdot(y, y * inv)), zeros
+
+
+def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
+    """``x0 (y^H z) + scale (I - x0 x0^H) g`` along the last axis, written into ``g``."""
+    yz = np.asarray(yz, dtype=np.complex128)[..., None]
+    scale = np.asarray(scale, dtype=np.complex128)[..., None]
+    x0_g = np.einsum("...i,...i->...", x0.conj(), g)[..., None]
+    g *= scale
+    g += x0 * (yz - scale * x0_g)
+    return g
+
+
 def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
     """Trials ``start`` to ``stop - 1`` of one cell, run as one batch.
 
-    Each trial draws from its own stream in the documented order; only the
-    draws run per trial. Returns ``(errors, failed, supports, zero_signs)``:
-    per-trial errors (NaN where failed), flags for estimates that came out
-    identically zero, the supports found (one sorted row of s per trial) and
-    how many measurements met the zero-signum convention.
+    ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
+    deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
+    sampled without drawing ``Phi``. Split each row along ``x0``,
+    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y = Phi x0``: for
+    i.i.d. circular Gaussian rows ``y`` has m i.i.d. circular Gaussian
+    entries with per-part sigma and is uncorrelated with, hence independent
+    of, ``Phi (I - x0 x0^H)``. ``z`` depends only on ``y`` and the phase
+    noise, so given ``z`` the part of ``Phi^H z`` orthogonal to ``x0`` is
+    ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
+    deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
+
+        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
+
+    with ``g`` n i.i.d. standard complex normals, which
+    :func:`_combine_back_projection` forms. ``||z||_2 = sqrt(m)`` on the
+    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``); on
+    the linear one ``z = y`` and ``tau`` is 0.
+
+    Each trial draws from its own stream in the order the module docstring
+    gives; of its m + n complex normals the first m make ``y``, the last n
+    ``g``. Only the draws run per trial. Returns ``(errors, failed,
+    supports, zero_signs)``: per-trial errors (NaN where failed), flags for
+    estimates that came out identically zero, the supports found (one sorted
+    row of s per trial) and how many measurements met the zero-signum
+    convention.
     """
     if not 1 <= s <= n:
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
-    convention = _back_projection_convention(m, scheme, tau)
+    if m < 1:
+        raise ValueError("measurement count m must be positive")
+    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
+        raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau!r}")
+    convention = VarianceConvention(scheme)
+    phase_only = convention is VarianceConvention.PHASE_ONLY
+    if not phase_only and tau != 0:
+        raise ValueError("the linear channel has no phase noise; tau must be 0")
+    sigma = per_part_sigma(m, convention)
     prefix = _cell_key_hash(scheme, s, m, tau)
     count = stop - start
     u = np.empty((count, n + s))
     g = np.empty((count, n), dtype=np.complex128)
     yz = np.empty(count, dtype=np.complex128)
-    scale = np.empty(count)
+    scale = np.full(count, sigma * math.sqrt(m))  # sigma ||z||_2; cs sets its own
     normals = np.empty((m + n, 2))
     zero_signs = 0
     for k in range(count):
@@ -162,9 +220,16 @@ def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
         gen.random(out=u[k])
         if u[k, n] == 0.5:  # the s values can all be zero only if the first is
             _redraw_zero_values(gen, u[k : k + 1], n)
-        yz[k], scale[k], zeros = _draw_back_projection(gen, m, convention, tau, normals)
+        gen.standard_normal(out=normals)
         g[k] = normals[m:].view(np.complex128)[:, 0]
-        zero_signs += zeros
+        y = sigma * normals[:m].view(np.complex128)[:, 0]
+        if phase_only:
+            xi = gen.uniform(-tau, tau, size=m) if tau > 0 else None
+            yz[k], zeros = _phase_only_statistic(y, xi)
+            zero_signs += zeros
+        else:
+            yz[k] = np.vdot(y, y)
+            scale[k] = sigma * float(np.linalg.norm(y))
     supports, values = _support_value_rows(u, s)
     x0 = np.zeros((count, n), dtype=np.complex128)
     np.put_along_axis(x0, supports, values, axis=1)
@@ -302,7 +367,11 @@ def _check_distinct(field: str, values) -> None:
 
 
 def _ratio_to_m(n: int, ratio: float) -> int:
-    m = int(round(n * 2.0**ratio))
+    # 2.0**ratio raises OverflowError from 1024 on; NaN fails every comparison
+    scaled = n * 2.0**ratio if ratio < 1024 else math.inf
+    if not math.isfinite(scaled):
+        raise ConfigError(f"log2_m_over_n: ratio {ratio:g} gives no finite m at n={n}")
+    m = int(round(scaled))
     if m < 1:
         raise ConfigError(f"log2_m_over_n: ratio {ratio:g} gives m < 1 at n={n}")
     return m
@@ -346,8 +415,8 @@ def run_tau_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if not config.tau_grid:
         raise ConfigError("tau_grid: at least one tau is required")
     for tau in config.tau_grid:
-        if tau < 0:
-            raise ConfigError(f"tau_grid: tau must be nonnegative, got {tau:g}")
+        if not (tau >= 0 and math.isfinite(2.0 * tau)):
+            raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     _check_distinct("tau_grid", config.tau_grid)
     s = config.sparsity_levels[0]
     cells = [("po", s, config.m, float(tau)) for tau in config.tau_grid]
@@ -368,9 +437,11 @@ def fit_rate(
     log2(m/n) is at least ``min_log2_ratio``; needs three or more grid
     points. ``n`` falls back to the result's config.
     """
-    dim = int(n) if n else result.config.n
-    if dim is None or dim < 1:
+    dim = result.config.n if n is None else int(n)
+    if dim is None:
         raise ValueError("signal dimension n unknown; pass n explicitly")
+    if dim < 1:
+        raise ValueError(f"n: must be >= 1, got {dim}")
     points = sorted(
         (c.m, c.mean_error)
         for c in result.cells
@@ -442,20 +513,20 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(result_to_dict(result), indent=2) + "\n"
 
 
-def _cells_from_rows(rows) -> tuple[CellAggregate, ...]:
-    return tuple(
-        CellAggregate(
-            scheme=r[0],
-            s=int(r[1]),
-            m=int(r[2]),
-            tau=float(r[3]),
-            trials=int(r[4]),
-            failures=int(r[5]),
-            mean_error=float(r[6]),
-            mean_error_db=float(r[7]),
-            stderr_error=float(r[8]),
-        )
-        for r in rows
+def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
+    r = line.split(",")
+    if len(r) != 9:
+        raise ValueError(f"{path}, line {lineno}: expected 9 fields, got {len(r)}")
+    return CellAggregate(
+        scheme=r[0],
+        s=int(r[1]),
+        m=int(r[2]),
+        tau=float(r[3]),
+        trials=int(r[4]),
+        failures=int(r[5]),
+        mean_error=float(r[6]),
+        mean_error_db=float(r[7]),
+        stderr_error=float(r[8]),
     )
 
 
@@ -470,27 +541,30 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        cfg = payload["config"]
-        config = SweepConfig(
-            n=cfg["n"],
-            sparsity_levels=tuple(cfg["sparsity_levels"]),
-            trials=cfg["trials"],
-            master_seed=cfg["master_seed"],
-            log2_m_over_n=(
-                tuple(cfg["log2_m_over_n"]) if cfg["log2_m_over_n"] else None
-            ),
-            m=cfg["m"],
-            tau_grid=tuple(cfg["tau_grid"]),
-            schemes=tuple(cfg["schemes"]),
-        )
-        cells = tuple(CellAggregate(**c) for c in payload["cells"])
+        try:
+            cfg = payload["config"]
+            config = SweepConfig(
+                n=cfg["n"],
+                sparsity_levels=tuple(cfg["sparsity_levels"]),
+                trials=cfg["trials"],
+                master_seed=cfg["master_seed"],
+                log2_m_over_n=(
+                    tuple(cfg["log2_m_over_n"]) if cfg["log2_m_over_n"] else None
+                ),
+                m=cfg["m"],
+                tau_grid=tuple(cfg["tau_grid"]),
+                schemes=tuple(cfg["schemes"]),
+            )
+            cells = tuple(CellAggregate(**c) for c in payload["cells"])
+        except (KeyError, TypeError) as exc:  # a missing key, or a cell missing one
+            raise ValueError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
         return SweepResult(config=config, cells=cells)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: not a sweep CSV (unexpected header)")
-    cells = _cells_from_rows(ln.split(",") for ln in lines[1:])
+    cells = tuple(_cell_from_row(path, no, ln) for no, ln in lines[1:])
     config = SweepConfig(
-        n=int(n) if n else None,
+        n=n,
         sparsity_levels=tuple(sorted({c.s for c in cells})),
         trials=cells[0].trials if cells else 0,
         master_seed=None,

@@ -13,6 +13,10 @@ independent zero-mean Gaussians. Two variance conventions are supported:
 
 The phase-only channel keeps only the componentwise complex signum of the
 linear measurements, optionally rotated by bounded phase noise.
+
+This is the full-matrix model of the paper. Sweep trials sample PBP's input
+from its exact law instead (:func:`pocs.experiments._run_trials`); the
+statistical gate in ``tests/test_engine.py`` checks them against this model.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import csign, matvec, record_zero_signs
+from .core import csign, matvec
 from .rng import RngStream, as_generator
 
 
@@ -154,7 +158,7 @@ def measure_phase_only(
 
     The phase noise is i.i.d. ``xi_i ~ Uniform[-tau, tau]`` (radians). With
     ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
-    ``Phi x0`` follow the csign convention and bump its diagnostic counter.
+    ``Phi x0`` follow the csign convention.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -163,94 +167,3 @@ def measure_phase_only(
     xi = gen.uniform(-tau, tau, size=y.shape[0])
     z = csign(y) * np.exp(1j * xi)
     return PhaseMeasurements(z=z, xi=xi, tau=float(tau))
-
-
-def _back_projection_convention(
-    m: int, convention: VarianceConvention | str, tau: float
-) -> VarianceConvention:
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if m < 1:
-        raise ValueError("measurement count m must be positive")
-    convention = VarianceConvention(convention)
-    if convention is VarianceConvention.CLASSICAL_CS and tau != 0:
-        raise ValueError("the linear channel has no phase noise; tau must be 0")
-    return convention
-
-
-def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[complex, int]:
-    """``y^H z`` for the phase-only measurements ``z = csign(y) exp(1j xi)``.
-
-    ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
-    computed without forming ``z``. ``xi=None`` stands for no phase noise;
-    the value is then ``sum_i |y_i|``, but it is taken through the signum as
-    csign computes it, ``y_i (1 / |y_i|)``, because its rounding is all the
-    error there is when a trial recovers the support exactly (s = 1). An
-    exact zero of ``y`` adds 0 whatever csign maps it to, and bumps the csign
-    counter as csign does. Returns the statistic and that zero count.
-    """
-    mod = np.abs(y)
-    zeros = mod.size - int(np.count_nonzero(mod))
-    record_zero_signs(zeros)
-    if xi is not None:
-        return complex(mod @ np.cos(xi), mod @ np.sin(xi)), zeros
-    if zeros:  # a zero's term conj(0) z_i is 0 whatever its reciprocal
-        inv = np.divide(1.0, mod, out=np.zeros_like(mod), where=mod > 0)
-    else:
-        inv = 1.0 / mod
-    return complex(np.vdot(y, y * inv)), zeros
-
-
-def _draw_back_projection(
-    gen: np.random.Generator,
-    m: int,
-    convention: VarianceConvention,
-    tau: float,
-    normals: np.ndarray,
-) -> tuple[complex, float, int]:
-    """One draw of what the exact law of the back-projection needs.
-
-    ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` under ``convention``
-    (per-part deviation sigma) and its measurements ``z`` of a unit-norm
-    ``x0``, is sampled without drawing ``Phi``. Split each row along ``x0``,
-    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y = Phi x0``: for
-    i.i.d. circular Gaussian rows ``y`` has m i.i.d. circular Gaussian
-    entries with per-part sigma and is uncorrelated with, hence independent
-    of, ``Phi (I - x0 x0^H)``. ``z`` depends only on ``y`` and the phase
-    noise, so given ``z`` the part of ``Phi^H z`` orthogonal to ``x0`` is
-    ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
-    deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
-
-        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
-
-    with ``g`` n i.i.d. standard complex normals, which
-    :func:`_combine_back_projection` forms. ``||z||_2 = sqrt(m)`` on the
-    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``); on
-    the linear one ``z = y`` and ``tau`` is 0.
-
-    Fills ``normals``, an (m + n, 2) float array, with m + n standard complex
-    normals: the first m make ``y``, the last n are ``g``. On the phase-only
-    channel with ``tau > 0`` it then draws the m phase-noise uniforms; at
-    ``tau = 0`` the noise is identically 0 and that last draw is skipped.
-    Exact zeros of ``y`` bump the csign zero counter. Returns
-    ``(y^H z, sigma ||z||_2, zero signs)``.
-    """
-    gen.standard_normal(out=normals)
-    sigma = per_part_sigma(m, convention)
-    y = sigma * normals[:m].view(np.complex128)[:, 0]
-    if convention is VarianceConvention.CLASSICAL_CS:
-        return complex(np.vdot(y, y)), sigma * float(np.linalg.norm(y)), 0
-    xi = gen.uniform(-tau, tau, size=m) if tau > 0 else None
-    yz, zeros = _phase_only_statistic(y, xi)
-    return yz, sigma * math.sqrt(m), zeros
-
-
-def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
-    """``x0 (y^H z) + scale (I - x0 x0^H) g`` along the last axis, written into ``g``."""
-    yz = np.asarray(yz, dtype=np.complex128)[..., None]
-    scale = np.asarray(scale, dtype=np.complex128)[..., None]
-    x0_g = np.einsum("...i,...i->...", x0.conj(), g)[..., None]
-    g *= scale
-    g += x0 * (yz - scale * x0_g)
-    return g
-

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pocs import cli, experiments
+from pocs.experiments import CSV_HEADER
 
 
 def run_main(*argv):
@@ -106,6 +107,20 @@ class TestSweepTau:
             "--tau", "-1", "--trials", "5", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", "4", "--tau", "nan"), "tau_grid"),
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", "4", "--tau", "inf"), "tau_grid"),
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", "4", "--tau", "1e308"), "tau_grid"),
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "nan"), "log2_m_over_n"),
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "inf"), "log2_m_over_n"),
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "1e9"), "log2_m_over_n"),
+])
+def test_non_finite_grid_values_exit_2(capsys, argv, field):
+    # NaN tau used to run noiseless under a NaN label; the others overflowed (exit 4)
+    assert run_main(*argv, "--trials", "3") == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
 class TestRipTools:
@@ -259,6 +274,39 @@ class TestFitRate:
         assert loaded == experiments.load_sweep_result(str(sweep_out))
         assert run_main("fit-rate", "--in", str(old), "--scheme", "po", "--s", "2") == 0
         assert capsys.readouterr().out == slope
+
+    @pytest.mark.parametrize("text,message", [
+        (CSV_HEADER + "\npo,2,16\n", "line 2: expected 9 fields, got 3"),
+        (CSV_HEADER + "\n\npo,2,16,0,5,0,0.5,-3,0.1,7\n", "line 3: expected 9 fields, got 10"),
+        ('{"cells": []}', "'config'"),
+    ], ids=["short-row", "long-row", "json-without-config"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "sweep.txt"
+        path.write_text(text)
+        code = run_main("fit-rate", "--in", str(path), "--scheme", "po", "--s", "2",
+                        "--n", "16")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}") and message in err
+
+    def test_json_cell_without_a_key_exits_2(self, tmp_path, capsys):
+        sweep_out = tmp_path / "sweep.json"
+        assert run_main(*TestSweepM.ARGS, "--format", "json", "--out", str(sweep_out)) == 0
+        payload = json.loads(sweep_out.read_text())
+        del payload["cells"][1]["mean_error"]
+        sweep_out.write_text(json.dumps(payload))
+        assert run_main("fit-rate", "--in", str(sweep_out), "--scheme", "po", "--s", "2") == 2
+        assert "mean_error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_explicit_n_below_1_exits_2(self, tmp_path, capsys, n):
+        # a JSON sweep knows its n; an explicit --n 0 must not fall back to it
+        sweep_out = tmp_path / "sweep.json"
+        assert run_main(*TestSweepM.ARGS, "--format", "json", "--out", str(sweep_out)) == 0
+        code = run_main("fit-rate", "--in", str(sweep_out), "--scheme", "po", "--s", "2",
+                        "--n", n)
+        assert code == 2
+        assert f"configuration error: n: must be >= 1, got {n}" in capsys.readouterr().err
 
     def test_missing_input_exits_3(self):
         assert run_main(

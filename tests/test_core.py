@@ -13,9 +13,7 @@ from pocs import (
     hard_threshold,
     matvec,
     norm,
-    reset_zero_sign_count,
     restrict,
-    zero_sign_count,
 )
 
 
@@ -58,15 +56,11 @@ class TestCsign:
     def test_negative_real_axis(self):
         assert np.allclose(csign(np.array([-2.0])), [-1.0], atol=1e-15)
 
-    def test_zero_convention_and_counter(self):
-        reset_zero_sign_count()
+    def test_zero_convention(self):
         out = csign(np.array([0.0]))
         assert out[0] == 1.0 + 0.0j
-        assert zero_sign_count() == 1
-        csign(np.array([0.0, 0.0, 1.0]))
-        assert zero_sign_count() == 3
-        reset_zero_sign_count()
-        assert zero_sign_count() == 0
+        out = csign(np.array([0.0, -0.0, 1j]))
+        assert out.tolist() == [1.0 + 0.0j, 1.0 + 0.0j, 1j]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unit_modulus_and_idempotence(self, seed):

@@ -116,6 +116,11 @@ class TestMSweep:
             # RngStream keeps a seed's low 64 bits: these would alias 2^64 - 1 and 0
             (dict(master_seed=-1), "master_seed"),
             (dict(master_seed=1 << 64), "master_seed"),
+            # no finite m: 2.0**ratio overflows, or the ratio is not a number
+            (dict(log2_m_over_n=(math.nan,)), "log2_m_over_n"),
+            (dict(log2_m_over_n=(math.inf,)), "log2_m_over_n"),
+            (dict(log2_m_over_n=(1e9,)), "log2_m_over_n"),
+            (dict(log2_m_over_n=(1023.5,)), "log2_m_over_n"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
@@ -185,6 +190,10 @@ class TestTauSweep:
             (dict(tau_grid=()), "tau_grid"),
             (dict(tau_grid=(-0.1,)), "tau_grid"),
             (dict(tau_grid=(0.0, 0.5, 0.5)), "tau_grid"),
+            # NaN passes tau < 0; 2 tau must be finite for uniform(-tau, tau)
+            (dict(tau_grid=(math.nan,)), "tau_grid"),
+            (dict(tau_grid=(0.5, math.inf)), "tau_grid"),
+            (dict(tau_grid=(1e308,)), "tau_grid"),
         ],
     )
     def test_config_errors(self, patch, field):
@@ -300,17 +309,58 @@ class TestZeroSignHits:
     def test_counts_from_every_worker_are_summed_per_cell(self, monkeypatch, workers):
         import pocs.experiments
 
-        draw = pocs.experiments._draw_back_projection
+        statistic = pocs.experiments._phase_only_statistic
 
-        def two_zeros_per_trial(*args):
-            yz, scale, _ = draw(*args)
-            return yz, scale, 2
+        def two_zeros_per_trial(y, xi):
+            yz, _ = statistic(y, xi)
+            return yz, 2
 
         plain = render_csv(run_tau_sweep(self.CFG))
-        monkeypatch.setattr(pocs.experiments, "_draw_back_projection", two_zeros_per_trial)
+        monkeypatch.setattr(pocs.experiments, "_phase_only_statistic", two_zeros_per_trial)
         result = run_tau_sweep(self.CFG, workers=workers)
         assert [c.zero_sign_hits for c in result.cells] == [2 * self.CFG.trials] * 2
         assert render_csv(result) == plain
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched generator reaches worker processes only when they are forked",
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_zero_measurements_reach_the_json(self, monkeypatch, tmp_path, workers):
+        # nothing that counts is patched: the stream itself yields three exact
+        # zeros of y = Phi x0 in every trial
+        import pocs.rng
+
+        plain = pocs.rng.RngStream.generator
+        monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                            lambda self: _FirstNormalsZero(plain(self), 3))
+        out = tmp_path / "sweep.json"
+        assert cli.main([
+            "sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "-1", "--log2-ratio", "1",
+            "--trials", "40", "--seed", "5", "--format", "json", "--workers", workers,
+            "--out", str(out),
+        ]) == 0
+        cells = json.loads(out.read_text())["cells"]
+        assert [(c["scheme"], c["m"]) for c in cells] == [
+            ("po", 4), ("po", 16), ("cs", 4), ("cs", 16)
+        ]
+        # the linear channel keeps y as it is: no signum, nothing to count
+        assert [c["zero_sign_hits"] for c in cells] == [3 * 40, 3 * 40, 0, 0]
+
+
+class _FirstNormalsZero:
+    """A generator whose complex normals start with ``count`` exact zeros."""
+
+    def __init__(self, gen, count):
+        self._gen, self._count = gen, count
+
+    def standard_normal(self, size=None, out=None):
+        z = self._gen.standard_normal(size) if out is None else self._gen.standard_normal(out=out)
+        z[: self._count] = 0.0  # rows of (real, imag) pairs: the first entries of y
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
 
 
 def synthetic_power_law(exponent, coeff=0.9):
