@@ -15,8 +15,6 @@ from .core import (
     adjoint_matvec,
     csign,
     hard_threshold,
-    matvec,
-    norm,
     restrict,
 )
 from .experiments import (
@@ -95,10 +93,8 @@ __all__ = [
     "fnv1a64",
     "hard_threshold",
     "load_sweep_result",
-    "matvec",
     "measure_linear",
     "measure_phase_only",
-    "norm",
     "oracle_support_error_bound",
     "pbp",
     "pbp_error_bound",

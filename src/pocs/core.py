@@ -1,27 +1,13 @@
-"""Complex vector and matrix primitives shared by every other module.
+"""The paper's operators: PBP is ``H_s(Phi^H z)`` with ``z = csign(Phi x0) e^{i xi}``.
 
-Vectors and matrices are plain ``numpy`` arrays with ``complex128`` entries;
-support sets are sorted integer index arrays. All operations are pure
-functions over immutable inputs and safe for concurrent use.
+Componentwise signum, hard thresholding ``H_s``, restriction to a support and
+the adjoint product ``Phi^H z``, over ``complex128`` arrays; support sets are
+sorted integer index arrays. All are pure functions, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def norm(v, p=2) -> float:
-    """lp norm of a complex vector for p in {1, 2, inf}, modulus-based."""
-    v = np.asarray(v)
-    if p == 1:
-        return float(np.abs(v).sum())
-    if p == 2:
-        return float(np.linalg.norm(v))
-    if p == np.inf:
-        if v.size == 0:
-            raise ValueError("inf-norm of an empty vector")
-        return float(np.abs(v).max())
-    raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or numpy.inf")
 
 
 def csign(v) -> np.ndarray:
@@ -80,15 +66,6 @@ def restrict(v, support) -> np.ndarray:
     out = np.zeros_like(v)
     out[support] = v[support]
     return out
-
-
-def matvec(A, v) -> np.ndarray:
-    """Matrix-vector product ``A v``."""
-    A = np.asarray(A)
-    v = np.asarray(v)
-    if A.ndim != 2 or v.ndim != 1 or A.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {v.shape}")
-    return A @ v
 
 
 def adjoint_matvec(A, v) -> np.ndarray:

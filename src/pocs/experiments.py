@@ -382,6 +382,8 @@ def run_m_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     _check_common(config)
     if not config.log2_m_over_n:
         raise ConfigError("log2_m_over_n: measurement-count sweep needs a ratio grid")
+    if config.m is not None:
+        raise ConfigError("m: measurement-count sweep derives m from log2_m_over_n; leave m unset")
     if any(t != 0.0 for t in config.tau_grid):
         raise ConfigError("tau_grid: measurement-count sweep runs at tau = 0 only")
     ms = {}
@@ -408,6 +410,8 @@ def run_tau_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     _check_common(config)
     if config.m is None or config.m < 1:
         raise ConfigError("m: phase-noise sweep needs a fixed measurement count")
+    if config.log2_m_over_n is not None:
+        raise ConfigError("log2_m_over_n: phase-noise sweep runs at the fixed m only")
     if len(config.sparsity_levels) != 1:
         raise ConfigError("sparsity_levels: phase-noise sweep takes a single sparsity")
     if tuple(config.schemes) != ("po",):
@@ -517,17 +521,20 @@ def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
     r = line.split(",")
     if len(r) != 9:
         raise ValueError(f"{path}, line {lineno}: expected 9 fields, got {len(r)}")
-    return CellAggregate(
-        scheme=r[0],
-        s=int(r[1]),
-        m=int(r[2]),
-        tau=float(r[3]),
-        trials=int(r[4]),
-        failures=int(r[5]),
-        mean_error=float(r[6]),
-        mean_error_db=float(r[7]),
-        stderr_error=float(r[8]),
-    )
+    try:
+        return CellAggregate(
+            scheme=r[0],
+            s=int(r[1]),
+            m=int(r[2]),
+            tau=float(r[3]),
+            trials=int(r[4]),
+            failures=int(r[5]),
+            mean_error=float(r[6]),
+            mean_error_db=float(r[7]),
+            stderr_error=float(r[8]),
+        )
+    except ValueError as exc:  # a field that is not a number
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
 
 
 def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
@@ -538,10 +545,13 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
     unless passed, for a later step (rate fitting, for example) that needs
     the signal dimension. Config keys that JSON no longer echoes are ignored.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
         try:
+            payload = json.loads(text)
             cfg = payload["config"]
             config = SweepConfig(
                 n=cfg["n"],
@@ -556,7 +566,7 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
                 schemes=tuple(cfg["schemes"]),
             )
             cells = tuple(CellAggregate(**c) for c in payload["cells"])
-        except (KeyError, TypeError) as exc:  # a missing key, or a cell missing one
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:  # bad JSON or a missing key
             raise ValueError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
         return SweepResult(config=config, cells=cells)
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]

@@ -29,15 +29,13 @@ class PbpEstimate:
 
 def pbp(Phi, z, s: int) -> PbpEstimate:
     """Hard-threshold the back-projection ``Phi^H z`` to its s strongest entries."""
-    mat = getattr(Phi, "mat", Phi)
-    xhat, support = hard_threshold(adjoint_matvec(mat, np.asarray(z)), s)
+    xhat, support = hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
     return PbpEstimate(xhat=xhat, support=support, s=int(s))
 
 
 def pbp_oracle_support(Phi, z, support) -> np.ndarray:
     """Back-project and keep a fixed support instead of the s strongest entries."""
-    mat = getattr(Phi, "mat", Phi)
-    return restrict(adjoint_matvec(mat, np.asarray(z)), support)
+    return restrict(adjoint_matvec(Phi.mat, np.asarray(z)), support)
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matvec, norm
 from .rng import RngStream, as_generator
 from .sensing import (
     VarianceConvention,
@@ -84,7 +83,7 @@ def rip_distortion_probe(
     vectors (whose distortion is a column statistic), and a sign-flip hill
     climb around the worst probe found. Deterministic given the stream.
     """
-    if getattr(Phi, "convention", None) is not VarianceConvention.PHASE_ONLY:
+    if Phi.convention is not VarianceConvention.PHASE_ONLY:
         raise ValueError(
             "distortion probing requires the PHASE_ONLY variance convention "
             "(the centered statistic assumes E||Phi x||_1 = ||x||_2)"
@@ -173,7 +172,7 @@ def expectation_identity_test(
     vals = np.empty(num_draws)
     for i in range(num_draws):
         Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)
-        vals[i] = norm(matvec(Phi.mat, x), 1)
+        vals[i] = np.linalg.norm(Phi.mat @ x, 1)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(num_draws))
     return ExpectationIdentityReport(

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import csign, matvec
+from .core import csign
 from .rng import RngStream, as_generator
 
 
@@ -43,14 +43,6 @@ class SensingMatrix:
     mat: np.ndarray
     convention: VarianceConvention
     sigma: float  # per-part standard deviation
-
-    @property
-    def m(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[1]
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,7 @@ def sample_sparse_signal(
 
 def measure_linear(Phi, x0) -> np.ndarray:
     """Unaltered linear measurements ``Phi x0``."""
-    mat = getattr(Phi, "mat", Phi)
-    vec = getattr(x0, "vec", x0)
-    return matvec(mat, vec)
+    return Phi.mat @ getattr(x0, "vec", x0)
 
 
 def measure_phase_only(
@@ -160,8 +150,8 @@ def measure_phase_only(
     ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
     ``Phi x0`` follow the csign convention.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) needs 2 tau finite
+        raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau:g}")
     y = measure_linear(Phi, x0)
     gen = as_generator(rng)
     xi = gen.uniform(-tau, tau, size=y.shape[0])

@@ -21,7 +21,6 @@ from pocs import (
     fit_rate,
     hard_threshold,
     measure_phase_only,
-    norm,
     pbp,
     pbp_error_bound,
     render_csv,
@@ -135,7 +134,7 @@ def test_criterion_6_sample_complexity_reference():
 def _brute_force_best_error(v, s):
     best = math.inf
     for S in itertools.combinations(range(v.size), s):
-        best = min(best, norm(v - restrict(v, np.array(S, dtype=np.intp)), 2))
+        best = min(best, np.linalg.norm(v - restrict(v, np.array(S, dtype=np.intp)), 2))
     return best
 
 
@@ -150,7 +149,7 @@ def test_criterion_7_property_suite(tmp_path):
             v = parts.view(np.complex128)[..., 0].copy()
             for s in range(1, n + 1):
                 out, _ = hard_threshold(v, s)
-                gap = norm(v - out, 2) - _brute_force_best_error(v, s)
+                gap = np.linalg.norm(v - out, 2) - _brute_force_best_error(v, s)
                 worst_gap = max(worst_gap, abs(gap))
     checks.append(("hard-threshold vs brute force", worst_gap <= 1e-12))
 

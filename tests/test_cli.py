@@ -279,7 +279,9 @@ class TestFitRate:
         (CSV_HEADER + "\npo,2,16\n", "line 2: expected 9 fields, got 3"),
         (CSV_HEADER + "\n\npo,2,16,0,5,0,0.5,-3,0.1,7\n", "line 3: expected 9 fields, got 10"),
         ('{"cells": []}', "'config'"),
-    ], ids=["short-row", "long-row", "json-without-config"])
+        (CSV_HEADER + "\npo,x,16,0,5,0,0.5,-3,0.1\n", "line 2: invalid literal for int()"),
+        ('{"cells": [}', "JSONDecodeError"),
+    ], ids=["short-row", "long-row", "json-without-config", "non-numeric-field", "invalid-json"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "sweep.txt"
         path.write_text(text)
@@ -288,6 +290,15 @@ class TestFitRate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}") and message in err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"\xff\xfe")
+        code = run_main("fit-rate", "--in", str(path), "--scheme", "po", "--s", "2",
+                        "--n", "16")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: not UTF-8 text")
 
     def test_json_cell_without_a_key_exits_2(self, tmp_path, capsys):
         sweep_out = tmp_path / "sweep.json"

@@ -121,6 +121,8 @@ class TestMSweep:
             (dict(log2_m_over_n=(math.inf,)), "log2_m_over_n"),
             (dict(log2_m_over_n=(1e9,)), "log2_m_over_n"),
             (dict(log2_m_over_n=(1023.5,)), "log2_m_over_n"),
+            # the sweep takes m from the ratio grid and would ignore this one
+            (dict(m=64), "m"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
@@ -133,7 +135,7 @@ class TestMSweep:
         cfg = dataclasses.replace(cfg, **patch)
         with pytest.raises(ConfigError) as err:
             run_m_sweep(cfg)
-        assert field in str(err.value)
+        assert str(err.value).startswith(f"{field}:")
 
 
 class TestPoolSize:
@@ -194,6 +196,8 @@ class TestTauSweep:
             (dict(tau_grid=(math.nan,)), "tau_grid"),
             (dict(tau_grid=(0.5, math.inf)), "tau_grid"),
             (dict(tau_grid=(1e308,)), "tau_grid"),
+            # the sweep runs at the fixed m and would ignore a ratio grid
+            (dict(log2_m_over_n=(0.0,)), "log2_m_over_n"),
         ],
     )
     def test_config_errors(self, patch, field):
@@ -205,7 +209,7 @@ class TestTauSweep:
         cfg = dataclasses.replace(cfg, **patch)
         with pytest.raises(ConfigError) as err:
             run_tau_sweep(cfg)
-        assert field in str(err.value)
+        assert str(err.value).startswith(f"{field}:")
 
 
 class TestCsvContract:

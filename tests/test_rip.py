@@ -10,7 +10,6 @@ from pocs import (
     VarianceConvention,
     concentration_test,
     expectation_identity_test,
-    norm,
     oracle_support_error_bound,
     pbp_error_bound,
     rip_distortion_probe,
@@ -30,7 +29,7 @@ class TestDistortionProbe:
     def test_canonical_vectors_always_probed(self):
         Phi = sample_sensing_matrix(RngStream(42), 16, 2, "po")
         est = rip_distortion_probe(Phi, 1, 5, RngStream(43))
-        canonical = [abs(norm(Phi.mat[:, j], 1) - 1.0) for j in range(2)]
+        canonical = [abs(np.linalg.norm(Phi.mat[:, j], 1) - 1.0) for j in range(2)]
         assert est.delta_lower >= max(canonical) - 1e-15
 
     def test_one_sparse_sup_equals_column_statistic(self):
@@ -38,13 +37,13 @@ class TestDistortionProbe:
         # so the search result must equal the exhaustive canonical maximum
         Phi = sample_sensing_matrix(RngStream(44), 32, 4, "po")
         est = rip_distortion_probe(Phi, 1, 200, RngStream(45))
-        exhaustive = max(abs(norm(Phi.mat[:, j], 1) - 1.0) for j in range(4))
+        exhaustive = max(abs(np.linalg.norm(Phi.mat[:, j], 1) - 1.0) for j in range(4))
         assert est.delta_lower == pytest.approx(exhaustive, abs=1e-12)
 
     def test_worst_probe_attains_reported_distortion(self):
         Phi = sample_sensing_matrix(RngStream(46), 24, 12, "po")
         est = rip_distortion_probe(Phi, 3, 100, RngStream(47))
-        stat = abs(norm(Phi.mat @ est.worst_probe, 1) - 1.0)
+        stat = abs(np.linalg.norm(Phi.mat @ est.worst_probe, 1) - 1.0)
         assert stat == pytest.approx(est.delta_lower, abs=1e-12)
         assert abs(np.linalg.norm(est.worst_probe) - 1.0) < 1e-12
         assert np.count_nonzero(est.worst_probe) <= 3
@@ -180,14 +179,14 @@ class TestExpectationIdentity:
     def test_grand_mean_over_fresh_matrix_signal_pairs(self):
         # the identity holds per pair, so the grand mean over fresh (Phi, x)
         # pairs converges to 1 at the usual 1/sqrt(N) rate
-        from pocs import matvec, norm, sample_sensing_matrix, sample_sparse_signal
+        from pocs import sample_sensing_matrix, sample_sparse_signal
 
         gen = RngStream(66).generator()
         vals = np.empty(500)
         for i in range(vals.size):
             Phi = sample_sensing_matrix(gen, 16, 32, "po")
             x = sample_sparse_signal(gen, 32, 4)
-            vals[i] = norm(matvec(Phi.mat, x.vec), 1)
+            vals[i] = np.linalg.norm(Phi.mat @ x.vec, 1)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 4.0 * se
 

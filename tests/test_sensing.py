@@ -44,7 +44,6 @@ class TestSamplingConventions:
         Phi = sample_sensing_matrix(RngStream(4), 5, 7, "po")
         assert Phi.mat.shape == (5, 7)
         assert Phi.mat.dtype == np.complex128
-        assert (Phi.m, Phi.n) == (5, 7)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -165,6 +164,12 @@ class TestMeasurePhaseOnly:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             measure_phase_only(inject(np.eye(2)), np.ones(2, complex), -0.1, RngStream(0))
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 1e308])
+    def test_non_finite_tau_rejected(self, tau):
+        # uniform(-tau, tau) needs a finite width 2 tau
+        with pytest.raises(ValueError, match="^tau:"):
+            measure_phase_only(inject(np.eye(2)), np.ones(2, complex), tau, RngStream(0))
 
 
 def test_draws_are_bit_reproducible():
