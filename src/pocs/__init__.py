@@ -36,7 +36,6 @@ from .experiments import (
 )
 from .recon import (
     DegenerateEstimateError,
-    PbpEstimate,
     direction_error,
     pbp,
     pbp_oracle_support,
@@ -52,11 +51,9 @@ from .rip import (
     rip_distortion_probe,
     sample_complexity_bound,
 )
-from .rng import RngStream, as_generator, fnv1a64
+from .rng import RngStream, fnv1a64
 from .sensing import (
-    PhaseMeasurements,
     SensingMatrix,
-    SparseSignal,
     VarianceConvention,
     measure_linear,
     measure_phase_only,
@@ -73,18 +70,14 @@ __all__ = [
     "DegenerateEstimateError",
     "ExpectationIdentityReport",
     "NumericalFailureError",
-    "PbpEstimate",
-    "PhaseMeasurements",
     "RipEstimate",
     "RngStream",
     "SensingMatrix",
-    "SparseSignal",
     "SweepConfig",
     "SweepResult",
     "TrialRecord",
     "VarianceConvention",
     "adjoint_matvec",
-    "as_generator",
     "concentration_test",
     "csign",
     "direction_error",

@@ -42,7 +42,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class CellAggregate:
     mean_error_db: float
     stderr_error: float
     zero_sign_hits: int = 0
+
+
+_CELL_TYPES = get_type_hints(CellAggregate)  # field -> int, float or str, in CSV column order
 
 
 @dataclass(frozen=True)
@@ -446,22 +449,24 @@ def fit_rate(
         raise ValueError("signal dimension n unknown; pass n explicitly")
     if dim < 1:
         raise ValueError(f"n: must be >= 1, got {dim}")
+    cells = [c for c in result.cells if c.scheme == scheme and c.s == s]
+    for c in cells:
+        if c.m < 1:
+            raise ValueError(
+                f"fit_rate: cell scheme={scheme} s={s} m={c.m}; a log-log fit needs m >= 1"
+            )
     points = sorted(
-        (c.m, c.mean_error)
-        for c in result.cells
-        if c.scheme == scheme
-        and c.s == s
-        and math.log2(c.m / dim) >= min_log2_ratio - 1e-12
+        (c.m, c.mean_error) for c in cells if math.log2(c.m / dim) >= min_log2_ratio - 1e-12
     )
     if len(points) < 3:
         raise ValueError(
             f"fit_rate needs at least 3 grid points, found {len(points)}"
         )
     for m, mean in points:
-        if not mean > 0:
+        if not 0 < mean < math.inf:
             raise ValueError(
                 f"fit_rate: cell scheme={scheme} s={s} m={m} has mean_error {mean:g}; "
-                "a log-log fit needs positive means"
+                "a log-log fit needs finite positive means"
             )
     x = np.log10([p[0] for p in points])
     y = np.log10([p[1] for p in points])
@@ -522,19 +527,16 @@ def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
     if len(r) != 9:
         raise ValueError(f"{path}, line {lineno}: expected 9 fields, got {len(r)}")
     try:
-        return CellAggregate(
-            scheme=r[0],
-            s=int(r[1]),
-            m=int(r[2]),
-            tau=float(r[3]),
-            trials=int(r[4]),
-            failures=int(r[5]),
-            mean_error=float(r[6]),
-            mean_error_db=float(r[7]),
-            stderr_error=float(r[8]),
-        )
+        return CellAggregate(**{k: kind(v) for (k, kind), v in zip(_CELL_TYPES.items(), r)})
     except ValueError as exc:  # a field that is not a number
         raise ValueError(f"{path}, line {lineno}: {exc}") from None
+
+
+def _json_value(where: str, value, kind):
+    # a JSON value already holds its field's type; a real field takes an int too, none a bool
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
@@ -543,7 +545,8 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
     CSV files carry no config echo: ``sparsity_levels``, ``schemes`` and
     ``trials`` come from the cells, ``master_seed`` is None and so is ``n``
     unless passed, for a later step (rate fitting, for example) that needs
-    the signal dimension. Config keys that JSON no longer echoes are ignored.
+    the signal dimension. Config keys that JSON no longer echoes are ignored;
+    each JSON cell field and ``config.n`` (or null) must hold its field's type.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -554,7 +557,7 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
             payload = json.loads(text)
             cfg = payload["config"]
             config = SweepConfig(
-                n=cfg["n"],
+                n=None if cfg["n"] is None else _json_value(f"{path}: config.n", cfg["n"], int),
                 sparsity_levels=tuple(cfg["sparsity_levels"]),
                 trials=cfg["trials"],
                 master_seed=cfg["master_seed"],
@@ -565,8 +568,15 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
                 tau_grid=tuple(cfg["tau_grid"]),
                 schemes=tuple(cfg["schemes"]),
             )
-            cells = tuple(CellAggregate(**c) for c in payload["cells"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:  # bad JSON or a missing key
+            cells = tuple(
+                CellAggregate(**{
+                    k: _json_value(f"{path}: cells[{i}].{k}", v, _CELL_TYPES[k])
+                    for k, v in c.items()
+                })
+                for i, c in enumerate(payload["cells"])
+            )
+        # bad JSON, a missing or unknown key, or a config or cell that is not an object
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
         return SweepResult(config=config, cells=cells)
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]

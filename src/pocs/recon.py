@@ -9,8 +9,6 @@ l2-normalized estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import adjoint_matvec, hard_threshold, restrict
@@ -20,17 +18,9 @@ class DegenerateEstimateError(ArithmeticError):
     """Raised when an estimate is identically zero and has no direction."""
 
 
-@dataclass(frozen=True)
-class PbpEstimate:
-    xhat: np.ndarray
-    support: np.ndarray
-    s: int
-
-
-def pbp(Phi, z, s: int) -> PbpEstimate:
-    """Hard-threshold the back-projection ``Phi^H z`` to its s strongest entries."""
-    xhat, support = hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
-    return PbpEstimate(xhat=xhat, support=support, s=int(s))
+def pbp(Phi, z, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-threshold ``Phi^H z`` to its s strongest entries: ``(xhat, support)``."""
+    return hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
 
 
 def pbp_oracle_support(Phi, z, support) -> np.ndarray:
@@ -50,8 +40,8 @@ def direction_error(x0, xhat):
     row (an array), vectors a float. A zero estimate has no direction and
     raises :class:`DegenerateEstimateError`.
     """
-    ref = np.asarray(getattr(x0, "vec", x0))
-    est = np.asarray(getattr(xhat, "xhat", xhat))
+    ref = np.asarray(x0)
+    est = np.asarray(xhat)
     nrm = _row_norm(est)
     if np.any(nrm == 0.0):
         raise DegenerateEstimateError("estimate is identically zero")

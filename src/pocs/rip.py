@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, as_generator
 from .sensing import (
     VarianceConvention,
     _support_value_batch,
@@ -72,7 +71,7 @@ def rip_distortion_probe(
     Phi,
     s: int,
     num_probes: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     local_search_rounds: int = 2,
 ) -> RipEstimate:
     """Randomized search for the largest distortion ``| ||Phi x||_1 - 1 |``.
@@ -94,7 +93,6 @@ def rip_distortion_probe(
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
     if num_probes < 1:
         raise ValueError("num_probes must be at least 1")
-    gen = as_generator(rng)
 
     best_stat = -1.0
     best_support = None
@@ -150,7 +148,7 @@ def expectation_identity_test(
     m: int,
     n: int,
     num_draws: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     x: np.ndarray | None = None,
 ) -> ExpectationIdentityReport:
     """Check ``E ||Phi x||_1 = ||x||_2`` over fresh PHASE_ONLY matrix draws.
@@ -161,7 +159,6 @@ def expectation_identity_test(
     """
     if num_draws < 100:
         raise ValueError("num_draws must be at least 100 for a stable standard error")
-    gen = as_generator(rng)
     if x is None:
         parts = gen.standard_normal((n, 2))
         x = parts.view(np.complex128)[..., 0]
@@ -185,7 +182,7 @@ def expectation_identity_test(
 
 
 def concentration_test(
-    m: int, num_draws: int, t: float, rng: RngStream | np.random.Generator
+    m: int, num_draws: int, t: float, gen: np.random.Generator
 ) -> ConcentrationReport:
     """Check the Gaussian tail bound behind the distortion concentration.
 
@@ -199,7 +196,6 @@ def concentration_test(
         raise ValueError("t must be positive")
     if num_draws < 1:
         raise ValueError("num_draws must be at least 1")
-    gen = as_generator(rng)
     center = m * math.sqrt(math.pi / 2.0)
     hits = 0
     chunk = int(np.clip(2_000_000 // max(1, 2 * m), 1, num_draws))

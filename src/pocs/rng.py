@@ -50,17 +50,3 @@ class RngStream:
         )
         return np.random.Generator(np.random.PCG64(seq))
 
-
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """Accept a stream or an already-running generator.
-
-    Passing a stream starts from the stream origin. Passing a generator
-    continues consuming it, which is how sequential draws within one trial
-    stay decorrelated.
-    """
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-

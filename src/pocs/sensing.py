@@ -28,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .core import csign
-from .rng import RngStream, as_generator
 
 
 class VarianceConvention(str, Enum):
@@ -45,23 +44,6 @@ class SensingMatrix:
     sigma: float  # per-part standard deviation
 
 
-@dataclass(frozen=True)
-class SparseSignal:
-    """Unit-l2-norm vector supported on exactly |support| coordinates."""
-
-    vec: np.ndarray
-    support: np.ndarray
-
-
-@dataclass(frozen=True)
-class PhaseMeasurements:
-    """Unit-modulus measurement phases plus the noise draws that made them."""
-
-    z: np.ndarray
-    xi: np.ndarray
-    tau: float
-
-
 def per_part_sigma(m: int, convention: VarianceConvention) -> float:
     """Per-part standard deviation implied by a convention at m rows."""
     if convention is VarianceConvention.PHASE_ONLY:
@@ -70,7 +52,7 @@ def per_part_sigma(m: int, convention: VarianceConvention) -> float:
 
 
 def sample_sensing_matrix(
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     m: int,
     n: int,
     convention: VarianceConvention | str,
@@ -80,7 +62,6 @@ def sample_sensing_matrix(
         raise ValueError("matrix dimensions must be positive")
     convention = VarianceConvention(convention)
     sigma = per_part_sigma(m, convention)
-    gen = as_generator(rng)
     parts = gen.standard_normal((m, n, 2))
     mat = parts.view(np.complex128)[..., 0]
     mat *= sigma
@@ -119,9 +100,9 @@ def _support_value_batch(gen, n, s, count):
 
 
 def sample_sparse_signal(
-    rng: RngStream | np.random.Generator, n: int, s: int
-) -> SparseSignal:
-    """Draw a unit-norm s-sparse signal of dimension n.
+    gen: np.random.Generator, n: int, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a unit-norm s-sparse signal of dimension n: ``(x0, support)``.
 
     The support is uniform over all (n choose s) subsets. On-support values
     are i.i.d. uniform on [-1, 1] on the real axis, then the vector is
@@ -129,22 +110,21 @@ def sample_sparse_signal(
     """
     if not 1 <= s <= n:
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
-    gen = as_generator(rng)
     supports, values = _support_value_batch(gen, n, s, 1)
-    vec = np.zeros(n, dtype=np.complex128)
-    vec[supports[0]] = values[0]
-    return SparseSignal(vec=vec, support=supports[0])
+    x0 = np.zeros(n, dtype=np.complex128)
+    x0[supports[0]] = values[0]
+    return x0, supports[0]
 
 
 def measure_linear(Phi, x0) -> np.ndarray:
     """Unaltered linear measurements ``Phi x0``."""
-    return Phi.mat @ getattr(x0, "vec", x0)
+    return Phi.mat @ x0
 
 
 def measure_phase_only(
-    Phi, x0, tau: float, rng: RngStream | np.random.Generator
-) -> PhaseMeasurements:
-    """Phase-only measurements ``z_i = csign((Phi x0)_i) exp(1j xi_i)``.
+    Phi, x0, tau: float, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-only measurements ``z_i = csign((Phi x0)_i) exp(1j xi_i)``: ``(z, xi)``.
 
     The phase noise is i.i.d. ``xi_i ~ Uniform[-tau, tau]`` (radians). With
     ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
@@ -153,7 +133,5 @@ def measure_phase_only(
     if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) needs 2 tau finite
         raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau:g}")
     y = measure_linear(Phi, x0)
-    gen = as_generator(rng)
     xi = gen.uniform(-tau, tau, size=y.shape[0])
-    z = csign(y) * np.exp(1j * xi)
-    return PhaseMeasurements(z=z, xi=xi, tau=float(tau))
+    return csign(y) * np.exp(1j * xi), xi

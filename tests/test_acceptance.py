@@ -96,7 +96,7 @@ def test_criterion_3_grid_spot_checks(sweep_s2_high, sweep_s10_low, sweep_s50_hi
 
 def test_criterion_4_expectation_identity():
     start = time.perf_counter()
-    rep = expectation_identity_test(64, 256, 10_000, RngStream(ACCEPTANCE_SEED, 4))
+    rep = expectation_identity_test(64, 256, 10_000, RngStream(ACCEPTANCE_SEED, 4).generator())
     ok = rep.passed
     report(
         4,
@@ -194,9 +194,9 @@ def bound_consistency_counts():
             sid = trial_stream_id("po-bound", s, m, tau, t)
             gen = RngStream(ACCEPTANCE_SEED, sid).generator()
             Phi = sample_sensing_matrix(gen, m, n, "po")
-            x0 = sample_sparse_signal(gen, n, s)
-            z = measure_phase_only(Phi, x0, tau, gen).z
-            error = direction_error(x0, pbp(Phi, z, s))
+            x0, _ = sample_sparse_signal(gen, n, s)
+            z, _ = measure_phase_only(Phi, x0, tau, gen)
+            error = direction_error(x0, pbp(Phi, z, s)[0])
             delta = rip_distortion_probe(Phi, 2 * s, probes, gen).delta_lower
             if error > pbp_error_bound(delta, tau) + 1e-12:
                 violations += 1

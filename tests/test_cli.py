@@ -14,6 +14,23 @@ def run_main(*argv):
     return cli.main(list(argv))
 
 
+def sweep_json(cell0=None, **config):
+    """A three-cell po, s = 2, n = 16 sweep JSON with ``cells[0]`` and ``config`` patched."""
+    cells = tuple(
+        experiments.CellAggregate(scheme="po", s=2, m=m, tau=0.0, trials=20, failures=0,
+                                  mean_error=err, mean_error_db=db, stderr_error=0.01)
+        for m, err, db in [(16, 0.5, -3.0), (32, 0.35, -4.6), (64, 0.25, -6.0)]
+    )
+    result = experiments.SweepResult(
+        config=experiments.SweepConfig(n=16, sparsity_levels=(2,), trials=20, master_seed=0),
+        cells=cells,
+    )
+    payload = json.loads(experiments.render_json(result))
+    payload["cells"][0].update(cell0 or {})
+    payload["config"].update(config)
+    return json.dumps(payload)
+
+
 class TestSweepM:
     ARGS = (
         "sweep-m", "--n", "16", "--s", "2", "--log2-ratio", "0",
@@ -281,7 +298,11 @@ class TestFitRate:
         ('{"cells": []}', "'config'"),
         (CSV_HEADER + "\npo,x,16,0,5,0,0.5,-3,0.1\n", "line 2: invalid literal for int()"),
         ('{"cells": [}', "JSONDecodeError"),
-    ], ids=["short-row", "long-row", "json-without-config", "non-numeric-field", "invalid-json"])
+        (sweep_json({"m": "16"}), "cells[0].m must be int, got '16'"),
+        (sweep_json({"mean_error": "0.5"}), "cells[0].mean_error must be float, got '0.5'"),
+        (sweep_json(n="16"), "config.n must be int, got '16'"),
+    ], ids=["short-row", "long-row", "json-without-config", "non-numeric-field", "invalid-json",
+            "json-string-m", "json-string-mean-error", "json-string-config-n"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "sweep.txt"
         path.write_text(text)
@@ -290,6 +311,23 @@ class TestFitRate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("po,2,0,0,20,0,0.5,-3,0.01", "cell scheme=po s=2 m=0; a log-log fit needs m >= 1"),
+        ("po,2,16,0,20,0,inf,inf,0.01", "cell scheme=po s=2 m=16 has mean_error inf"),
+    ], ids=["zero-m", "infinite-mean-error"])
+    def test_unfittable_cell_exits_2(self, tmp_path, capsys, row, message):
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(
+            [CSV_HEADER, row, "po,2,32,0,20,0,0.35,-4.6,0.01", "po,2,64,0,20,0,0.25,-6,0.01", ""]
+        ))
+        code = run_main("fit-rate", "--in", str(path), "--scheme", "po", "--s", "2",
+                        "--n", "16")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: fit_rate: ") and message in err
+        assert "Traceback" not in err
 
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

@@ -40,12 +40,12 @@ def reference_errors(scheme, n, s, m, tau, trials):
     errors = np.empty(trials)
     for t in range(trials):
         Phi = sample_sensing_matrix(gen, m, n, scheme)
-        x0 = sample_sparse_signal(gen, n, s)
+        x0, _ = sample_sparse_signal(gen, n, s)
         if scheme == "po":
-            z = measure_phase_only(Phi, x0, tau, gen).z
+            z, _ = measure_phase_only(Phi, x0, tau, gen)
         else:
             z = measure_linear(Phi, x0)
-        errors[t] = direction_error(x0, pbp(Phi, z, s))
+        errors[t] = direction_error(x0, pbp(Phi, z, s)[0])
     return errors
 
 
@@ -95,7 +95,7 @@ def test_rank_one_split_is_exact(scheme):
     gen = RngStream(5).generator()
     m, n = 40, 12
     Phi = sample_sensing_matrix(gen, m, n, scheme).mat
-    x0 = sample_sparse_signal(gen, n, 3).vec
+    x0, _ = sample_sparse_signal(gen, n, 3)
     y = Phi @ x0
     z = csign(y) * np.exp(1j * gen.uniform(-1.0, 1.0, m)) if scheme == "po" else y
     back = adjoint_matvec(Phi, z)

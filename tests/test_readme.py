@@ -1,0 +1,19 @@
+"""The README quick start runs against the public API it documents."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_prints_a_direction_error():
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block, "README.md has no python block"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block.group(1), "README.md quick start", "exec"), {})
+    printed = out.getvalue().split()
+    assert len(printed) == 1, printed
+    assert 0.0 <= float(printed[0]) <= 2.0

@@ -22,27 +22,27 @@ from pocs.sensing import _support_value_batch
 
 class TestDistortionProbe:
     def test_requires_phase_only_convention(self):
-        Phi = sample_sensing_matrix(RngStream(40), 8, 4, "cs")
+        Phi = sample_sensing_matrix(RngStream(40).generator(), 8, 4, "cs")
         with pytest.raises(ValueError):
-            rip_distortion_probe(Phi, 2, 10, RngStream(41))
+            rip_distortion_probe(Phi, 2, 10, RngStream(41).generator())
 
     def test_canonical_vectors_always_probed(self):
-        Phi = sample_sensing_matrix(RngStream(42), 16, 2, "po")
-        est = rip_distortion_probe(Phi, 1, 5, RngStream(43))
+        Phi = sample_sensing_matrix(RngStream(42).generator(), 16, 2, "po")
+        est = rip_distortion_probe(Phi, 1, 5, RngStream(43).generator())
         canonical = [abs(np.linalg.norm(Phi.mat[:, j], 1) - 1.0) for j in range(2)]
         assert est.delta_lower >= max(canonical) - 1e-15
 
     def test_one_sparse_sup_equals_column_statistic(self):
         # every unit-norm 1-sparse probe reduces to a column l1 statistic,
         # so the search result must equal the exhaustive canonical maximum
-        Phi = sample_sensing_matrix(RngStream(44), 32, 4, "po")
-        est = rip_distortion_probe(Phi, 1, 200, RngStream(45))
+        Phi = sample_sensing_matrix(RngStream(44).generator(), 32, 4, "po")
+        est = rip_distortion_probe(Phi, 1, 200, RngStream(45).generator())
         exhaustive = max(abs(np.linalg.norm(Phi.mat[:, j], 1) - 1.0) for j in range(4))
         assert est.delta_lower == pytest.approx(exhaustive, abs=1e-12)
 
     def test_worst_probe_attains_reported_distortion(self):
-        Phi = sample_sensing_matrix(RngStream(46), 24, 12, "po")
-        est = rip_distortion_probe(Phi, 3, 100, RngStream(47))
+        Phi = sample_sensing_matrix(RngStream(46).generator(), 24, 12, "po")
+        est = rip_distortion_probe(Phi, 3, 100, RngStream(47).generator())
         stat = abs(np.linalg.norm(Phi.mat @ est.worst_probe, 1) - 1.0)
         assert stat == pytest.approx(est.delta_lower, abs=1e-12)
         assert abs(np.linalg.norm(est.worst_probe) - 1.0) < 1e-12
@@ -50,28 +50,28 @@ class TestDistortionProbe:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_more_probes_never_decrease_the_bound(self, seed):
-        Phi = sample_sensing_matrix(RngStream(48, seed), 16, 10, "po")
-        small = rip_distortion_probe(Phi, 2, 50, RngStream(49, seed), local_search_rounds=0)
-        large = rip_distortion_probe(Phi, 2, 100, RngStream(49, seed), local_search_rounds=0)
+        Phi = sample_sensing_matrix(RngStream(48, seed).generator(), 16, 10, "po")
+        small = rip_distortion_probe(Phi, 2, 50, RngStream(49, seed).generator(), local_search_rounds=0)
+        large = rip_distortion_probe(Phi, 2, 100, RngStream(49, seed).generator(), local_search_rounds=0)
         assert large.delta_lower >= small.delta_lower
 
     def test_monotone_with_default_search_at_fixed_seed(self):
-        Phi = sample_sensing_matrix(RngStream(50), 16, 10, "po")
-        small = rip_distortion_probe(Phi, 2, 50, RngStream(51))
-        large = rip_distortion_probe(Phi, 2, 100, RngStream(51))
+        Phi = sample_sensing_matrix(RngStream(50).generator(), 16, 10, "po")
+        small = rip_distortion_probe(Phi, 2, 50, RngStream(51).generator())
+        large = rip_distortion_probe(Phi, 2, 100, RngStream(51).generator())
         assert large.delta_lower >= small.delta_lower
 
     def test_deterministic_given_stream(self):
-        Phi = sample_sensing_matrix(RngStream(52), 16, 10, "po")
-        a = rip_distortion_probe(Phi, 3, 64, RngStream(53))
-        b = rip_distortion_probe(Phi, 3, 64, RngStream(53))
+        Phi = sample_sensing_matrix(RngStream(52).generator(), 16, 10, "po")
+        a = rip_distortion_probe(Phi, 3, 64, RngStream(53).generator())
+        b = rip_distortion_probe(Phi, 3, 64, RngStream(53).generator())
         assert a.delta_lower == b.delta_lower
         assert np.array_equal(a.worst_probe, b.worst_probe)
         assert a.num_probes == b.num_probes
 
     def test_probe_count_includes_all_stages(self):
-        Phi = sample_sensing_matrix(RngStream(54), 16, 10, "po")
-        est = rip_distortion_probe(Phi, 3, 64, RngStream(55), local_search_rounds=0)
+        Phi = sample_sensing_matrix(RngStream(54).generator(), 16, 10, "po")
+        est = rip_distortion_probe(Phi, 3, 64, RngStream(55).generator(), local_search_rounds=0)
         assert est.num_probes == 64 + 10  # random draws plus canonical vectors
 
     def test_reference_scale_distortion_is_small(self):
@@ -82,13 +82,13 @@ class TestDistortionProbe:
         assert est.delta_lower < 0.15
 
     def test_bad_arguments(self):
-        Phi = sample_sensing_matrix(RngStream(57), 8, 4, "po")
+        Phi = sample_sensing_matrix(RngStream(57).generator(), 8, 4, "po")
         with pytest.raises(ValueError):
-            rip_distortion_probe(Phi, 0, 10, RngStream(0))
+            rip_distortion_probe(Phi, 0, 10, RngStream(0).generator())
         with pytest.raises(ValueError):
-            rip_distortion_probe(Phi, 5, 10, RngStream(0))
+            rip_distortion_probe(Phi, 5, 10, RngStream(0).generator())
         with pytest.raises(ValueError):
-            rip_distortion_probe(Phi, 2, 0, RngStream(0))
+            rip_distortion_probe(Phi, 2, 0, RngStream(0).generator())
 
 
 def gathered_stats(mat, supports, values):
@@ -150,7 +150,7 @@ class TestProbeKernel:
     @pytest.mark.parametrize("num_probes", [40, 209])
     @pytest.mark.parametrize("seed", range(2))
     def test_search_matches_gathered_reference(self, num_probes, seed):
-        Phi = sample_sensing_matrix(RngStream(71, seed), 4096, 32, "po")
+        Phi = sample_sensing_matrix(RngStream(71, seed).generator(), 4096, 32, "po")
         gen, ref_gen = RngStream(72, seed).generator(), RngStream(72, seed).generator()
         est = rip_distortion_probe(Phi, 5, num_probes, gen)
         best, worst, evaluated = reference_search(Phi, 5, num_probes, ref_gen)
@@ -162,7 +162,7 @@ class TestProbeKernel:
 
 class TestExpectationIdentity:
     def test_unit_vector_mean_is_one(self):
-        report = expectation_identity_test(16, 32, 800, RngStream(60))
+        report = expectation_identity_test(16, 32, 800, RngStream(60).generator())
         assert report.passed
         assert report.expected == pytest.approx(1.0, abs=1e-12)
         assert report.empirical_mean == pytest.approx(1.0, abs=5 * report.standard_error)
@@ -185,44 +185,44 @@ class TestExpectationIdentity:
         vals = np.empty(500)
         for i in range(vals.size):
             Phi = sample_sensing_matrix(gen, 16, 32, "po")
-            x = sample_sparse_signal(gen, 32, 4)
-            vals[i] = np.linalg.norm(Phi.mat @ x.vec, 1)
+            x, _ = sample_sparse_signal(gen, 32, 4)
+            vals[i] = np.linalg.norm(Phi.mat @ x, 1)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 4.0 * se
 
     def test_scalar_case_matches_rayleigh_mean(self):
         # m = n = 1: |Phi x| is Rayleigh with mean sigma sqrt(pi/2) = 1
-        report = expectation_identity_test(1, 1, 4000, RngStream(62))
+        report = expectation_identity_test(1, 1, 4000, RngStream(62).generator())
         assert report.passed
 
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
-            expectation_identity_test(4, 4, 99, RngStream(0))
+            expectation_identity_test(4, 4, 99, RngStream(0).generator())
 
 
 class TestConcentration:
     def test_bound_value_and_zero_frequency(self):
-        report = concentration_test(64, 100_000, 0.5, RngStream(63))
+        report = concentration_test(64, 100_000, 0.5, RngStream(63).generator())
         assert report.bound == pytest.approx(2.0 * math.exp(-4.0 * math.pi), rel=1e-12)
         assert report.bound == pytest.approx(7.0e-6, abs=5e-7)
         assert report.frequency == 0.0
         assert report.passed
 
     def test_huge_threshold_is_trivially_met(self):
-        report = concentration_test(8, 2000, 50.0, RngStream(64))
+        report = concentration_test(8, 2000, 50.0, RngStream(64).generator())
         assert report.frequency == 0.0
         assert report.passed
 
     def test_single_row_tail(self):
-        report = concentration_test(1, 1_000_000, 0.1, RngStream(65))
+        report = concentration_test(1, 1_000_000, 0.1, RngStream(65).generator())
         assert report.passed
         assert report.frequency <= report.bound + 4.0 * report.standard_error
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            concentration_test(4, 100, 0.0, RngStream(0))
+            concentration_test(4, 100, 0.0, RngStream(0).generator())
         with pytest.raises(ValueError):
-            concentration_test(4, 0, 0.5, RngStream(0))
+            concentration_test(4, 0, 0.5, RngStream(0).generator())
 
 
 def independent_bound_evaluation(delta, s, n, eta):

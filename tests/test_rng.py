@@ -1,9 +1,8 @@
 """Determinism checks for the stream layer."""
 
 import numpy as np
-import pytest
 
-from pocs import RngStream, as_generator, fnv1a64
+from pocs import RngStream, fnv1a64
 
 
 def test_same_stream_same_sequence():
@@ -23,15 +22,10 @@ def test_distinct_streams_differ():
 def test_generator_continues_but_stream_restarts():
     stream = RngStream(5, 1)
     gen = stream.generator()
-    first = as_generator(gen).standard_normal(10)
-    second = as_generator(gen).standard_normal(10)
+    first = gen.standard_normal(10)
+    second = gen.standard_normal(10)
     assert not np.array_equal(first, second)
-    assert np.array_equal(first, as_generator(stream).standard_normal(10))
-
-
-def test_invalid_arguments():
-    with pytest.raises(TypeError):
-        as_generator(12345)
+    assert np.array_equal(first, stream.generator().standard_normal(10))
 
 
 def test_fnv1a64_known_vectors():

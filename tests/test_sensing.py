@@ -9,7 +9,6 @@ import pytest
 from pocs import (
     RngStream,
     SensingMatrix,
-    SparseSignal,
     VarianceConvention,
     csign,
     measure_linear,
@@ -21,19 +20,19 @@ from pocs import (
 
 class TestSamplingConventions:
     def test_phase_only_sigma_value(self):
-        Phi = sample_sensing_matrix(RngStream(1), 64, 8, VarianceConvention.PHASE_ONLY)
+        Phi = sample_sensing_matrix(RngStream(1).generator(), 64, 8, VarianceConvention.PHASE_ONLY)
         assert Phi.sigma == pytest.approx(math.sqrt(2.0 / math.pi) / 64, rel=1e-12)
         assert Phi.sigma == pytest.approx(0.012467, abs=1e-6)
 
     def test_classical_cs_entry_variance(self):
-        Phi = sample_sensing_matrix(RngStream(2), 64, 8, "cs")
+        Phi = sample_sensing_matrix(RngStream(2).generator(), 64, 8, "cs")
         # per-part variance 1/(2m) makes the total entry variance 1/m
         assert 2 * Phi.sigma**2 == pytest.approx(1.0 / 64, rel=1e-12)
 
     @pytest.mark.parametrize("convention", ["po", "cs"])
     def test_empirical_part_variance(self, convention):
         m, n = 100, 500  # 10^5 entries
-        Phi = sample_sensing_matrix(RngStream(3), m, n, convention)
+        Phi = sample_sensing_matrix(RngStream(3).generator(), m, n, convention)
         for part in (Phi.mat.real, Phi.mat.imag):
             assert part.var() == pytest.approx(Phi.sigma**2, rel=0.02)
         # independent parts: empirical correlation is tiny
@@ -41,39 +40,39 @@ class TestSamplingConventions:
         assert abs(corr) < 0.02
 
     def test_shape_and_dtype(self):
-        Phi = sample_sensing_matrix(RngStream(4), 5, 7, "po")
+        Phi = sample_sensing_matrix(RngStream(4).generator(), 5, 7, "po")
         assert Phi.mat.shape == (5, 7)
         assert Phi.mat.dtype == np.complex128
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
-            sample_sensing_matrix(RngStream(0), 0, 4, "po")
+            sample_sensing_matrix(RngStream(0).generator(), 0, 4, "po")
 
 
 class TestSparseSignal:
     def test_full_support_forced(self):
         for seed in range(10):
-            sig = sample_sparse_signal(RngStream(5, seed), 4, 4)
-            assert np.array_equal(sig.support, np.arange(4))
+            _, support = sample_sparse_signal(RngStream(5, seed).generator(), 4, 4)
+            assert np.array_equal(support, np.arange(4))
 
     def test_unit_norm_and_exact_zeros(self):
-        sig = sample_sparse_signal(RngStream(6), 50, 7)
-        assert abs(np.linalg.norm(sig.vec) - 1.0) < 1e-12
-        off = np.setdiff1d(np.arange(50), sig.support)
-        assert np.all(sig.vec[off] == 0)
-        assert np.all(sig.vec[sig.support] != 0)
+        x0, support = sample_sparse_signal(RngStream(6).generator(), 50, 7)
+        assert abs(np.linalg.norm(x0) - 1.0) < 1e-12
+        off = np.setdiff1d(np.arange(50), support)
+        assert np.all(x0[off] == 0)
+        assert np.all(x0[support] != 0)
 
     def test_values_live_on_real_axis(self):
-        sig = sample_sparse_signal(RngStream(7), 20, 5)
-        assert np.all(sig.vec.imag == 0)
+        x0, _ = sample_sparse_signal(RngStream(7).generator(), 20, 5)
+        assert np.all(x0.imag == 0)
 
     def test_support_uniformity(self):
         n, s, draws = 6, 2, 100_000
         gen = RngStream(8).generator()
         counts = {S: 0 for S in itertools.combinations(range(n), s)}
         for _ in range(draws):
-            sig = sample_sparse_signal(gen, n, s)
-            counts[tuple(sig.support)] += 1
+            _, support = sample_sparse_signal(gen, n, s)
+            counts[tuple(support)] += 1
         p = 1.0 / len(counts)
         sigma = math.sqrt(p * (1 - p) / draws)
         for S, c in counts.items():
@@ -81,9 +80,9 @@ class TestSparseSignal:
 
     def test_rejects_bad_sparsity(self):
         with pytest.raises(ValueError):
-            sample_sparse_signal(RngStream(0), 4, 0)
+            sample_sparse_signal(RngStream(0).generator(), 4, 0)
         with pytest.raises(ValueError):
-            sample_sparse_signal(RngStream(0), 4, 5)
+            sample_sparse_signal(RngStream(0).generator(), 4, 5)
 
 
 def inject(mat):
@@ -96,8 +95,7 @@ class TestMeasureLinear:
         Phi = inject(np.eye(3))
         e1 = np.zeros(3, complex)
         e1[0] = 1.0
-        x0 = SparseSignal(vec=e1, support=np.array([0]))
-        assert np.array_equal(measure_linear(Phi, x0), e1)
+        assert np.array_equal(measure_linear(Phi, e1), e1)
 
     def test_matches_triple_loop_oracle(self):
         gen = RngStream(9).generator()
@@ -121,64 +119,63 @@ class TestMeasurePhaseOnly:
         # Phi x0 = [3+4i, -2] for x0 = [1]
         Phi = inject(np.array([[3 + 4j], [-2.0]]))
         x0 = np.array([1.0 + 0j])
-        meas = measure_phase_only(Phi, x0, 0.0, RngStream(10))
-        assert np.allclose(meas.z, [0.6 + 0.8j, -1.0], atol=1e-15)
-        assert np.all(meas.xi == 0.0)
+        z, xi = measure_phase_only(Phi, x0, 0.0, RngStream(10).generator())
+        assert np.allclose(z, [0.6 + 0.8j, -1.0], atol=1e-15)
+        assert np.all(xi == 0.0)
 
     def test_tau_zero_is_exactly_the_signum(self):
         gen = RngStream(11).generator()
         Phi = sample_sensing_matrix(gen, 32, 16, "po")
-        x0 = sample_sparse_signal(gen, 16, 3)
-        meas = measure_phase_only(Phi, x0, 0.0, gen)
-        assert np.array_equal(meas.z, csign(Phi.mat @ x0.vec))
+        x0, _ = sample_sparse_signal(gen, 16, 3)
+        z, _ = measure_phase_only(Phi, x0, 0.0, gen)
+        assert np.array_equal(z, csign(Phi.mat @ x0))
 
     @pytest.mark.parametrize("tau", [0.1, math.pi, 4 * math.pi])
     def test_unit_modulus_and_noise_bound(self, tau):
         gen = RngStream(12).generator()
         Phi = sample_sensing_matrix(gen, 64, 16, "po")
-        x0 = sample_sparse_signal(gen, 16, 3)
-        meas = measure_phase_only(Phi, x0, tau, gen)
-        assert np.max(np.abs(np.abs(meas.z) - 1.0)) < 1e-12
-        assert np.all(np.abs(meas.xi) <= tau)
-        assert meas.tau == tau
+        x0, _ = sample_sparse_signal(gen, 16, 3)
+        z, xi = measure_phase_only(Phi, x0, tau, gen)
+        assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-12
+        assert np.all(np.abs(xi) <= tau)
 
     def test_noise_moments(self):
         tau = math.pi
         gen = RngStream(13).generator()
         Phi = sample_sensing_matrix(gen, 100_000, 2, "po")
-        x0 = sample_sparse_signal(gen, 2, 1)
-        meas = measure_phase_only(Phi, x0, tau, gen)
-        tol = 4.0 * (tau / math.sqrt(3)) / math.sqrt(meas.xi.size)
-        assert abs(meas.xi.mean()) <= tol
+        x0, _ = sample_sparse_signal(gen, 2, 1)
+        _, xi = measure_phase_only(Phi, x0, tau, gen)
+        tol = 4.0 * (tau / math.sqrt(3)) / math.sqrt(xi.size)
+        assert abs(xi.mean()) <= tol
 
     def test_scale_invariance_of_the_channel(self):
         gen = RngStream(14).generator()
         Phi = sample_sensing_matrix(gen, 24, 12, "po")
-        x0 = sample_sparse_signal(gen, 12, 4)
-        z1 = measure_phase_only(Phi, x0.vec, 0.0, RngStream(15)).z
-        z2 = measure_phase_only(Phi, 2.0 * x0.vec, 0.0, RngStream(15)).z
-        z3 = measure_phase_only(Phi, 3.1 * x0.vec, 0.0, RngStream(15)).z
+        x0, _ = sample_sparse_signal(gen, 12, 4)
+        z1, _ = measure_phase_only(Phi, x0, 0.0, RngStream(15).generator())
+        z2, _ = measure_phase_only(Phi, 2.0 * x0, 0.0, RngStream(15).generator())
+        z3, _ = measure_phase_only(Phi, 3.1 * x0, 0.0, RngStream(15).generator())
         assert np.array_equal(z1, z2)  # power-of-two scaling is exact
         assert np.allclose(z1, z3, atol=1e-12)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            measure_phase_only(inject(np.eye(2)), np.ones(2, complex), -0.1, RngStream(0))
+            measure_phase_only(inject(np.eye(2)), np.ones(2, complex), -0.1, RngStream(0).generator())
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, 1e308])
     def test_non_finite_tau_rejected(self, tau):
         # uniform(-tau, tau) needs a finite width 2 tau
         with pytest.raises(ValueError, match="^tau:"):
-            measure_phase_only(inject(np.eye(2)), np.ones(2, complex), tau, RngStream(0))
+            measure_phase_only(inject(np.eye(2)), np.ones(2, complex), tau, RngStream(0).generator())
 
 
 def test_draws_are_bit_reproducible():
     def draw_all():
         gen = RngStream(77, 3).generator()
         Phi = sample_sensing_matrix(gen, 16, 8, "po")
-        x0 = sample_sparse_signal(gen, 8, 2)
-        meas = measure_phase_only(Phi, x0, 0.5, gen)
-        return Phi.mat, x0.vec, meas.xi, meas.z
+        x0, _ = sample_sparse_signal(gen, 8, 2)
+        z, xi = measure_phase_only(Phi, x0, 0.5, gen)
+        return Phi.mat, x0, xi, z
 
     first = draw_all()
     second = draw_all()
