@@ -10,7 +10,7 @@ Run:
     python demos/error_vs_measurements.py
 """
 
-from pocs import SweepConfig, fit_rate, render_csv, run_m_sweep
+from pocs import SweepConfig, fit_rate, render_csv, run_sweep
 
 
 def main() -> None:
@@ -23,11 +23,11 @@ def main() -> None:
         master_seed=7,
     )
     print(f"# n={config.n}, {config.trials} trials per cell, master seed {config.master_seed}")
-    result = run_m_sweep(config)
+    result = run_sweep(config)
     print(render_csv(result), end="")
 
     for scheme, label in (("po", "phase-only"), ("cs", "linear")):
-        slope = fit_rate(result, scheme, 2, min_log2_ratio=0.0)
+        slope = fit_rate(result.cells, scheme, 2, config.n, min_log2_ratio=0.0)
         print(f"# decay exponent of the mean error in m ({label}, s=2, m >= n): {slope:+.3f}")
     print("# reference slopes: -0.5 is the observed rate, -0.25 the guaranteed one")
 

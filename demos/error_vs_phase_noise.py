@@ -14,7 +14,7 @@ Run:
 
 import math
 
-from pocs import SweepConfig, run_tau_sweep
+from pocs import SweepConfig, run_sweep
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
         master_seed=11,
     )
     print(f"# n={config.n}, s=10, m=64, {config.trials} trials per tau")
-    result = run_tau_sweep(config)
+    result = run_sweep(config)
     print("tau/pi   mean error   (bar chart, sqrt(2) marked at |)")
     saturation = math.sqrt(2.0)
     for cell in result.cells:

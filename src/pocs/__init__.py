@@ -25,12 +25,11 @@ from .experiments import (
     SweepResult,
     TrialRecord,
     fit_rate,
-    load_sweep_result,
+    load_sweep_cells,
     render_csv,
     render_json,
     rip_estimate_report,
-    run_m_sweep,
-    run_tau_sweep,
+    run_sweep,
     run_trial,
     trial_stream_id,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "fit_rate",
     "fnv1a64",
     "hard_threshold",
-    "load_sweep_result",
+    "load_sweep_cells",
     "measure_linear",
     "measure_phase_only",
     "oracle_support_error_bound",
@@ -97,8 +96,7 @@ __all__ = [
     "restrict",
     "rip_distortion_probe",
     "rip_estimate_report",
-    "run_m_sweep",
-    "run_tau_sweep",
+    "run_sweep",
     "run_trial",
     "sample_complexity_bound",
     "sample_sensing_matrix",

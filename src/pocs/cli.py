@@ -114,9 +114,8 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command in ("sweep-m", "sweep-tau"):
         # looked up per call: tests and the benchmark tracer patch these attributes
-        run = experiments.run_m_sweep if args.command == "sweep-m" else experiments.run_tau_sweep
         render = experiments.render_json if args.format == "json" else experiments.render_csv
-        _emit(render(run(_sweep_config(args), workers=args.workers)), args.out)
+        _emit(render(experiments.run_sweep(_sweep_config(args), workers=args.workers)), args.out)
     elif args.command == "rip-estimate":
         report = experiments.rip_estimate_report(
             args.m, args.n, args.s, args.probes, args.seed
@@ -125,9 +124,9 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.command == "rip-bound":
         print(rip.sample_complexity_bound(args.delta, args.s, args.n, args.eta))
     elif args.command == "fit-rate":
-        result = experiments.load_sweep_result(args.input_path, n=args.n)
+        cells, n = experiments.load_sweep_cells(args.input_path)
         slope = experiments.fit_rate(
-            result, args.scheme, args.s, args.min_log2_ratio, n=args.n
+            cells, args.scheme, args.s, n if args.n is None else args.n, args.min_log2_ratio
         )
         print(f"{slope:.10g}")
     else:  # pragma: no cover - argparse enforces the choices

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo sweeps over the sensing-and-reconstruction pipeline.
 
-A sweep cell is one (scheme, s, m, tau) combination. Every trial draws a
+A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
+:func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
 straight from its exact rank-one law (:func:`_run_trials`), without forming
@@ -65,6 +66,9 @@ CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_err
 
 # Trials per batch; larger batches run no faster and hold more memory.
 _TRIAL_CHUNK = 32
+# Largest draw a request may ask for, in complex128 entries (4 GiB): a trial's
+# m + n normals, or rip-estimate's m x n matrix.
+_MAX_ENTRIES = 2**28
 
 
 class ConfigError(ValueError):
@@ -77,10 +81,10 @@ class NumericalFailureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative description of one sweep.
-
-    ``log2_m_over_n`` drives a measurement-count sweep (tau fixed at 0);
-    ``m`` plus ``tau_grid`` drives a phase-noise sweep.
+    """Declarative description of one sweep: the grid of (scheme, s, m, tau)
+    cells over ``schemes``, ``sparsity_levels``, the measurement counts and
+    ``tau_grid``. The counts come from exactly one of ``m`` (a single count)
+    and ``log2_m_over_n`` (m = round(n 2^ratio) per ratio).
     """
 
     n: int
@@ -334,7 +338,7 @@ def _run_cells(cells, n, trials, master_seed, workers):
 def _check_common(config: SweepConfig) -> None:
     if config.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {config.trials}")
-    if config.n is None or config.n < 1:  # None: loaded from a CSV
+    if config.n is None or config.n < 1:
         raise ConfigError(f"n: must be >= 1, got {config.n}")
     _check_master_seed(config.master_seed)
     if not config.sparsity_levels:
@@ -380,88 +384,81 @@ def _ratio_to_m(n: int, ratio: float) -> int:
     return m
 
 
-def run_m_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Error versus measurement count over (scheme, s, log2(m/n)) cells, tau = 0."""
+def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
+    """Direction error over the (scheme, s, m, tau) cells of ``config``, in that
+    nesting order."""
     _check_common(config)
-    if not config.log2_m_over_n:
-        raise ConfigError("log2_m_over_n: measurement-count sweep needs a ratio grid")
-    if config.m is not None:
-        raise ConfigError("m: measurement-count sweep derives m from log2_m_over_n; leave m unset")
-    if any(t != 0.0 for t in config.tau_grid):
-        raise ConfigError("tau_grid: measurement-count sweep runs at tau = 0 only")
-    ms = {}
-    for ratio in config.log2_m_over_n:
-        m = _ratio_to_m(config.n, ratio)
-        if m in ms:
-            raise ConfigError(
-                f"log2_m_over_n: ratios {ms[m]:g} and {ratio:g} both give m={m} "
-                f"at n={config.n}"
-            )
-        ms[m] = ratio
-    cells = [
-        (scheme, s, m, 0.0)
-        for scheme in config.schemes
-        for s in config.sparsity_levels
-        for m in ms
-    ]
-    aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
-    return SweepResult(config=config, cells=aggregates)
-
-
-def run_tau_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Error versus phase-noise amplitude at fixed (s, m), phase-only scheme."""
-    _check_common(config)
-    if config.m is None or config.m < 1:
-        raise ConfigError("m: phase-noise sweep needs a fixed measurement count")
-    if config.log2_m_over_n is not None:
-        raise ConfigError("log2_m_over_n: phase-noise sweep runs at the fixed m only")
-    if len(config.sparsity_levels) != 1:
-        raise ConfigError("sparsity_levels: phase-noise sweep takes a single sparsity")
-    if tuple(config.schemes) != ("po",):
-        raise ConfigError("schemes: phase-noise sweep applies to the 'po' scheme only")
     if not config.tau_grid:
         raise ConfigError("tau_grid: at least one tau is required")
     for tau in config.tau_grid:
         if not (tau >= 0 and math.isfinite(2.0 * tau)):
             raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     _check_distinct("tau_grid", config.tau_grid)
-    s = config.sparsity_levels[0]
-    cells = [("po", s, config.m, float(tau)) for tau in config.tau_grid]
+    if "cs" in config.schemes and any(tau != 0 for tau in config.tau_grid):
+        raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
+    if (config.m is None) == (config.log2_m_over_n is None):
+        raise ConfigError("m: set exactly one of m and log2_m_over_n")
+    field, ms = "m", {config.m: None}  # m -> the ratio that gave it
+    if config.m is None:
+        field, ms = "log2_m_over_n", {}
+        if not config.log2_m_over_n:
+            raise ConfigError("log2_m_over_n: at least one ratio is required")
+        for ratio in config.log2_m_over_n:
+            m = _ratio_to_m(config.n, ratio)
+            if m in ms:
+                raise ConfigError(
+                    f"log2_m_over_n: ratios {ms[m]:g} and {ratio:g} both give m={m} "
+                    f"at n={config.n}"
+                )
+            ms[m] = ratio
+    for m in ms:
+        if m < 1:
+            raise ConfigError(f"m: must be >= 1, got {m}")
+        if m + config.n > _MAX_ENTRIES:  # a trial draws m + n complex normals
+            raise ConfigError(
+                f"{'n' if config.n >= _MAX_ENTRIES else field}: m + n = {m + config.n} "
+                f"normals per trial exceed {_MAX_ENTRIES}"
+            )
+    cells = [
+        (scheme, s, m, float(tau))
+        for scheme in config.schemes
+        for s in config.sparsity_levels
+        for m in ms
+        for tau in config.tau_grid
+    ]
     aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
     return SweepResult(config=config, cells=aggregates)
 
 
 def fit_rate(
-    result: SweepResult,
+    cells: Sequence[CellAggregate],
     scheme: str,
     s: int,
+    n: int | None,
     min_log2_ratio: float = float("-inf"),
-    n: int | None = None,
 ) -> float:
     """Least-squares slope of log10(mean error) against log10(m).
 
-    Uses the cells of ``result`` matching ``scheme`` and ``s`` whose
-    log2(m/n) is at least ``min_log2_ratio``; needs three or more grid
-    points. ``n`` falls back to the result's config.
+    Uses the ``cells`` matching ``scheme`` and ``s`` whose log2(m/n) is at
+    least ``min_log2_ratio``; needs three or more grid points.
     """
-    dim = result.config.n if n is None else int(n)
-    if dim is None:
+    if n is None:
         raise ValueError("signal dimension n unknown; pass n explicitly")
-    if dim < 1:
-        raise ValueError(f"n: must be >= 1, got {dim}")
-    cells = [c for c in result.cells if c.scheme == scheme and c.s == s]
+    if n < 1:
+        raise ValueError(f"n: must be >= 1, got {n}")
+    if math.isnan(min_log2_ratio):
+        raise ValueError("min_log2_ratio: must be a number or +-inf, got nan")
+    cells = [c for c in cells if c.scheme == scheme and c.s == s]
     for c in cells:
         if c.m < 1:
             raise ValueError(
                 f"fit_rate: cell scheme={scheme} s={s} m={c.m}; a log-log fit needs m >= 1"
             )
     points = sorted(
-        (c.m, c.mean_error) for c in cells if math.log2(c.m / dim) >= min_log2_ratio - 1e-12
+        (c.m, c.mean_error) for c in cells if math.log2(c.m / n) >= min_log2_ratio - 1e-12
     )
     if len(points) < 3:
-        raise ValueError(
-            f"fit_rate needs at least 3 grid points, found {len(points)}"
-        )
+        raise ValueError(f"fit_rate needs at least 3 grid points, found {len(points)}")
     for m, mean in points:
         if not 0 < mean < math.inf:
             raise ValueError(
@@ -539,14 +536,14 @@ def _json_value(where: str, value, kind):
     return kind(value)
 
 
-def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
-    """Read a sweep rendered by :func:`render_csv` or :func:`render_json`.
+def load_sweep_cells(path: str) -> tuple[tuple[CellAggregate, ...], int | None]:
+    """The cells of a sweep rendered by :func:`render_csv` or
+    :func:`render_json`, and its signal dimension ``n``.
 
-    CSV files carry no config echo: ``sparsity_levels``, ``schemes`` and
-    ``trials`` come from the cells, ``master_seed`` is None and so is ``n``
-    unless passed, for a later step (rate fitting, for example) that needs
-    the signal dimension. Config keys that JSON no longer echoes are ignored;
-    each JSON cell field and ``config.n`` (or null) must hold its field's type.
+    JSON gives ``n`` from ``config.n``, which must be an int or null, and no
+    other config key is read; each cell field must hold its field's type. A
+    CSV carries no ``n``: it comes back None, for a caller that needs the
+    dimension (rate fitting, for example) to supply.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -555,19 +552,7 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-            cfg = payload["config"]
-            config = SweepConfig(
-                n=None if cfg["n"] is None else _json_value(f"{path}: config.n", cfg["n"], int),
-                sparsity_levels=tuple(cfg["sparsity_levels"]),
-                trials=cfg["trials"],
-                master_seed=cfg["master_seed"],
-                log2_m_over_n=(
-                    tuple(cfg["log2_m_over_n"]) if cfg["log2_m_over_n"] else None
-                ),
-                m=cfg["m"],
-                tau_grid=tuple(cfg["tau_grid"]),
-                schemes=tuple(cfg["schemes"]),
-            )
+            n = payload["config"]["n"]
             cells = tuple(
                 CellAggregate(**{
                     k: _json_value(f"{path}: cells[{i}].{k}", v, _CELL_TYPES[k])
@@ -578,19 +563,11 @@ def load_sweep_result(path: str, n: int | None = None) -> SweepResult:
         # bad JSON, a missing or unknown key, or a config or cell that is not an object
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
-        return SweepResult(config=config, cells=cells)
+        return cells, None if n is None else _json_value(f"{path}: config.n", n, int)
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path}: not a sweep CSV (unexpected header)")
-    cells = tuple(_cell_from_row(path, no, ln) for no, ln in lines[1:])
-    config = SweepConfig(
-        n=n,
-        sparsity_levels=tuple(sorted({c.s for c in cells})),
-        trials=cells[0].trials if cells else 0,
-        master_seed=None,
-        schemes=tuple(dict.fromkeys(c.scheme for c in cells)),
-    )
-    return SweepResult(config=config, cells=cells)
+    return tuple(_cell_from_row(path, no, ln) for no, ln in lines[1:]), None
 
 
 def rip_estimate_report(
@@ -606,6 +583,11 @@ def rip_estimate_report(
         raise ConfigError(f"s: s={s} outside [1, n={n}]")
     if num_probes < 1:
         raise ConfigError(f"num_probes: must be >= 1, got {num_probes}")
+    if m * n > _MAX_ENTRIES:
+        raise ConfigError(
+            f"{'m' if m >= n else 'n'}: an m x n = {m} x {n} matrix has more than "
+            f"{_MAX_ENTRIES} entries"
+        )
     _check_master_seed(master_seed)
     gen = RngStream(master_seed).generator()
     Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from pocs import SweepConfig, SweepResult, run_m_sweep, run_tau_sweep
+from pocs import SweepConfig, SweepResult, run_sweep
 
 ACCEPTANCE_SEED = 20260808
 
@@ -21,21 +21,15 @@ class TimedResult:
     seconds: float
 
 
-def timed_m_sweep(config: SweepConfig) -> TimedResult:
+def timed_sweep(config: SweepConfig) -> TimedResult:
     start = time.perf_counter()
-    result = run_m_sweep(config)
-    return TimedResult(result, time.perf_counter() - start)
-
-
-def timed_tau_sweep(config: SweepConfig) -> TimedResult:
-    start = time.perf_counter()
-    result = run_tau_sweep(config)
+    result = run_sweep(config)
     return TimedResult(result, time.perf_counter() - start)
 
 
 @pytest.fixture(scope="session")
 def sweep_s2_high() -> TimedResult:
-    return timed_m_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(2,), log2_m_over_n=(4.0,),
             schemes=("po", "cs"), trials=1000, master_seed=ACCEPTANCE_SEED,
@@ -45,7 +39,7 @@ def sweep_s2_high() -> TimedResult:
 
 @pytest.fixture(scope="session")
 def sweep_s2_low() -> TimedResult:
-    return timed_m_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(2,), log2_m_over_n=(0.0, 2.0),
             schemes=("po", "cs"), trials=1000, master_seed=ACCEPTANCE_SEED,
@@ -55,7 +49,7 @@ def sweep_s2_low() -> TimedResult:
 
 @pytest.fixture(scope="session")
 def sweep_s10_low() -> TimedResult:
-    return timed_m_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(10,), log2_m_over_n=(-2.0,),
             schemes=("po",), trials=1000, master_seed=ACCEPTANCE_SEED,
@@ -65,7 +59,7 @@ def sweep_s10_low() -> TimedResult:
 
 @pytest.fixture(scope="session")
 def sweep_s50_high() -> TimedResult:
-    return timed_m_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(50,), log2_m_over_n=(4.0,),
             schemes=("po", "cs"), trials=1000, master_seed=ACCEPTANCE_SEED,
@@ -75,7 +69,7 @@ def sweep_s50_high() -> TimedResult:
 
 @pytest.fixture(scope="session")
 def tau_anchor() -> TimedResult:
-    return timed_tau_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(10,), m=64, tau_grid=(0.0,),
             schemes=("po",), trials=10_000, master_seed=ACCEPTANCE_SEED,
@@ -87,7 +81,7 @@ def tau_anchor() -> TimedResult:
 def tau_saturation() -> TimedResult:
     import math
 
-    return timed_tau_sweep(
+    return timed_sweep(
         SweepConfig(
             n=256, sparsity_levels=(10,), m=64,
             tau_grid=(1.5 * math.pi, 2.0 * math.pi, 4.0 * math.pi),

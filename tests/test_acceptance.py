@@ -14,7 +14,6 @@ import pytest
 from pocs import (
     RngStream,
     SweepConfig,
-    SweepResult,
     csign,
     direction_error,
     expectation_identity_test,
@@ -26,7 +25,7 @@ from pocs import (
     render_csv,
     restrict,
     rip_distortion_probe,
-    run_m_sweep,
+    run_sweep,
     sample_complexity_bound,
     sample_sensing_matrix,
     sample_sparse_signal,
@@ -110,11 +109,7 @@ def test_criterion_4_expectation_identity():
 
 def test_criterion_5_empirical_rate(sweep_s2_low, sweep_s2_high):
     cells = tuple(sweep_s2_low.result.cells) + tuple(sweep_s2_high.result.cells)
-    config = SweepConfig(
-        n=256, sparsity_levels=(2,), log2_m_over_n=(0.0, 2.0, 4.0),
-        schemes=("po", "cs"), trials=1000, master_seed=ACCEPTANCE_SEED,
-    )
-    slope = fit_rate(SweepResult(config=config, cells=cells), "po", 2, min_log2_ratio=0.0)
+    slope = fit_rate(cells, "po", 2, 256, min_log2_ratio=0.0)
     ok = -0.65 <= slope <= -0.45
     report(5, ok, f"decay exponent {slope:.3f} in [-0.65, -0.45]; "
                   "the -1/4 theoretical rate is pessimistic")
@@ -172,9 +167,9 @@ def test_criterion_7_property_suite(tmp_path):
         n=32, sparsity_levels=(3,), log2_m_over_n=(-1.0, 0.0),
         schemes=("po", "cs"), trials=40, master_seed=ACCEPTANCE_SEED,
     )
-    first = render_csv(run_m_sweep(config, workers=1))
-    again = render_csv(run_m_sweep(config, workers=1))
-    parallel = render_csv(run_m_sweep(config, workers=2))
+    first = render_csv(run_sweep(config, workers=1))
+    again = render_csv(run_sweep(config, workers=1))
+    parallel = render_csv(run_sweep(config, workers=2))
     checks.append(("byte-identical CSV across reruns", first == again == parallel))
 
     ok = all(flag for _, flag in checks)

@@ -140,6 +140,18 @@ def test_non_finite_grid_values_exit_2(capsys, argv, field):
     assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "40"), "log2_m_over_n"),
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**28), "--tau", "0"), "m"),
+    (("sweep-tau", "--n", str(2**28), "--s", "2", "--m", "8", "--tau", "0"), "n"),
+])
+def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
+    # a trial draws m + n complex normals; past 2^28 the sweep is rejected, not run
+    monkeypatch.setattr(experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
+    assert run_main(*argv, "--trials", "3") == 2
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
 class TestRipTools:
     def test_rip_bound_prints_reference_value(self):
         # stdout capture is off under -s; check the printed value via a subprocess
@@ -179,6 +191,8 @@ class TestRipTools:
     @pytest.mark.parametrize("flag,value,field", [
         ("--m", "0", "m"), ("--n", "0", "n"), ("--s", "0", "s"), ("--s", "17", "s"),
         ("--probes", "0", "num_probes"), ("--seed", "-1", "master_seed"),
+        # more than 2^28 matrix entries: rejected, not attempted
+        ("--m", "100000000", "m"), ("--n", "100000000", "n"),
     ])
     def test_rip_estimate_bad_input_exits_2_before_the_matrix_draw(
         self, monkeypatch, capsys, flag, value, field
@@ -287,8 +301,8 @@ class TestFitRate:
         payload["config"]["aggregate"] = "mean_error_db"
         old = tmp_path / "old.json"
         old.write_text(json.dumps(payload, indent=2) + "\n")
-        loaded = experiments.load_sweep_result(str(old))
-        assert loaded == experiments.load_sweep_result(str(sweep_out))
+        loaded = experiments.load_sweep_cells(str(old))
+        assert loaded == experiments.load_sweep_cells(str(sweep_out))
         assert run_main("fit-rate", "--in", str(old), "--scheme", "po", "--s", "2") == 0
         assert capsys.readouterr().out == slope
 
@@ -357,6 +371,18 @@ class TestFitRate:
         assert code == 2
         assert f"configuration error: n: must be >= 1, got {n}" in capsys.readouterr().err
 
+    def test_nan_min_log2_ratio_exits_2(self, tmp_path, capsys):
+        # NaN fails every comparison, so it would filter out every grid point
+        path = tmp_path / "sweep.json"
+        path.write_text(sweep_json())
+        argv = ("fit-rate", "--in", str(path), "--scheme", "po", "--s", "2")
+        assert run_main(*argv, "--min-log2-ratio", "nan") == 2
+        assert "configuration error: min_log2_ratio:" in capsys.readouterr().err
+        # the infinities stay valid: every grid point, or none
+        assert run_main(*argv, "--min-log2-ratio=-inf") == 0
+        assert run_main(*argv, "--min-log2-ratio", "inf") == 2
+        assert "found 0" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self):
         assert run_main(
             "fit-rate", "--in", "/nonexistent/sweep.csv", "--scheme", "po", "--s", "2",
@@ -370,7 +396,7 @@ def test_numerical_failure_maps_to_exit_4(monkeypatch, tmp_path):
     def boom(config, workers=1):
         raise NumericalFailureError("cell produced no usable trials")
 
-    monkeypatch.setattr(cli.experiments, "run_m_sweep", boom)
+    monkeypatch.setattr(cli.experiments, "run_sweep", boom)
     code = run_main(
         "sweep-m", "--n", "16", "--s", "2", "--log2-ratio", "0",
         "--trials", "5", "--out", str(tmp_path / "x.csv"),

@@ -15,12 +15,11 @@ from pocs import (
     SweepResult,
     fit_rate,
     fnv1a64,
-    load_sweep_result,
+    load_sweep_cells,
     render_csv,
     render_json,
     rip_estimate_report,
-    run_m_sweep,
-    run_tau_sweep,
+    run_sweep,
     run_trial,
     trial_stream_id,
 )
@@ -70,7 +69,7 @@ class TestSeeding:
 
 class TestMSweep:
     def test_cell_grid_and_sanity(self):
-        result = run_m_sweep(TINY)
+        result = run_sweep(TINY)
         assert len(result.cells) == 4  # 2 schemes x 1 sparsity x 2 ratios
         for cell in result.cells:
             assert cell.scheme in ("po", "cs")
@@ -85,13 +84,13 @@ class TestMSweep:
             assert cell.stderr_error > 0.0
 
     def test_rerun_identical(self):
-        a = render_csv(run_m_sweep(TINY))
-        b = render_csv(run_m_sweep(TINY))
+        a = render_csv(run_sweep(TINY))
+        b = render_csv(run_sweep(TINY))
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        serial = render_csv(run_m_sweep(TINY, workers=1))
-        parallel = render_csv(run_m_sweep(TINY, workers=2))
+        serial = render_csv(run_sweep(TINY, workers=1))
+        parallel = render_csv(run_sweep(TINY, workers=2))
         assert serial == parallel
 
     @pytest.mark.parametrize(
@@ -102,15 +101,16 @@ class TestMSweep:
             (dict(sparsity_levels=(17,)), "sparsity_levels"),
             (dict(schemes=("bogus",)), "schemes"),
             (dict(schemes=()), "schemes"),
-            (dict(log2_m_over_n=None), "log2_m_over_n"),
+            # m comes from exactly one of m and log2_m_over_n: neither here
+            (dict(log2_m_over_n=None), "m"),
             (dict(log2_m_over_n=(-10.0,)), "log2_m_over_n"),
-            (dict(tau_grid=(0.5,)), "tau_grid"),
+            # the linear channel has no phase noise
+            (dict(schemes=("cs",), tau_grid=(0.5,)), "tau_grid"),
             # 16 * 2**0.01 rounds to m = 16: two cells with one stream id
             (dict(log2_m_over_n=(0.0, 0.01)), "log2_m_over_n"),
             # repeated values would give cells with identical stream ids
             (dict(sparsity_levels=(2, 3, 2)), "sparsity_levels"),
             (dict(schemes=("po", "cs", "po")), "schemes"),
-            # a config loaded from a CSV holds neither
             (dict(n=None), "n"),
             (dict(master_seed=None), "master_seed"),
             # RngStream keeps a seed's low 64 bits: these would alias 2^64 - 1 and 0
@@ -121,21 +121,49 @@ class TestMSweep:
             (dict(log2_m_over_n=(math.inf,)), "log2_m_over_n"),
             (dict(log2_m_over_n=(1e9,)), "log2_m_over_n"),
             (dict(log2_m_over_n=(1023.5,)), "log2_m_over_n"),
-            # the sweep takes m from the ratio grid and would ignore this one
+            # both m and log2_m_over_n
             (dict(m=64), "m"),
+            (dict(tau_grid=()), "tau_grid"),
+            (dict(tau_grid=(-0.1,)), "tau_grid"),
+            (dict(tau_grid=(0.0, 0.5, 0.5)), "tau_grid"),
+            # NaN passes tau < 0; 2 tau must be finite for uniform(-tau, tau)
+            (dict(tau_grid=(math.nan,)), "tau_grid"),
+            (dict(tau_grid=(0.5, math.inf)), "tau_grid"),
+            (dict(tau_grid=(1e308,)), "tau_grid"),
+            (dict(m=0, log2_m_over_n=None), "m"),
+            (dict(log2_m_over_n=()), "log2_m_over_n"),
+            # a trial's m + n complex normals past 2^28: rejected before any draw
+            (dict(log2_m_over_n=(40.0,)), "log2_m_over_n"),
+            (dict(m=2**28, log2_m_over_n=None), "m"),
+            (dict(n=2**28), "n"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field):
-        import dataclasses
-
         cfg = SweepConfig(
             n=16, sparsity_levels=(2,), log2_m_over_n=(0.0,), schemes=("po",),
             trials=5, master_seed=1,
         )
         cfg = dataclasses.replace(cfg, **patch)
         with pytest.raises(ConfigError) as err:
-            run_m_sweep(cfg)
+            run_sweep(cfg)
         assert str(err.value).startswith(f"{field}:")
+
+    def test_library_grids_run_in_scheme_s_m_tau_order(self):
+        # grids the CLI cannot ask for: two s with two taus, and both schemes at fixed m
+        base = SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",), trials=1,
+                           master_seed=5)
+        grids = [
+            (dataclasses.replace(base, sparsity_levels=(3, 2), tau_grid=(0.5, 0.0)),
+             [("po", 3, 8, 0.5), ("po", 3, 8, 0.0), ("po", 2, 8, 0.5), ("po", 2, 8, 0.0)]),
+            (dataclasses.replace(base, schemes=("po", "cs")),
+             [("po", 2, 8, 0.0), ("cs", 2, 8, 0.0)]),
+        ]
+        for cfg, order in grids:
+            cells = run_sweep(cfg).cells
+            assert [(c.scheme, c.s, c.m, c.tau) for c in cells] == order
+            for c in cells:  # the cell's one trial is trial 0 of its own key
+                replay = run_trial(c.scheme, cfg.n, c.s, c.m, c.tau, cfg.master_seed, 0)
+                assert c.mean_error == replay.error
 
 
 class TestPoolSize:
@@ -158,10 +186,10 @@ class TestTauSweep:
             n=32, sparsity_levels=(3,), m=16, tau_grid=(0.0, 0.5),
             schemes=("po",), trials=25, master_seed=11,
         )
-        result = run_tau_sweep(cfg)
+        result = run_sweep(cfg)
         assert [c.tau for c in result.cells] == [0.0, 0.5]
         assert all(c.m == 16 for c in result.cells)
-        assert render_csv(result) == render_csv(run_tau_sweep(cfg))
+        assert render_csv(result) == render_csv(run_sweep(cfg))
 
     def test_saturation_onset_at_tau_pi(self):
         # reference value 1.414 +/- 0.05 at (n, s, m) = (256, 10, 64)
@@ -169,7 +197,7 @@ class TestTauSweep:
             n=256, sparsity_levels=(10,), m=64, tau_grid=(math.pi,),
             schemes=("po",), trials=1000, master_seed=17,
         )
-        cell = run_tau_sweep(cfg).cells[0]
+        cell = run_sweep(cfg).cells[0]
         assert abs(cell.mean_error - 1.414) <= 0.05
 
     def test_error_grows_with_noise_up_to_pi(self):
@@ -178,7 +206,7 @@ class TestTauSweep:
             tau_grid=(0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi, math.pi),
             schemes=("po",), trials=400, master_seed=13,
         )
-        cells = run_tau_sweep(cfg).cells
+        cells = run_sweep(cfg).cells
         for lo, hi in zip(cells, cells[1:]):
             slack = 2.0 * (lo.stderr_error + hi.stderr_error)
             assert hi.mean_error >= lo.mean_error - slack
@@ -186,29 +214,21 @@ class TestTauSweep:
     @pytest.mark.parametrize(
         "patch,field",
         [
+            # m comes from exactly one of m and log2_m_over_n: neither here
             (dict(m=None), "m"),
-            (dict(sparsity_levels=(2, 3)), "sparsity_levels"),
-            (dict(schemes=("cs",)), "schemes"),
-            (dict(tau_grid=()), "tau_grid"),
-            (dict(tau_grid=(-0.1,)), "tau_grid"),
-            (dict(tau_grid=(0.0, 0.5, 0.5)), "tau_grid"),
-            # NaN passes tau < 0; 2 tau must be finite for uniform(-tau, tau)
-            (dict(tau_grid=(math.nan,)), "tau_grid"),
-            (dict(tau_grid=(0.5, math.inf)), "tau_grid"),
-            (dict(tau_grid=(1e308,)), "tau_grid"),
-            # the sweep runs at the fixed m and would ignore a ratio grid
-            (dict(log2_m_over_n=(0.0,)), "log2_m_over_n"),
+            # both: a ratio grid beside the fixed m
+            (dict(log2_m_over_n=(0.0,)), "m"),
         ],
     )
     def test_config_errors(self, patch, field):
-        import dataclasses
+        # the table in TestMSweep starts from a ratio grid; these start from a fixed m
         cfg = SweepConfig(
             n=32, sparsity_levels=(3,), m=16, tau_grid=(0.0,),
             schemes=("po",), trials=5, master_seed=1,
         )
         cfg = dataclasses.replace(cfg, **patch)
         with pytest.raises(ConfigError) as err:
-            run_tau_sweep(cfg)
+            run_sweep(cfg)
         assert str(err.value).startswith(f"{field}:")
 
 
@@ -216,7 +236,7 @@ class TestCsvContract:
     HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
     def test_header_and_shape(self):
-        text = render_csv(run_m_sweep(TINY))
+        text = render_csv(run_sweep(TINY))
         lines = text.split("\n")
         assert lines[0] == self.HEADER
         assert lines[-1] == ""  # trailing LF
@@ -245,44 +265,36 @@ class TestCsvContract:
         ]) == 0
         raw = path.read_bytes()
         assert b"\r" not in raw
-        assert raw.decode("utf-8") == render_csv(run_m_sweep(TINY))
+        assert raw.decode("utf-8") == render_csv(run_sweep(TINY))
 
     def test_roundtrip_csv_and_json(self, tmp_path):
-        result = run_m_sweep(TINY)
+        result = run_sweep(TINY)
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         csv_path.write_text(render_csv(result), encoding="utf-8", newline="")
         json_path.write_text(render_json(result), encoding="utf-8", newline="")
         # CSV carries 10 significant digits; re-rendering the load is lossless
-        from_csv = load_sweep_result(str(csv_path), n=TINY.n)
-        assert render_csv(from_csv) == csv_path.read_text()
-        assert [(c.scheme, c.s, c.m) for c in from_csv.cells] == [
+        from_csv, _ = load_sweep_cells(str(csv_path))
+        assert render_csv(SweepResult(config=TINY, cells=from_csv)) == csv_path.read_text()
+        assert [(c.scheme, c.s, c.m) for c in from_csv] == [
             (c.scheme, c.s, c.m) for c in result.cells
         ]
         # JSON round-trips exactly
-        from_json = load_sweep_result(str(json_path))
-        assert from_json.cells == result.cells
-        assert from_json.config == result.config
+        assert load_sweep_cells(str(json_path)) == (result.cells, TINY.n)
 
     def test_csv_load_leaves_unknown_config_none(self, tmp_path):
-        # a CSV holds cells only: what they show is derived, the rest is None
+        # a CSV holds cells only: its n is unknown
         path = tmp_path / "r.csv"
-        path.write_text(render_csv(run_m_sweep(TINY)), encoding="utf-8", newline="")
-        config = load_sweep_result(str(path)).config
-        assert (config.n, config.master_seed) == (None, None)
-        assert config.schemes == ("po", "cs")
-        assert config.sparsity_levels == (2,)
-        assert config.trials == TINY.trials
-        assert load_sweep_result(str(path), n=16).config.n == 16
-        cs_only = render_csv(run_m_sweep(dataclasses.replace(TINY, schemes=("cs",))))
-        path.write_text(cs_only, encoding="utf-8", newline="")
-        assert load_sweep_result(str(path)).config.schemes == ("cs",)
+        path.write_text(render_csv(run_sweep(TINY)), encoding="utf-8", newline="")
+        cells, n = load_sweep_cells(str(path))
+        assert n is None
+        assert [(c.scheme, c.s, c.trials) for c in cells] == [("po", 2, 20)] * 2 + [("cs", 2, 20)] * 2
 
     def test_json_echoes_the_engine(self):
-        payload = json.loads(render_json(run_m_sweep(TINY)))
+        payload = json.loads(render_json(run_sweep(TINY)))
         assert payload["engine"] == ENGINE
 
     def test_json_text_is_deterministic(self):
-        assert render_json(run_m_sweep(TINY)) == render_json(run_m_sweep(TINY))
+        assert render_json(run_sweep(TINY)) == render_json(run_sweep(TINY))
 
 
 class TestZeroSignHits:
@@ -292,18 +304,18 @@ class TestZeroSignHits:
     )
 
     def test_json_cells_carry_the_count_and_csv_does_not(self):
-        result = run_tau_sweep(self.CFG)
+        result = run_sweep(self.CFG)
         payload = json.loads(render_json(result))
         assert [c["zero_sign_hits"] for c in payload["cells"]] == [0, 0]
         assert "zero_sign" not in render_csv(result)
 
     def test_json_without_the_field_still_loads(self, tmp_path):
-        payload = json.loads(render_json(run_tau_sweep(self.CFG)))
+        payload = json.loads(render_json(run_sweep(self.CFG)))
         for cell in payload["cells"]:
             del cell["zero_sign_hits"]
         path = tmp_path / "old.json"
         path.write_text(json.dumps(payload))
-        assert all(c.zero_sign_hits == 0 for c in load_sweep_result(str(path)).cells)
+        assert all(c.zero_sign_hits == 0 for c in load_sweep_cells(str(path))[0])
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -319,9 +331,9 @@ class TestZeroSignHits:
             yz, _ = statistic(y, xi)
             return yz, 2
 
-        plain = render_csv(run_tau_sweep(self.CFG))
+        plain = render_csv(run_sweep(self.CFG))
         monkeypatch.setattr(pocs.experiments, "_phase_only_statistic", two_zeros_per_trial)
-        result = run_tau_sweep(self.CFG, workers=workers)
+        result = run_sweep(self.CFG, workers=workers)
         assert [c.zero_sign_hits for c in result.cells] == [2 * self.CFG.trials] * 2
         assert render_csv(result) == plain
 
@@ -368,6 +380,7 @@ class _FirstNormalsZero:
 
 
 def synthetic_power_law(exponent, coeff=0.9):
+    """Cells of a po, s = 2 sweep at n = 64 whose mean error is coeff m^exponent."""
     n = 64
     cells = []
     for ratio in (0.0, 1.0, 2.0, 3.0):
@@ -379,11 +392,7 @@ def synthetic_power_law(exponent, coeff=0.9):
                 mean_error=err, mean_error_db=10 * math.log10(err), stderr_error=0.0,
             )
         )
-    config = SweepConfig(
-        n=n, sparsity_levels=(2,), log2_m_over_n=(0.0, 1.0, 2.0, 3.0),
-        schemes=("po",), trials=100, master_seed=0,
-    )
-    return SweepResult(config=config, cells=tuple(cells))
+    return tuple(cells)
 
 
 # reference n=256 sweep values (dB of mean error) used to pin the rate fit
@@ -392,11 +401,11 @@ REFERENCE_PO_S2_DB = {0.0: -10.6256988444573, 2.0: -14.28000096159, 4.0: -17.663
 
 class TestFitRate:
     def test_exact_inverse_sqrt_law(self):
-        slope = fit_rate(synthetic_power_law(-0.5), "po", 2)
+        slope = fit_rate(synthetic_power_law(-0.5), "po", 2, 64)
         assert slope == pytest.approx(-0.5, abs=1e-9)
 
     def test_exact_quarter_law(self):
-        slope = fit_rate(synthetic_power_law(-0.25), "po", 2)
+        slope = fit_rate(synthetic_power_law(-0.25), "po", 2, 64)
         assert slope == pytest.approx(-0.25, abs=1e-9)
 
     def test_reference_points_give_known_slope(self):
@@ -408,11 +417,7 @@ class TestFitRate:
             )
             for r, db in REFERENCE_PO_S2_DB.items()
         )
-        config = SweepConfig(
-            n=n, sparsity_levels=(2,), log2_m_over_n=tuple(REFERENCE_PO_S2_DB),
-            schemes=("po",), trials=1000, master_seed=0,
-        )
-        slope = fit_rate(SweepResult(config=config, cells=cells), "po", 2)
+        slope = fit_rate(cells, "po", 2, n)
         # three equally spaced points: least squares reduces to the endpoint slope
         xs = sorted((math.log10(c.m), math.log10(c.mean_error)) for c in cells)
         endpoint = (xs[-1][1] - xs[0][1]) / (xs[-1][0] - xs[0][0])
@@ -420,26 +425,28 @@ class TestFitRate:
         assert slope == pytest.approx(-0.58, abs=0.01)
 
     def test_ratio_filter(self):
-        result = synthetic_power_law(-0.5)
-        assert fit_rate(result, "po", 2, min_log2_ratio=1.0) == pytest.approx(-0.5, abs=1e-9)
+        cells = synthetic_power_law(-0.5)
+        assert fit_rate(cells, "po", 2, 64, min_log2_ratio=1.0) == pytest.approx(-0.5, abs=1e-9)
         with pytest.raises(ValueError):
-            fit_rate(result, "po", 2, min_log2_ratio=2.0)  # only 2 points remain
+            fit_rate(cells, "po", 2, 64, min_log2_ratio=2.0)  # only 2 points remain
+        with pytest.raises(ValueError, match="^min_log2_ratio:"):
+            fit_rate(cells, "po", 2, 64, min_log2_ratio=math.nan)
 
     def test_zero_mean_names_the_cell(self):
-        result = synthetic_power_law(-0.5)
-        cells = list(result.cells)
+        cells = list(synthetic_power_law(-0.5))
         cells[1] = dataclasses.replace(cells[1], mean_error=0.0, mean_error_db=float("-inf"))
         with pytest.raises(ValueError) as err:
-            fit_rate(SweepResult(config=result.config, cells=tuple(cells)), "po", 2)
+            fit_rate(cells, "po", 2, 64)
         assert f"m={cells[1].m}" in str(err.value)
 
     def test_needs_dimension_for_csv_loads(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text(render_csv(synthetic_power_law(-0.5)), encoding="utf-8", newline="")
-        loaded = load_sweep_result(str(path))
+        result = SweepResult(config=TINY, cells=synthetic_power_law(-0.5))
+        path.write_text(render_csv(result), encoding="utf-8", newline="")
+        cells, n = load_sweep_cells(str(path))
         with pytest.raises(ValueError, match="signal dimension n unknown"):
-            fit_rate(loaded, "po", 2)
-        assert fit_rate(loaded, "po", 2, n=64) == pytest.approx(-0.5, abs=1e-9)
+            fit_rate(cells, "po", 2, n)
+        assert fit_rate(cells, "po", 2, 64) == pytest.approx(-0.5, abs=1e-9)
 
 
 class TestPoVsCsGap:
