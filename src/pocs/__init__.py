@@ -37,7 +37,6 @@ from .recon import (
     DegenerateEstimateError,
     direction_error,
     pbp,
-    pbp_oracle_support,
 )
 from .rip import (
     ConcentrationReport,
@@ -90,7 +89,6 @@ __all__ = [
     "oracle_support_error_bound",
     "pbp",
     "pbp_error_bound",
-    "pbp_oracle_support",
     "render_csv",
     "render_json",
     "restrict",

@@ -4,27 +4,24 @@ A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
 :func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
-straight from its exact rank-one law (:func:`_run_trials`), without forming
-the m x n sensing matrix. The trial then keeps the s strongest entries, as
-PBP does, and records the direction error. Trial t of a cell runs on the
-stream id
+straight from its exact law (:func:`_run_trials`), without forming the
+m x n sensing matrix. The trial then keeps the s strongest entries, as PBP
+does, and records the direction error.
 
-    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<t>")
+Trials run in chunks of 32 per cell, and chunk c runs on one stream: the
+stream id of its first trial,
 
-under the configured master seed, so any single trial is replayable in
-isolation and results are independent of worker count and scheduling.
-``ENGINE`` names the way a trial consumes its stream; it changes whenever
-the draws do, and the JSON output echoes it. A trial draws, in order: n + s
-uniforms for the signal (redrawing the s values while they are all zero),
-m + n complex normals, and on the phase-only channel with tau > 0 m
-uniforms for the phase noise.
+    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<32c>")
 
-Trials run in batches (:func:`_run_trials`): only the draws run trial by
-trial, and each trial's m-length draws shrink at once to the two scalars
-``y^H z`` and ``sigma ||z||_2``. Support selection, the rank-one combine,
-the thresholding and the error run once per batch on (trials, n) rows.
-Aggregation folds trials in index order, which makes repeated runs
-byte-identical.
+under the configured master seed. ``ENGINE`` names the way a chunk
+consumes its stream (the chunk size included); it changes whenever the
+draws do, and the JSON output echoes it. A chunk draws each quantity for
+all its rows in one call (:func:`_draw_chunk`), the last one for the rows
+asked for only. numpy fills a draw in order, so trial t is row t % 32 of
+chunk t // 32 whatever the trial count, worker count or row blocking, and
+:func:`run_trial` replays it alone. :func:`_score_chunk` then scores a
+chunk's rows at once. Aggregation folds trials in index order, which makes
+repeated runs byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -41,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -59,15 +56,16 @@ from .sensing import (
     sample_sensing_matrix,
 )
 
-# Stream-key version: names how a trial consumes its stream.
-ENGINE = "rank1-v1"
+# Stream-key version: names how a chunk consumes its stream.
+ENGINE = "stat-v1"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
-# Trials per batch; larger batches run no faster and hold more memory.
+# Trials per chunk, which share one stream: part of the stream key, so
+# changing it needs a new ENGINE.
 _TRIAL_CHUNK = 32
-# Largest draw a request may ask for, in complex128 entries (4 GiB): a trial's
-# m + n normals, or rip-estimate's m x n matrix.
+# Largest request, in complex128 entries (4 GiB): a chunk's (32, n) working
+# set, one row block of an m-length draw, or rip-estimate's m x n matrix.
 _MAX_ENTRIES = 2**28
 
 
@@ -104,7 +102,7 @@ class TrialRecord:
     m: int
     tau: float
     trial_index: int
-    seed_used: int  # stream id; replay with RngStream(master_seed, seed_used)
+    seed_used: int  # its chunk's stream id: RngStream(master_seed, seed_used), row t % 32
     error: float
     failed: bool
 
@@ -132,36 +130,28 @@ class SweepResult:
     cells: tuple[CellAggregate, ...]
 
 
-def _cell_key_hash(scheme: str, s: int, m: int, tau: float) -> int:
-    # FNV-1a state after the key prefix that every trial of a cell shares
-    return fnv1a64(f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial=".encode("ascii"))
-
-
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
-    """Documented stream-id derivation; identical across configs and runs."""
-    return fnv1a64(b"%d" % trial_index, _cell_key_hash(scheme, s, m, tau))
+    """Documented stream-id derivation; identical across configs and runs. A
+    chunk runs on the stream id of its first trial."""
+    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial={trial_index}"
+    return fnv1a64(key.encode("ascii"))
 
 
-def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[complex, int]:
-    """``y^H z`` for the phase-only measurements ``z = csign(y) exp(1j xi)``.
+def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """``y^H z`` along the last axis for phase-only ``z = csign(y) exp(1j xi)``.
 
     ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
-    computed without forming ``z``. ``xi=None`` stands for no phase noise;
-    the value is then ``sum_i |y_i|``, but it is taken through the signum as
-    csign computes it, ``y_i (1 / |y_i|)``, because its rounding is all the
-    error there is when a trial recovers the support exactly (s = 1). An
-    exact zero of ``y`` adds 0 whatever csign maps it to. Returns the
+    computed without forming ``z``; ``xi=None`` stands for no phase noise. A
+    real ``y`` is taken to hold the moduli already, as the sweep draws them.
+    An exact zero of ``y`` adds 0 whatever csign maps it to. Returns the
     statistic and the number of such zeros.
     """
-    mod = np.abs(y)
+    mod = np.abs(y) if np.iscomplexobj(y) else y
     zeros = mod.size - int(np.count_nonzero(mod))
-    if xi is not None:
-        return complex(mod @ np.cos(xi), mod @ np.sin(xi)), zeros
-    if zeros:  # a zero's term conj(0) z_i is 0 whatever its reciprocal
-        inv = np.divide(1.0, mod, out=np.zeros_like(mod), where=mod > 0)
-    else:
-        inv = 1.0 / mod
-    return complex(np.vdot(y, y * inv)), zeros
+    if xi is None:
+        return mod.sum(axis=-1), zeros
+    re = np.einsum("...i,...i->...", mod, np.cos(xi))
+    return re + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)), zeros
 
 
 def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
@@ -174,8 +164,84 @@ def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
     return g
 
 
+def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
+    """Draws for trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
+    ``(u, yz, scale, g, zero_signs)``.
+
+    The chunk's stream makes one array call per draw, in this order:
+
+    1. ``u``, (32, n + s) uniforms for the signals, redrawing the values of
+       rows whose s values are all zero;
+    2. ``g``, (32, n) standard complex normals;
+    3. on the phase-only channel with tau > 0, ``xi``, (32, m) uniforms on
+       [-tau, tau];
+    4. the scalar law of the rows up to ``stop`` only: ``po`` draws (rows, m)
+       ``E ~ Exp(1)`` with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
+       ``q = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+
+    Row k of the last draw does not depend on the rows after it; that draw
+    runs in row blocks of at most ``_MAX_ENTRIES`` entries. Returns rows
+    ``start`` to ``stop - 1`` of ``u`` and ``g``, their ``y^H z`` and
+    ``sigma ||z||_2``, and how many measurements met the zero-signum convention.
+    """
+    chunk0 = start - start % _TRIAL_CHUNK
+    lo, hi = start - chunk0, stop - chunk0
+    sigma = per_part_sigma(m, VarianceConvention(scheme))
+    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, chunk0)).generator()
+    u = gen.random((_TRIAL_CHUNK, n + s))
+    _redraw_zero_values(gen, u, n)
+    g = gen.standard_normal((_TRIAL_CHUNK, 2 * n)).view(np.complex128)
+    if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
+        q = 2.0 * gen.standard_gamma(m, hi)[lo:]
+        return u[lo:hi], sigma * sigma * q, sigma * sigma * np.sqrt(q), g[lo:hi], 0
+    block = max(1, _MAX_ENTRIES // m)  # rows per block
+    noise = gen
+    if tau > 0 and block < _TRIAL_CHUNK:
+        # the moduli follow the noise of all 32 rows: read them from a copy of
+        # the stream past it (one 64-bit output per uniform), the noise block by block
+        bits = np.random.PCG64(0)
+        bits.state = gen.bit_generator.state
+        gen = np.random.Generator(bits.advance(_TRIAL_CHUNK * m))
+    yz, zero_signs = np.empty(hi - lo, dtype=np.complex128), 0
+    for b0 in range(0, hi, block):
+        b1 = min(b0 + block, hi)
+        xi = None
+        if tau > 0:
+            xi = noise.uniform(-tau, tau, (_TRIAL_CHUNK if noise is gen else b1 - b0, m))
+        mod = gen.standard_exponential((b1 - b0, m))
+        np.multiply(mod, 2.0 * sigma * sigma, out=mod)
+        np.sqrt(mod, out=mod)  # |y_i| = sigma sqrt(2 E_i)
+        first = max(lo, b0)  # rows before lo are drawn, not asked for
+        if first < b1:
+            yz[first - lo : b1 - lo], hits = _phase_only_statistic(
+                mod[first - b0 :], None if xi is None else xi[first - b0 : b1 - b0]
+            )
+            zero_signs += hits
+    return u[lo:hi], yz, np.full(hi - lo, sigma * math.sqrt(m)), g[lo:hi], zero_signs
+
+
+def _score_chunk(u, s, yz, scale, g):
+    """PBP on drawn rows: ``(errors, failed, supports)``.
+
+    Forms each row's signal from ``u`` and its back-projection from
+    ``(yz, scale, g)`` (into ``g``), keeps the s strongest entries and
+    scores the direction error: NaN, and failed, where the estimate is
+    identically zero. ``supports`` holds the sorted supports found.
+    """
+    supports, values = _support_value_rows(u, s)
+    x0 = np.zeros(g.shape, dtype=np.complex128)
+    np.put_along_axis(x0, supports, values, axis=1)
+    estimate, found = hard_threshold(_combine_back_projection(x0, yz, scale, g), s)
+    # a zero estimate has no direction: score x0 in its place, then void the trial
+    failed = ~estimate.any(axis=1)
+    estimate[failed] = x0[failed]
+    errors = direction_error(x0, estimate)
+    errors[failed] = math.nan
+    return errors, failed, found
+
+
 def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
-    """Trials ``start`` to ``stop - 1`` of one cell, run as one batch.
+    """Trials ``start`` to ``stop - 1`` of one cell, chunk by chunk.
 
     ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
     deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
@@ -191,17 +257,15 @@ def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
         Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
 
     with ``g`` n i.i.d. standard complex normals, which
-    :func:`_combine_back_projection` forms. ``||z||_2 = sqrt(m)`` on the
-    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``); on
-    the linear one ``z = y`` and ``tau`` is 0.
+    :func:`_combine_back_projection` forms. ``y`` enters only through two
+    scalars, which :func:`_draw_chunk` draws from their laws: on the
+    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``)
+    ``y^H z = sum_i |y_i| exp(1j xi_i)`` needs only the Rayleigh moduli and
+    ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
+    both come from ``||y||_2``.
 
-    Each trial draws from its own stream in the order the module docstring
-    gives; of its m + n complex normals the first m make ``y``, the last n
-    ``g``. Only the draws run per trial. Returns ``(errors, failed,
-    supports, zero_signs)``: per-trial errors (NaN where failed), flags for
-    estimates that came out identically zero, the supports found (one sorted
-    row of s per trial) and how many measurements met the zero-signum
-    convention.
+    Returns :func:`_score_chunk`'s ``(errors, failed, supports)`` over all
+    the trials and the count of zero-signum measurements.
     """
     if not 1 <= s <= n:
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
@@ -209,72 +273,37 @@ def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
         raise ValueError("measurement count m must be positive")
     if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
         raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau!r}")
-    convention = VarianceConvention(scheme)
-    phase_only = convention is VarianceConvention.PHASE_ONLY
-    if not phase_only and tau != 0:
+    if VarianceConvention(scheme) is VarianceConvention.CLASSICAL_CS and tau != 0:
         raise ValueError("the linear channel has no phase noise; tau must be 0")
-    sigma = per_part_sigma(m, convention)
-    prefix = _cell_key_hash(scheme, s, m, tau)
-    count = stop - start
-    u = np.empty((count, n + s))
-    g = np.empty((count, n), dtype=np.complex128)
-    yz = np.empty(count, dtype=np.complex128)
-    scale = np.full(count, sigma * math.sqrt(m))  # sigma ||z||_2; cs sets its own
-    normals = np.empty((m + n, 2))
-    zero_signs = 0
-    for k in range(count):
-        gen = RngStream(master_seed, fnv1a64(b"%d" % (start + k), prefix)).generator()
-        gen.random(out=u[k])
-        if u[k, n] == 0.5:  # the s values can all be zero only if the first is
-            _redraw_zero_values(gen, u[k : k + 1], n)
-        gen.standard_normal(out=normals)
-        g[k] = normals[m:].view(np.complex128)[:, 0]
-        y = sigma * normals[:m].view(np.complex128)[:, 0]
-        if phase_only:
-            xi = gen.uniform(-tau, tau, size=m) if tau > 0 else None
-            yz[k], zeros = _phase_only_statistic(y, xi)
-            zero_signs += zeros
-        else:
-            yz[k] = np.vdot(y, y)
-            scale[k] = sigma * float(np.linalg.norm(y))
-    supports, values = _support_value_rows(u, s)
-    x0 = np.zeros((count, n), dtype=np.complex128)
-    np.put_along_axis(x0, supports, values, axis=1)
-    estimate, found = hard_threshold(_combine_back_projection(x0, yz, scale, g), s)
-    del u, g  # spent; freed before scoring, which holds the batch's peak memory
-    # a zero estimate has no direction: score x0 in its place, then void the trial
-    failed = ~estimate.any(axis=1)
-    estimate[failed] = x0[failed]
-    errors = direction_error(x0, estimate)
-    errors[failed] = math.nan
-    return errors, failed, found, zero_signs
+    edges = range((start // _TRIAL_CHUNK + 1) * _TRIAL_CHUNK, stop, _TRIAL_CHUNK)
+    bounds = [start, *edges, stop]  # one part per chunk
+    parts, zero_signs = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        u, yz, scale, g, zeros = _draw_chunk(scheme, n, s, m, tau, master_seed, a, b)
+        parts.append(_score_chunk(u, s, yz, scale, g))
+        zero_signs += zeros
+    errors, failed, supports = (np.concatenate(p) for p in zip(*parts))
+    return errors, failed, supports, zero_signs
 
 
 def run_trial(
     scheme: str, n: int, s: int, m: int, tau: float, master_seed: int, trial_index: int
 ) -> TrialRecord:
     """One trial: draw x0 and the back-projection of its measurements, keep
-    the s strongest entries (PBP) and score the direction error. This is the
-    one-trial batch of the sweep kernel."""
+    the s strongest entries (PBP) and score the direction error. This is
+    row ``trial_index % 32`` of its chunk, drawn alone."""
     errors, failed, _, _ = _run_trials(
         scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1
     )
+    seed_used = trial_stream_id(scheme, s, m, tau, trial_index - trial_index % _TRIAL_CHUNK)
     return TrialRecord(
-        scheme=scheme,
-        s=s,
-        m=m,
-        tau=tau,
-        trial_index=trial_index,
-        seed_used=trial_stream_id(scheme, s, m, tau, trial_index),
-        error=float(errors[0]),
-        failed=bool(failed[0]),
+        scheme, s, m, tau, trial_index, seed_used, float(errors[0]), bool(failed[0])
     )
 
 
-def _run_chunk(task):
-    ci, scheme, n, s, m, tau, master_seed, start, stop = task
-    errors, failed, _, zero_signs = _run_trials(scheme, n, s, m, tau, master_seed, start, stop)
-    return ci, start, errors, failed, zero_signs
+def _run_chunk(task):  # (cell index, *_run_trials arguments)
+    errors, failed, _, zero_signs = _run_trials(*task[1:])
+    return task[0], task[-2], errors, failed, zero_signs
 
 
 def _aggregate_cell(
@@ -289,18 +318,9 @@ def _aggregate_cell(
     mean = float(ok.mean())
     db = float(10.0 * np.log10(mean)) if mean > 0 else float("-inf")
     se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-    return CellAggregate(
-        scheme=scheme,
-        s=int(s),
-        m=int(m),
-        tau=float(tau),
-        trials=int(errors.size),
-        failures=int(np.count_nonzero(failed)),
-        mean_error=mean,
-        mean_error_db=db,
-        stderr_error=se,
-        zero_sign_hits=int(zero_signs),
-    )
+    failures = int(np.count_nonzero(failed))
+    return CellAggregate(scheme, int(s), int(m), float(tau), int(errors.size), failures,
+                         mean, db, se, int(zero_signs))
 
 
 def pool_size(workers: int, num_tasks: int) -> int:
@@ -335,26 +355,6 @@ def _run_cells(cells, n, trials, master_seed, workers):
     )
 
 
-def _check_common(config: SweepConfig) -> None:
-    if config.trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {config.trials}")
-    if config.n is None or config.n < 1:
-        raise ConfigError(f"n: must be >= 1, got {config.n}")
-    _check_master_seed(config.master_seed)
-    if not config.sparsity_levels:
-        raise ConfigError("sparsity_levels: at least one sparsity level is required")
-    for s in config.sparsity_levels:
-        if not 1 <= s <= config.n:
-            raise ConfigError(f"sparsity_levels: s={s} outside [1, n={config.n}]")
-    _check_distinct("sparsity_levels", config.sparsity_levels)
-    if not config.schemes:
-        raise ConfigError("schemes: at least one scheme is required")
-    for scheme in config.schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
-    _check_distinct("schemes", config.schemes)
-
-
 def _check_master_seed(seed) -> None:
     # RngStream keeps the low 64 bits only: outside [0, 2^64) two seeds would
     # give the same draws
@@ -387,13 +387,37 @@ def _ratio_to_m(n: int, ratio: float) -> int:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Direction error over the (scheme, s, m, tau) cells of ``config``, in that
     nesting order."""
-    _check_common(config)
+    if config.trials < 1:
+        raise ConfigError(f"trials: must be >= 1, got {config.trials}")
+    if config.n is None or config.n < 1:
+        raise ConfigError(f"n: must be >= 1, got {config.n}")
+    # a chunk's draws and scoring hold about five complex (32, n) arrays at once
+    if 5 * _TRIAL_CHUNK * config.n > _MAX_ENTRIES:
+        raise ConfigError(
+            f"n: a chunk of {_TRIAL_CHUNK} trials at n = {config.n} holds about "
+            f"{5 * _TRIAL_CHUNK * config.n} complex entries, more than {_MAX_ENTRIES}"
+        )
+    _check_master_seed(config.master_seed)
+    if not config.sparsity_levels:
+        raise ConfigError("sparsity_levels: at least one sparsity level is required")
+    for s in config.sparsity_levels:
+        if not 1 <= s <= config.n:
+            raise ConfigError(f"sparsity_levels: s={s} outside [1, n={config.n}]")
+    _check_distinct("sparsity_levels", config.sparsity_levels)
+    if not config.schemes:
+        raise ConfigError("schemes: at least one scheme is required")
+    for scheme in config.schemes:
+        if scheme not in SCHEMES:
+            raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
+    _check_distinct("schemes", config.schemes)
     if not config.tau_grid:
         raise ConfigError("tau_grid: at least one tau is required")
     for tau in config.tau_grid:
         if not (tau >= 0 and math.isfinite(2.0 * tau)):
             raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     _check_distinct("tau_grid", config.tau_grid)
+    # -0.0 is the cell 0.0: one label and one stream key
+    config = replace(config, tau_grid=tuple(0.0 if tau == 0 else tau for tau in config.tau_grid))
     if "cs" in config.schemes and any(tau != 0 for tau in config.tau_grid):
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
     if (config.m is None) == (config.log2_m_over_n is None):
@@ -414,11 +438,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     for m in ms:
         if m < 1:
             raise ConfigError(f"m: must be >= 1, got {m}")
-        if m + config.n > _MAX_ENTRIES:  # a trial draws m + n complex normals
-            raise ConfigError(
-                f"{'n' if config.n >= _MAX_ENTRIES else field}: m + n = {m + config.n} "
-                f"normals per trial exceed {_MAX_ENTRIES}"
-            )
+        # m-length draws run in row blocks of _MAX_ENTRIES entries; m + n stays under it
+        if m + config.n > _MAX_ENTRIES:
+            raise ConfigError(f"{field}: m + n = {m + config.n} exceeds {_MAX_ENTRIES}")
     cells = [
         (scheme, s, m, float(tau))
         for scheme in config.schemes
@@ -475,29 +497,17 @@ def _fmt(x: float) -> str:
 
 
 def render_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for c in result.cells:
-        lines.append(
-            ",".join(
-                [
-                    c.scheme,
-                    str(c.s),
-                    str(c.m),
-                    _fmt(c.tau),
-                    str(c.trials),
-                    str(c.failures),
-                    _fmt(c.mean_error),
-                    _fmt(c.mean_error_db),
-                    _fmt(c.stderr_error),
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [
+        f"{c.scheme},{c.s},{c.m},{_fmt(c.tau)},{c.trials},{c.failures},"
+        f"{_fmt(c.mean_error)},{_fmt(c.mean_error_db)},{_fmt(c.stderr_error)}"
+        for c in result.cells
+    ]
     return "\n".join(lines) + "\n"
 
 
-def result_to_dict(result: SweepResult) -> dict:
+def render_json(result: SweepResult) -> str:
     cfg = result.config
-    return {
+    payload = {
         "engine": ENGINE,
         "config": {
             "n": cfg.n,
@@ -513,10 +523,7 @@ def result_to_dict(result: SweepResult) -> dict:
         },
         "cells": [asdict(c) for c in result.cells],
     }
-
-
-def render_json(result: SweepResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:

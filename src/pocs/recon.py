@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import adjoint_matvec, hard_threshold, restrict
+from .core import adjoint_matvec, hard_threshold
 
 
 class DegenerateEstimateError(ArithmeticError):
@@ -21,11 +21,6 @@ class DegenerateEstimateError(ArithmeticError):
 def pbp(Phi, z, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Hard-threshold ``Phi^H z`` to its s strongest entries: ``(xhat, support)``."""
     return hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
-
-
-def pbp_oracle_support(Phi, z, support) -> np.ndarray:
-    """Back-project and keep a fixed support instead of the s strongest entries."""
-    return restrict(adjoint_matvec(Phi.mat, np.asarray(z)), support)
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:

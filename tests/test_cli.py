@@ -118,6 +118,17 @@ class TestSweepTau:
         assert code == 2
         assert "tau_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_tau_is_tau_zero(self, tmp_path, fmt):
+        # -0.0 and 0.0 are one cell: same label, same stream, same bytes
+        outs = []
+        for tau in ("--tau=-0", "--tau=0"):
+            outs.append(tmp_path / f"tau{len(outs)}.{fmt}")
+            assert run_main("sweep-tau", "--n", "16", "--s", "2", "--m", "8", tau,
+                            "--trials", "5", "--seed", "1", "--format", fmt,
+                            "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_negative_tau_exits_2(self, tmp_path):
         code = run_main(
             "sweep-tau", "--n", "16", "--s", "2", "--m", "8",
@@ -144,9 +155,12 @@ def test_non_finite_grid_values_exit_2(capsys, argv, field):
     (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "40"), "log2_m_over_n"),
     (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**28), "--tau", "0"), "m"),
     (("sweep-tau", "--n", str(2**28), "--s", "2", "--m", "8", "--tau", "0"), "n"),
+    # a 32-trial chunk of (32, n) arrays far past 4 GiB, even at one trial
+    (("sweep-tau", "--n", "200000000", "--s", "2", "--m", "8", "--tau", "0"), "n"),
 ])
 def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
-    # a trial draws m + n complex normals; past 2^28 the sweep is rejected, not run
+    # past 2^28 complex entries in a chunk's working set or in m + n, the
+    # sweep is rejected, not run
     monkeypatch.setattr(experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
     assert run_main(*argv, "--trials", "3") == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err

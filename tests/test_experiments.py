@@ -58,7 +58,11 @@ class TestSeeding:
         rec1 = run_trial("po", 32, 3, 16, 0.2, 99, 5)
         rec2 = run_trial("po", 32, 3, 16, 0.2, 99, 5)
         assert rec1 == rec2
-        assert rec1.seed_used == trial_stream_id("po", 3, 16, 0.2, 5)
+        # trial 5 is row 5 of chunk 0, which runs on the stream of its first trial
+        assert rec1.seed_used == trial_stream_id("po", 3, 16, 0.2, 0)
+        assert run_trial("po", 32, 3, 16, 0.2, 99, 37).seed_used == trial_stream_id(
+            "po", 3, 16, 0.2, 32
+        )
         assert 0.0 <= rec1.error <= 2.0
         assert not rec1.failed
 
@@ -327,9 +331,9 @@ class TestZeroSignHits:
 
         statistic = pocs.experiments._phase_only_statistic
 
-        def two_zeros_per_trial(y, xi):
+        def two_zeros_per_trial(y, xi):  # called on rows of a chunk
             yz, _ = statistic(y, xi)
-            return yz, 2
+            return yz, 2 * y.shape[0]
 
         plain = render_csv(run_sweep(self.CFG))
         monkeypatch.setattr(pocs.experiments, "_phase_only_statistic", two_zeros_per_trial)
@@ -344,12 +348,12 @@ class TestZeroSignHits:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_zero_measurements_reach_the_json(self, monkeypatch, tmp_path, workers):
         # nothing that counts is patched: the stream itself yields three exact
-        # zeros of y = Phi x0 in every trial
+        # zero moduli |y_i| in every trial
         import pocs.rng
 
         plain = pocs.rng.RngStream.generator
         monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                            lambda self: _FirstNormalsZero(plain(self), 3))
+                            lambda self: _FirstModuliZero(plain(self), 3))
         out = tmp_path / "sweep.json"
         assert cli.main([
             "sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "-1", "--log2-ratio", "1",
@@ -364,16 +368,17 @@ class TestZeroSignHits:
         assert [c["zero_sign_hits"] for c in cells] == [3 * 40, 3 * 40, 0, 0]
 
 
-class _FirstNormalsZero:
-    """A generator whose complex normals start with ``count`` exact zeros."""
+class _FirstModuliZero:
+    """A generator whose exponential draws, the law of the moduli ``|y_i|``,
+    start each row with ``count`` exact zeros."""
 
     def __init__(self, gen, count):
         self._gen, self._count = gen, count
 
-    def standard_normal(self, size=None, out=None):
-        z = self._gen.standard_normal(size) if out is None else self._gen.standard_normal(out=out)
-        z[: self._count] = 0.0  # rows of (real, imag) pairs: the first entries of y
-        return z
+    def standard_exponential(self, size=None):
+        e = self._gen.standard_exponential(size)
+        e[..., : self._count] = 0.0  # the first moduli of every trial
+        return e
 
     def __getattr__(self, name):
         return getattr(self._gen, name)
