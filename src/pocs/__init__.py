@@ -23,7 +23,6 @@ from .experiments import (
     NumericalFailureError,
     SweepConfig,
     SweepResult,
-    TrialRecord,
     fit_rate,
     load_sweep_cells,
     render_csv,
@@ -73,7 +72,6 @@ __all__ = [
     "SensingMatrix",
     "SweepConfig",
     "SweepResult",
-    "TrialRecord",
     "VarianceConvention",
     "adjoint_matvec",
     "concentration_test",

@@ -4,7 +4,7 @@ A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
 :func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
 fresh sparse signal, then the back-projection ``Phi^H z`` of its
 measurements (phase-only with bounded phase noise, or unaltered linear)
-straight from its exact law (:func:`_run_trials`), without forming the
+straight from its exact law (:func:`_draw_chunk`), without forming the
 m x n sensing matrix. The trial then keeps the s strongest entries, as PBP
 does, and records the direction error.
 
@@ -35,6 +35,7 @@ zero-signum convention of :func:`pocs.core.csign`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -96,18 +97,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    scheme: str
-    s: int
-    m: int
-    tau: float
-    trial_index: int
-    seed_used: int  # its chunk's stream id: RngStream(master_seed, seed_used), row t % 32
-    error: float
-    failed: bool
-
-
-@dataclass(frozen=True)
 class CellAggregate:
     scheme: str
     s: int
@@ -137,16 +126,15 @@ def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -
     return fnv1a64(key.encode("ascii"))
 
 
-def _phase_only_statistic(y: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """``y^H z`` along the last axis for phase-only ``z = csign(y) exp(1j xi)``.
+def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """``y^H z`` along the last axis for phase-only ``z = csign(y) exp(1j xi)``,
+    from the moduli ``mod = |y|``.
 
     ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
-    computed without forming ``z``; ``xi=None`` stands for no phase noise. A
-    real ``y`` is taken to hold the moduli already, as the sweep draws them.
+    computed without forming ``z``; ``xi=None`` stands for no phase noise.
     An exact zero of ``y`` adds 0 whatever csign maps it to. Returns the
     statistic and the number of such zeros.
     """
-    mod = np.abs(y) if np.iscomplexobj(y) else y
     zeros = mod.size - int(np.count_nonzero(mod))
     if xi is None:
         return mod.sum(axis=-1), zeros
@@ -167,6 +155,27 @@ def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
 def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     """Draws for trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
     ``(u, yz, scale, g, zero_signs)``.
+
+    ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
+    deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
+    sampled without drawing ``Phi``. Split each row along ``x0``,
+    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y = Phi x0``: for
+    i.i.d. circular Gaussian rows ``y`` has m i.i.d. circular Gaussian
+    entries with per-part sigma and is uncorrelated with, hence independent
+    of, ``Phi (I - x0 x0^H)``. ``z`` depends only on ``y`` and the phase
+    noise, so given ``z`` the part of ``Phi^H z`` orthogonal to ``x0`` is
+    ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
+    deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
+
+        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
+
+    with ``g`` n i.i.d. standard complex normals, which
+    :func:`_combine_back_projection` forms. ``y`` enters only through two
+    scalars, drawn from their laws: on the phase-only channel
+    (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``)
+    ``y^H z = sum_i |y_i| exp(1j xi_i)`` needs only the Rayleigh moduli and
+    ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
+    both come from ``||y||_2``.
 
     The chunk's stream makes one array call per draw, in this order:
 
@@ -221,11 +230,11 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
 
 
 def _score_chunk(u, s, yz, scale, g):
-    """PBP on drawn rows: ``(errors, failed, supports)``.
+    """PBP on drawn rows: ``(errors, supports)``.
 
     Forms each row's signal from ``u`` and its back-projection from
     ``(yz, scale, g)`` (into ``g``), keeps the s strongest entries and
-    scores the direction error: NaN, and failed, where the estimate is
+    scores the direction error: NaN, a failed trial, where the estimate is
     identically zero. ``supports`` holds the sorted supports found.
     """
     supports, values = _support_value_rows(u, s)
@@ -237,79 +246,35 @@ def _score_chunk(u, s, yz, scale, g):
     estimate[failed] = x0[failed]
     errors = direction_error(x0, estimate)
     errors[failed] = math.nan
-    return errors, failed, found
+    return errors, found
 
 
-def _run_trials(scheme, n, s, m, tau, master_seed, start, stop):
-    """Trials ``start`` to ``stop - 1`` of one cell, chunk by chunk.
-
-    ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
-    deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
-    sampled without drawing ``Phi``. Split each row along ``x0``,
-    ``phi_i = y_i x0^H + phi_i (I - x0 x0^H)`` with ``y = Phi x0``: for
-    i.i.d. circular Gaussian rows ``y`` has m i.i.d. circular Gaussian
-    entries with per-part sigma and is uncorrelated with, hence independent
-    of, ``Phi (I - x0 x0^H)``. ``z`` depends only on ``y`` and the phase
-    noise, so given ``z`` the part of ``Phi^H z`` orthogonal to ``x0`` is
-    ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
-    deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
-
-        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
-
-    with ``g`` n i.i.d. standard complex normals, which
-    :func:`_combine_back_projection` forms. ``y`` enters only through two
-    scalars, which :func:`_draw_chunk` draws from their laws: on the
-    phase-only channel (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``)
-    ``y^H z = sum_i |y_i| exp(1j xi_i)`` needs only the Rayleigh moduli and
-    ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
-    both come from ``||y||_2``.
-
-    Returns :func:`_score_chunk`'s ``(errors, failed, supports)`` over all
-    the trials and the count of zero-signum measurements.
-    """
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity s={s} out of range [1, {n}]")
-    if m < 1:
-        raise ValueError("measurement count m must be positive")
-    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
-        raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau!r}")
-    if VarianceConvention(scheme) is VarianceConvention.CLASSICAL_CS and tau != 0:
-        raise ValueError("the linear channel has no phase noise; tau must be 0")
-    edges = range((start // _TRIAL_CHUNK + 1) * _TRIAL_CHUNK, stop, _TRIAL_CHUNK)
-    bounds = [start, *edges, stop]  # one part per chunk
-    parts, zero_signs = [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        u, yz, scale, g, zeros = _draw_chunk(scheme, n, s, m, tau, master_seed, a, b)
-        parts.append(_score_chunk(u, s, yz, scale, g))
-        zero_signs += zeros
-    errors, failed, supports = (np.concatenate(p) for p in zip(*parts))
-    return errors, failed, supports, zero_signs
+def _run_chunk(scheme, n, s, m, tau, master_seed, start, stop):
+    """Trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
+    :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, supports,
+    zero_signs)``."""
+    u, yz, scale, g, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop)
+    return (*_score_chunk(u, s, yz, scale, g), zero_signs)
 
 
 def run_trial(
     scheme: str, n: int, s: int, m: int, tau: float, master_seed: int, trial_index: int
-) -> TrialRecord:
+) -> float:
     """One trial: draw x0 and the back-projection of its measurements, keep
-    the s strongest entries (PBP) and score the direction error. This is
-    row ``trial_index % 32`` of its chunk, drawn alone."""
-    errors, failed, _, _ = _run_trials(
-        scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1
-    )
-    seed_used = trial_stream_id(scheme, s, m, tau, trial_index - trial_index % _TRIAL_CHUNK)
-    return TrialRecord(
-        scheme, s, m, tau, trial_index, seed_used, float(errors[0]), bool(failed[0])
-    )
+    the s strongest entries (PBP) and return the direction error, NaN if the
+    estimate is zero. This is row ``trial_index % 32`` of its chunk, drawn
+    alone."""
+    _check_cell(scheme, n, s, m, tau)
+    _check_master_seed(master_seed)
+    if trial_index < 0:
+        raise ConfigError(f"trial_index: must be >= 0, got {trial_index}")
+    errors, _, _ = _run_chunk(scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1)
+    return float(errors[0])
 
 
-def _run_chunk(task):  # (cell index, *_run_trials arguments)
-    errors, failed, _, zero_signs = _run_trials(*task[1:])
-    return task[0], task[-2], errors, failed, zero_signs
-
-
-def _aggregate_cell(
-    cell, errors: np.ndarray, failed: np.ndarray, zero_signs: int
-) -> CellAggregate:
+def _aggregate_cell(cell, errors: np.ndarray, zero_signs: int) -> CellAggregate:
     scheme, s, m, tau = cell
+    failed = np.isnan(errors)
     ok = errors[~failed]
     if ok.size == 0:
         raise NumericalFailureError(
@@ -331,28 +296,38 @@ def pool_size(workers: int, num_tasks: int) -> int:
 
 
 def _run_cells(cells, n, trials, master_seed, workers):
-    errors = [np.empty(trials) for _ in cells]
-    failed = [np.zeros(trials, dtype=bool) for _ in cells]
-    zero_signs = [0] * len(cells)
-    tasks = []
-    for ci, (scheme, s, m, tau) in enumerate(cells):
-        for start in range(0, trials, _TRIAL_CHUNK):
-            stop = min(start + _TRIAL_CHUNK, trials)
-            tasks.append((ci, scheme, n, s, m, tau, master_seed, start, stop))
+    tasks = [  # _run_chunk's arguments, cell by cell, chunk by chunk
+        (scheme, n, s, m, tau, master_seed, start, min(start + _TRIAL_CHUNK, trials))
+        for scheme, s, m, tau in cells
+        for start in range(0, trials, _TRIAL_CHUNK)
+    ]
+    errors = np.empty((len(cells), trials))
+    flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
     size = pool_size(workers, len(tasks))
-    if size <= 1:
-        outputs = map(_run_chunk, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            outputs = list(pool.map(_run_chunk, tasks))
-    for ci, start, errs, flags, zeros in outputs:
-        errors[ci][start : start + errs.size] = errs
-        failed[ci][start : start + flags.size] = flags
-        zero_signs[ci] += zeros
+    with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
+        outputs = (pool.map if pool else map)(_run_chunk, *zip(*tasks))
+        for errs, _, zeros in outputs:  # in task order
+            flat[done : done + errs.size] = errs
+            zero_signs[done // trials] += zeros
+            done += errs.size
     return tuple(
-        _aggregate_cell(cell, errors[ci], failed[ci], zero_signs[ci])
-        for ci, cell in enumerate(cells)
+        _aggregate_cell(cell, errors[ci], zero_signs[ci]) for ci, cell in enumerate(cells)
     )
+
+
+def _check_cell(scheme, n, s, m, tau) -> None:
+    # the rules of one (scheme, s, m, tau) cell at dimension n; a ConfigError
+    # names the sweep field that gave the value
+    if not 1 <= s <= n:
+        raise ConfigError(f"sparsity_levels: s={s} outside [1, n={n}]")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
+    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
+        raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
+    if scheme == "cs" and tau != 0:
+        raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
+    if m < 1:
+        raise ConfigError(f"m: must be >= 1, got {m}")
 
 
 def _check_master_seed(seed) -> None:
@@ -400,26 +375,15 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     _check_master_seed(config.master_seed)
     if not config.sparsity_levels:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
-    for s in config.sparsity_levels:
-        if not 1 <= s <= config.n:
-            raise ConfigError(f"sparsity_levels: s={s} outside [1, n={config.n}]")
     _check_distinct("sparsity_levels", config.sparsity_levels)
     if not config.schemes:
         raise ConfigError("schemes: at least one scheme is required")
-    for scheme in config.schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
     _check_distinct("schemes", config.schemes)
     if not config.tau_grid:
         raise ConfigError("tau_grid: at least one tau is required")
-    for tau in config.tau_grid:
-        if not (tau >= 0 and math.isfinite(2.0 * tau)):
-            raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     _check_distinct("tau_grid", config.tau_grid)
     # -0.0 is the cell 0.0: one label and one stream key
     config = replace(config, tau_grid=tuple(0.0 if tau == 0 else tau for tau in config.tau_grid))
-    if "cs" in config.schemes and any(tau != 0 for tau in config.tau_grid):
-        raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
     if (config.m is None) == (config.log2_m_over_n is None):
         raise ConfigError("m: set exactly one of m and log2_m_over_n")
     field, ms = "m", {config.m: None}  # m -> the ratio that gave it
@@ -436,8 +400,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                 )
             ms[m] = ratio
     for m in ms:
-        if m < 1:
-            raise ConfigError(f"m: must be >= 1, got {m}")
         # m-length draws run in row blocks of _MAX_ENTRIES entries; m + n stays under it
         if m + config.n > _MAX_ENTRIES:
             raise ConfigError(f"{field}: m + n = {m + config.n} exceeds {_MAX_ENTRIES}")
@@ -448,6 +410,17 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         for m in ms
         for tau in config.tau_grid
     ]
+    for scheme, s, m, tau in cells:
+        _check_cell(scheme, config.n, s, m, tau)
+    # bookkeeping held from before the first draw: per chunk of each cell, 32
+    # float64 errors and one task (about 240 bytes, its arguments), so about
+    # 16 bytes, one complex entry, per trial
+    entries = len(cells) * -(-config.trials // _TRIAL_CHUNK) * _TRIAL_CHUNK
+    if entries > _MAX_ENTRIES:
+        raise ConfigError(
+            f"trials: {config.trials} trials in each of {len(cells)} cells keep about "
+            f"{entries} complex entries of bookkeeping, more than {_MAX_ENTRIES}"
+        )
     aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
     return SweepResult(config=config, cells=aggregates)
 

@@ -15,7 +15,7 @@ The phase-only channel keeps only the componentwise complex signum of the
 linear measurements, optionally rotated by bounded phase noise.
 
 This is the full-matrix model of the paper. Sweep trials sample PBP's input
-from its exact law instead (:func:`pocs.experiments._run_trials`); the
+from its exact law instead (:func:`pocs.experiments._draw_chunk`); the
 statistical gate in ``tests/test_engine.py`` checks them against this model.
 """
 

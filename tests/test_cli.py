@@ -166,6 +166,14 @@ def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
     assert f"configuration error: {field}:" in capsys.readouterr().err
 
 
+def test_trial_count_past_the_bookkeeping_bound_exits_2(monkeypatch, capsys):
+    # a float64 error per trial and a task per chunk: 7.28 TiB here, not allocated
+    monkeypatch.setattr(experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
+    argv = ("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0")
+    assert run_main(*argv, "--trials", "1000000000000") == 2
+    assert "configuration error: trials:" in capsys.readouterr().err
+
+
 class TestRipTools:
     def test_rip_bound_prints_reference_value(self):
         # stdout capture is off under -s; check the printed value via a subprocess

@@ -1,10 +1,12 @@
 """Statistical-equivalence gate for the sweep's back-projection sampler.
 
 Sweep trials draw ``Phi^H z`` from its exact law
-(:func:`pocs.experiments._run_trials`) instead of forming the m x n
+(:func:`pocs.experiments._draw_chunk`) instead of forming the m x n
 sensing matrix.
 These tests check the rank-one split that law rests on, then compare the
-direction error of :func:`run_trial` against a full-matrix reference trial
+direction error of the engine's trials (a chunk at a time, as a sweep runs
+them; :func:`run_trial` gives the same errors one by one) against a
+full-matrix reference trial
 built from the paper-facing API (matrix draw, channel, PBP), cell by cell:
 the two means must agree within 4 combined standard errors, and the
 two-sample Kolmogorov-Smirnov statistic must stay below its 1% critical
@@ -28,7 +30,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-from pocs.experiments import _phase_only_statistic
+from pocs.experiments import _phase_only_statistic, _run_chunk
 
 REFERENCE_SEED = 31
 ENGINE_SEED = 32
@@ -50,9 +52,10 @@ def reference_errors(scheme, n, s, m, tau, trials):
 
 
 def engine_errors(scheme, n, s, m, tau, trials):
-    return np.array(
-        [run_trial(scheme, n, s, m, tau, ENGINE_SEED, t).error for t in range(trials)]
-    )
+    return np.concatenate([
+        _run_chunk(scheme, n, s, m, tau, ENGINE_SEED, start, min(start + 32, trials))[0]
+        for start in range(0, trials, 32)
+    ])
 
 
 def ks_statistic(a, b):
@@ -151,7 +154,7 @@ class TestSampleBackProjection:
         # y^H z is computed without csign, but each exact zero of y must still
         # be counted as a measurement that met csign's zero convention
         y = np.array([0.0, 1 - 2j, 0.0, -0.5j, 0.0, 3.0 + 0.25j])
-        value, zeros = _phase_only_statistic(y, xi)
+        value, zeros = _phase_only_statistic(np.abs(y), xi)
         assert zeros == 3
         noise = np.zeros(y.size) if xi is None else xi
         assert abs(value - np.vdot(y, csign(y) * np.exp(1j * noise))) <= 1e-12

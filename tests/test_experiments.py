@@ -8,6 +8,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import pocs.experiments
 from pocs import (
     CellAggregate,
     ConfigError,
@@ -55,20 +56,31 @@ class TestSeeding:
         assert len({a, *others}) == 6
 
     def test_run_trial_replayable(self):
-        rec1 = run_trial("po", 32, 3, 16, 0.2, 99, 5)
-        rec2 = run_trial("po", 32, 3, 16, 0.2, 99, 5)
-        assert rec1 == rec2
-        # trial 5 is row 5 of chunk 0, which runs on the stream of its first trial
-        assert rec1.seed_used == trial_stream_id("po", 3, 16, 0.2, 0)
-        assert run_trial("po", 32, 3, 16, 0.2, 99, 37).seed_used == trial_stream_id(
-            "po", 3, 16, 0.2, 32
-        )
-        assert 0.0 <= rec1.error <= 2.0
-        assert not rec1.failed
+        error = run_trial("po", 32, 3, 16, 0.2, 99, 5)
+        assert error == run_trial("po", 32, 3, 16, 0.2, 99, 5)
+        assert 0.0 <= error <= 2.0
 
     def test_trials_differ_across_indices(self):
-        errs = {run_trial("po", 32, 3, 16, 0.0, 99, t).error for t in range(8)}
+        errs = {run_trial("po", 32, 3, 16, 0.0, 99, t) for t in range(8)}
         assert len(errs) == 8
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            # a negative index would name a chunk "-1" with stream key trial=-32
+            (("po", 16, 2, 8, 0.0, 3, -1), "trial_index"),
+            # RngStream keeps a seed's low 64 bits: these would alias 2^64 - 1 and 0
+            (("po", 16, 2, 8, 0.0, -1, 0), "master_seed"),
+            (("po", 16, 2, 8, 0.0, 1 << 64, 0), "master_seed"),
+            # the cell rules a sweep applies (tau and m: tests/test_engine.py)
+            (("po", 16, 0, 8, 0.0, 3, 0), "sparsity_levels"),
+            (("bogus", 16, 2, 8, 0.0, 3, 0), "schemes"),
+        ],
+    )
+    def test_run_trial_rejects_what_a_sweep_rejects(self, args, field):
+        with pytest.raises(ConfigError) as err:
+            run_trial(*args)
+        assert str(err.value).startswith(f"{field}:")
 
 
 class TestMSweep:
@@ -140,9 +152,13 @@ class TestMSweep:
             (dict(log2_m_over_n=(40.0,)), "log2_m_over_n"),
             (dict(m=2**28, log2_m_over_n=None), "m"),
             (dict(n=2**28), "n"),
+            # an error per trial and a task per chunk past 4 GiB: rejected before allocation
+            (dict(trials=2**28 + 1), "trials"),
+            (dict(trials=2**27 + 1, schemes=("po", "cs")), "trials"),
         ],
     )
-    def test_config_errors_name_the_field(self, patch, field):
+    def test_config_errors_name_the_field(self, patch, field, monkeypatch):
+        monkeypatch.setattr(pocs.experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
         cfg = SweepConfig(
             n=16, sparsity_levels=(2,), log2_m_over_n=(0.0,), schemes=("po",),
             trials=5, master_seed=1,
@@ -151,6 +167,13 @@ class TestMSweep:
         with pytest.raises(ConfigError) as err:
             run_sweep(cfg)
         assert str(err.value).startswith(f"{field}:")
+
+    def test_trial_bound_admits_2_to_the_28_trials_in_one_cell(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(pocs.experiments, "_run_cells", lambda *a: ran.append(a[2]) or ())
+        run_sweep(SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",),
+                              trials=2**28, master_seed=1))
+        assert ran == [2**28]
 
     def test_library_grids_run_in_scheme_s_m_tau_order(self):
         # grids the CLI cannot ask for: two s with two taus, and both schemes at fixed m
@@ -167,7 +190,7 @@ class TestMSweep:
             assert [(c.scheme, c.s, c.m, c.tau) for c in cells] == order
             for c in cells:  # the cell's one trial is trial 0 of its own key
                 replay = run_trial(c.scheme, cfg.n, c.s, c.m, c.tau, cfg.master_seed, 0)
-                assert c.mean_error == replay.error
+                assert c.mean_error == replay
 
 
 class TestPoolSize:

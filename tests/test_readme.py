@@ -11,9 +11,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_quick_start_prints_a_direction_error():
     block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert block, "README.md has no python block"
+    quoted = re.search(r"# ([0-9.]+) with this seed", block.group(1))
+    assert quoted, "the quick start quotes no printed value"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block.group(1), "README.md quick start", "exec"), {})
     printed = out.getvalue().split()
     assert len(printed) == 1, printed
-    assert 0.0 <= float(printed[0]) <= 2.0
+    assert round(float(printed[0]), 4) == float(quoted.group(1))

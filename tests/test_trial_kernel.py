@@ -25,7 +25,7 @@ from pocs import (
     run_trial,
     trial_stream_id,
 )
-from pocs.experiments import _draw_chunk, _run_trials
+from pocs.experiments import _draw_chunk, _run_chunk
 from pocs.sensing import _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
@@ -147,16 +147,16 @@ def random_cases(count):
 
 @pytest.mark.parametrize("scheme,n,s,m,tau", random_cases(80))
 def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
-    seed, start, count = 11, 30, 5  # rows 30 and 31 of chunk 0, rows 0 to 2 of chunk 1
-    errors, failed, found, _ = _run_trials(scheme, n, s, m, tau, seed, start, start + count)
-    assert found.shape == (count, s)
-    for k in range(count):
-        ref_found, ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, start + k)
-        assert np.array_equal(found[k], ref_found)
-        assert bool(failed[k]) == ref_failed
-        assert errors[k] == pytest.approx(ref_error, rel=1e-11, abs=1e-13)
-    single = run_trial(scheme, n, s, m, tau, seed, start)
-    assert single.error == errors[0] and single.failed == failed[0]
+    seed = 11
+    for start, stop in ((30, 32), (32, 35)):  # rows 30 and 31 of chunk 0, rows 0 to 2 of chunk 1
+        errors, found, _ = _run_chunk(scheme, n, s, m, tau, seed, start, stop)
+        assert found.shape == (stop - start, s)
+        for k, t in enumerate(range(start, stop)):
+            ref_found, ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, t)
+            assert np.array_equal(found[k], ref_found)
+            assert math.isnan(errors[k]) == ref_failed
+            assert errors[k] == pytest.approx(ref_error, rel=1e-11, abs=1e-13)
+            assert run_trial(scheme, n, s, m, tau, seed, t) == errors[k]
 
 
 class _ZeroValuesFirst:
@@ -182,7 +182,7 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     plain = RngStream.generator
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
                         lambda self: _ZeroValuesFirst(plain(self), n, [0, 5]))
-    errors, _, found, _ = _run_trials("po", n, s, m, tau, seed, 0, 8)
+    errors, found, _ = _run_chunk("po", n, s, m, tau, seed, 0, 8)
     for t in range(8):
         ref_found, ref_error, _ = reference_trial("po", n, s, m, tau, seed, t)
         assert np.array_equal(found[t], ref_found)
@@ -214,11 +214,12 @@ def test_zero_estimates_fail_their_trials_only(monkeypatch):
         return v
 
     monkeypatch.setattr(pocs.experiments, "_combine_back_projection", zero_first_row)
-    errors, failed, _, _ = _run_trials("po", 16, 2, 8, 0.0, 3, 0, 4)
-    assert failed.tolist() == [True, False, False, False]
-    assert math.isnan(errors[0]) and np.isfinite(errors[1:]).all()
-    record = run_trial("po", 16, 2, 8, 0.0, 3, 0)
-    assert record.failed and math.isnan(record.error)
+    errors, _, _ = _run_chunk("po", 16, 2, 8, 0.0, 3, 0, 4)
+    assert np.isnan(errors).tolist() == [True, False, False, False]
+    assert math.isnan(run_trial("po", 16, 2, 8, 0.0, 3, 0))
+    cell = run_sweep(SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",),
+                                 trials=4, master_seed=3)).cells[0]
+    assert cell.failures == 1 and cell.mean_error == errors[1:].mean()
 
 
 KS_DRAWS = 20_000
@@ -250,9 +251,9 @@ def test_trial_errors_do_not_depend_on_trials_workers_or_replay(monkeypatch, sch
     seen = {}
     aggregate = pocs.experiments._aggregate_cell
 
-    def keep_errors(cell, errors, failed, zero_signs):
+    def keep_errors(cell, errors, zero_signs):
         seen[key] = errors.copy()
-        return aggregate(cell, errors, failed, zero_signs)
+        return aggregate(cell, errors, zero_signs)
 
     monkeypatch.setattr(pocs.experiments, "_aggregate_cell", keep_errors)
     for trials in (5, 32, 33, 70):
@@ -264,16 +265,20 @@ def test_trial_errors_do_not_depend_on_trials_workers_or_replay(monkeypatch, sch
     longest = seen[70, 1]
     for (trials, _), errors in seen.items():
         assert np.array_equal(errors, longest[:trials])
-    alone = [run_trial(scheme, 12, 3, 20, tau, 13, t).error for t in range(70)]
+    alone = [run_trial(scheme, 12, 3, 20, tau, 13, t) for t in range(70)]
     assert np.array_equal(alone, longest)
 
 
 def test_moduli_row_blocks_do_not_change_the_draws(monkeypatch):
     # past _MAX_ENTRIES entries the (rows, m) draws run in row blocks, and the
     # phase noise is then read beside them from a copy of the stream
-    plain = {tau: _run_trials("po", 10, 2, 50, tau, 3, 27, 40) for tau in (0.0, 1.2)}
+    plain = {  # rows 27 to 39, on both sides of the chunk edge at 32
+        (tau, a, b): _run_chunk("po", 10, 2, 50, tau, 3, a, b)
+        for tau in (0.0, 1.2)
+        for a, b in ((27, 32), (32, 40))
+    }
     monkeypatch.setattr(pocs.experiments, "_MAX_ENTRIES", 3 * 50)
-    for tau, expected in plain.items():
-        blocked = _run_trials("po", 10, 2, 50, tau, 3, 27, 40)
+    for (tau, a, b), expected in plain.items():
+        blocked = _run_chunk("po", 10, 2, 50, tau, 3, a, b)
         for got, want in zip(blocked, expected):
             assert np.array_equal(got, want)
