@@ -2,26 +2,27 @@
 
 A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
 :func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
-fresh sparse signal, then the back-projection ``Phi^H z`` of its
-measurements (phase-only with bounded phase noise, or unaltered linear)
-straight from its exact law (:func:`_draw_chunk`), without forming the
-m x n sensing matrix. The trial then keeps the s strongest entries, as PBP
-does, and records the direction error.
+fresh sparse signal and then, straight from their exact law
+(:func:`_draw_chunk`), the entries of the back-projection ``Phi^H z`` of
+its measurements (phase-only with bounded phase noise, or unaltered linear)
+that PBP can keep: the s on its support, and the moduli of the (at most
+s) largest off it. It forms neither the m x n sensing matrix nor the other
+entries. The trial then keeps the s strongest of those entries, as PBP
+does, and records the direction error (:func:`_score_chunk`).
 
 Trials run in chunks of 32 per cell, and chunk c runs on one stream: the
 stream id of its first trial,
 
     fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<32c>")
 
-under the configured master seed. ``ENGINE`` names the way a chunk
-consumes its stream (the chunk size included); it changes whenever the
-draws do, and the JSON output echoes it. A chunk draws each quantity for
-all its rows in one call (:func:`_draw_chunk`), the last one for the rows
-asked for only. numpy fills a draw in order, so trial t is row t % 32 of
-chunk t // 32 whatever the trial count, worker count or row blocking, and
-:func:`run_trial` replays it alone. :func:`_score_chunk` then scores a
-chunk's rows at once. Aggregation folds trials in index order, which makes
-repeated runs byte-identical.
+under the configured master seed, with a tau of -0.0 keyed as 0.0.
+``ENGINE`` names the way a chunk consumes its stream (the chunk size
+included); it changes whenever the draws do, and the JSON output echoes it.
+A chunk draws each quantity for all its rows in one call, the last one for
+the rows asked for only. numpy fills a draw in order, so trial t is row
+t % 32 of chunk t // 32 whatever the trial count, worker count or row
+blocking, and :func:`run_trial` replays it alone. Aggregation folds trials
+in index order, which makes repeated runs byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -45,28 +46,26 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import hard_threshold
-from .recon import direction_error
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import (
     VarianceConvention,
     _redraw_zero_values,
-    _support_value_rows,
     per_part_sigma,
     sample_sensing_matrix,
 )
 
 # Stream-key version: names how a chunk consumes its stream.
-ENGINE = "stat-v1"
+ENGINE = "stat-v2"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
 # Trials per chunk, which share one stream: part of the stream key, so
 # changing it needs a new ENGINE.
 _TRIAL_CHUNK = 32
-# Largest request, in complex128 entries (4 GiB): a chunk's (32, n) working
-# set, one row block of an m-length draw, or rip-estimate's m x n matrix.
+# Largest request, in complex128 entries (4 GiB): a chunk's working set
+# (about five (32, s) arrays, whatever n is), one row block of an m-length
+# draw, or rip-estimate's m x n matrix.
 _MAX_ENTRIES = 2**28
 
 
@@ -122,7 +121,7 @@ class SweepResult:
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs. A
     chunk runs on the stream id of its first trial."""
-    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau:.17g}|trial={trial_index}"
+    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial={trial_index}"
     return fnv1a64(key.encode("ascii"))
 
 
@@ -142,19 +141,28 @@ def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.nd
     return re + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)), zeros
 
 
-def _combine_back_projection(x0, yz, scale, g) -> np.ndarray:
-    """``x0 (y^H z) + scale (I - x0 x0^H) g`` along the last axis, written into ``g``."""
-    yz = np.asarray(yz, dtype=np.complex128)[..., None]
-    scale = np.asarray(scale, dtype=np.complex128)[..., None]
-    x0_g = np.einsum("...i,...i->...", x0.conj(), g)[..., None]
-    g *= scale
-    g += x0 * (yz - scale * x0_g)
-    return g
+def _largest_exponentials(gen, rows, pool, k) -> np.ndarray:
+    """The k largest of ``pool`` i.i.d. ``Exp(1)`` variables, in decreasing
+    order, for each of ``rows`` rows: ``(rows, k)``, or ``(rows, 0)`` without
+    a draw when ``k = 0``.
+
+    The k-th largest is ``T_k = -log B`` with ``B ~ Beta(k, pool - k + 1)``,
+    the k-th smallest of ``pool`` uniforms. Above it lie k - 1 i.i.d.
+    ``Exp(1)`` excesses, whose spacings are independent ``Exp(1) / j``
+    (Renyi's representation): ``T_j = T_{j+1} + Z_j / j``, with ``Z_j`` the
+    j-th column of one (rows, k - 1) draw.
+    """
+    if k == 0:
+        return np.empty((rows, 0))
+    steps = np.empty((rows, k))  # T_k, then T_{j} - T_{j+1} for j = k - 1 down to 1
+    steps[:, 0] = -np.log(gen.beta(k, pool - k + 1, rows))
+    steps[:, 1:] = gen.standard_exponential((rows, k - 1))[:, ::-1] / np.arange(k - 1, 0, -1)
+    return np.cumsum(steps, axis=1)[:, ::-1]
 
 
 def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     """Draws for trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
-    ``(u, yz, scale, g, zero_signs)``.
+    ``(x0, g, top, yz, scale, zero_signs)``.
 
     ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
     deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
@@ -169,40 +177,52 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
 
         Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
 
-    with ``g`` n i.i.d. standard complex normals, which
-    :func:`_combine_back_projection` forms. ``y`` enters only through two
-    scalars, drawn from their laws: on the phase-only channel
+    with ``g`` n i.i.d. standard complex normals. ``y`` enters only through
+    two scalars, drawn from their laws: on the phase-only channel
     (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``)
     ``y^H z = sum_i |y_i| exp(1j xi_i)`` needs only the Rayleigh moduli and
     ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
     both come from ``||y||_2``.
 
+    Off the support S of ``x0`` that is ``sigma ||z||_2 g_j``, independent of
+    the entries on S, and it counts only through its modulus
+    ``sigma ||z||_2 sqrt(2 E_j)``, ``E_j ~ Exp(1)``, if among the s largest.
+    So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
+    positions of S only break ties, which have probability zero.
+
     The chunk's stream makes one array call per draw, in this order:
 
-    1. ``u``, (32, n + s) uniforms for the signals, redrawing the values of
-       rows whose s values are all zero;
-    2. ``g``, (32, n) standard complex normals;
-    3. on the phase-only channel with tau > 0, ``xi``, (32, m) uniforms on
+    1. ``v``, (32, s) uniforms, the signal values ``2v - 1`` on S, normalized;
+       rows whose values are all zero are redrawn;
+    2. ``g``, (32, s) standard complex normals, its entries on S;
+    3. if k > 0, ``top``, the k largest of n - s ``Exp(1)`` variables
+       (:func:`_largest_exponentials`: a Beta draw, then (32, k - 1) gaps);
+    4. on the phase-only channel with tau > 0, ``xi``, (32, m) uniforms on
        [-tau, tau];
-    4. the scalar law of the rows up to ``stop`` only: ``po`` draws (rows, m)
+    5. the scalar law of the rows up to ``stop`` only: ``po`` draws (rows, m)
        ``E ~ Exp(1)`` with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
        ``q = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
 
     Row k of the last draw does not depend on the rows after it; that draw
     runs in row blocks of at most ``_MAX_ENTRIES`` entries. Returns rows
-    ``start`` to ``stop - 1`` of ``u`` and ``g``, their ``y^H z`` and
-    ``sigma ||z||_2``, and how many measurements met the zero-signum convention.
+    ``start`` to ``stop - 1`` of ``x0`` (the values on S), ``g`` and
+    ``top``, their ``y^H z`` and ``sigma ||z||_2``, and how many
+    measurements met the zero-signum convention.
     """
     chunk0 = start - start % _TRIAL_CHUNK
     lo, hi = start - chunk0, stop - chunk0
     sigma = per_part_sigma(m, VarianceConvention(scheme))
     gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, chunk0)).generator()
-    u = gen.random((_TRIAL_CHUNK, n + s))
-    _redraw_zero_values(gen, u, n)
-    g = gen.standard_normal((_TRIAL_CHUNK, 2 * n)).view(np.complex128)
+    v = gen.random((_TRIAL_CHUNK, s))
+    _redraw_zero_values(gen, v, 0)
+    x0 = 2.0 * v - 1.0
+    x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
+    g = gen.standard_normal((_TRIAL_CHUNK, 2 * s)).view(np.complex128)
+    top = _largest_exponentials(gen, _TRIAL_CHUNK, n - s, min(s, n - s))
+    x0, g, top = x0[lo:hi], g[lo:hi], top[lo:hi]
     if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
         q = 2.0 * gen.standard_gamma(m, hi)[lo:]
-        return u[lo:hi], sigma * sigma * q, sigma * sigma * np.sqrt(q), g[lo:hi], 0
+        return x0, g, top, sigma * sigma * q, sigma * sigma * np.sqrt(q), 0
     block = max(1, _MAX_ENTRIES // m)  # rows per block
     noise = gen
     if tau > 0 and block < _TRIAL_CHUNK:
@@ -226,35 +246,39 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
                 mod[first - b0 :], None if xi is None else xi[first - b0 : b1 - b0]
             )
             zero_signs += hits
-    return u[lo:hi], yz, np.full(hi - lo, sigma * math.sqrt(m)), g[lo:hi], zero_signs
+    return x0, g, top, yz, np.full(hi - lo, sigma * math.sqrt(m)), zero_signs
 
 
-def _score_chunk(u, s, yz, scale, g):
-    """PBP on drawn rows: ``(errors, supports)``.
+def _score_chunk(x0, g, top, yz, scale):
+    """PBP's direction error on drawn rows: NaN, a failed trial, where the
+    estimate is identically zero.
 
-    Forms each row's signal from ``u`` and its back-projection from
-    ``(yz, scale, g)`` (into ``g``), keeps the s strongest entries and
-    scores the direction error: NaN, a failed trial, where the estimate is
-    identically zero. ``supports`` holds the sorted supports found.
+    On the support the back-projection is
+    ``b = x0 (y^H z) + scale (g - x0 (x0 . g))``; off it, the k candidates
+    have squared moduli ``2 scale^2 top``. PBP keeps the s largest of these
+    s + k entries, and the error is summed term by term,
+    ``sum_S |x0 - kept b / nrm|^2 + sum_kept_off 2 scale^2 top / nrm^2``
+    with ``nrm`` the estimate's norm, so that an exact recovery scores its
+    rounding residue and not the cancellation of ``2 - 2 cos``.
     """
-    supports, values = _support_value_rows(u, s)
-    x0 = np.zeros(g.shape, dtype=np.complex128)
-    np.put_along_axis(x0, supports, values, axis=1)
-    estimate, found = hard_threshold(_combine_back_projection(x0, yz, scale, g), s)
-    # a zero estimate has no direction: score x0 in its place, then void the trial
-    failed = ~estimate.any(axis=1)
-    estimate[failed] = x0[failed]
-    errors = direction_error(x0, estimate)
-    errors[failed] = math.nan
-    return errors, found
+    s, k = x0.shape[1], top.shape[1]
+    scale = scale[:, None]
+    b = x0 * (yz[:, None] - scale * np.einsum("ij,ij->i", x0, g)[:, None]) + scale * g
+    power = np.concatenate([b.real * b.real + b.imag * b.imag, 2.0 * scale * scale * top], axis=1)
+    if k:  # drop all but the s largest; ties have probability zero
+        power[power < np.partition(power, k, axis=1)[:, k, None]] = 0.0
+    nrm = np.sqrt(power.sum(axis=1))
+    inv = 1.0 / np.where(nrm > 0.0, nrm, math.nan)  # a zero estimate has no direction
+    residual = x0 - np.where(power[:, :s] > 0.0, b, 0.0) * inv[:, None]
+    off = power[:, s:].sum(axis=1) * (inv * inv)
+    return np.sqrt((residual.real * residual.real + residual.imag * residual.imag).sum(axis=1) + off)
 
 
 def _run_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     """Trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
-    :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, supports,
-    zero_signs)``."""
-    u, yz, scale, g, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop)
-    return (*_score_chunk(u, s, yz, scale, g), zero_signs)
+    :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, zero_signs)``."""
+    *draws, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop)
+    return _score_chunk(*draws), zero_signs
 
 
 def run_trial(
@@ -268,7 +292,7 @@ def run_trial(
     _check_master_seed(master_seed)
     if trial_index < 0:
         raise ConfigError(f"trial_index: must be >= 0, got {trial_index}")
-    errors, _, _ = _run_chunk(scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1)
+    errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1)
     return float(errors[0])
 
 
@@ -305,8 +329,10 @@ def _run_cells(cells, n, trials, master_seed, workers):
     flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
     size = pool_size(workers, len(tasks))
     with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
-        outputs = (pool.map if pool else map)(_run_chunk, *zip(*tasks))
-        for errs, _, zeros in outputs:  # in task order
+        args = _run_chunk, *zip(*tasks)
+        # a pool gets about four batches of chunks per worker, one round trip each
+        outputs = pool.map(*args, chunksize=-(-len(tasks) // (4 * size))) if pool else map(*args)
+        for errs, zeros in outputs:  # in task order
             flat[done : done + errs.size] = errs
             zero_signs[done // trials] += zeros
             done += errs.size
@@ -320,6 +346,8 @@ def _check_cell(scheme, n, s, m, tau) -> None:
     # names the sweep field that gave the value
     if not 1 <= s <= n:
         raise ConfigError(f"sparsity_levels: s={s} outside [1, n={n}]")
+    if n > 2**53:  # the law of the off-support moduli takes n - s as a double
+        raise ConfigError(f"n: must be at most 2^53, got {n}")
     if scheme not in SCHEMES:
         raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
     if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
@@ -364,25 +392,23 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     nesting order."""
     if config.trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {config.trials}")
-    if config.n is None or config.n < 1:
-        raise ConfigError(f"n: must be >= 1, got {config.n}")
-    # a chunk's draws and scoring hold about five complex (32, n) arrays at once
-    if 5 * _TRIAL_CHUNK * config.n > _MAX_ENTRIES:
-        raise ConfigError(
-            f"n: a chunk of {_TRIAL_CHUNK} trials at n = {config.n} holds about "
-            f"{5 * _TRIAL_CHUNK * config.n} complex entries, more than {_MAX_ENTRIES}"
-        )
+    if config.n is None or not 1 <= config.n <= 2**53:  # named before a ratio turns n into m
+        raise ConfigError(f"n: must lie in [1, 2^53], got {config.n}")
     _check_master_seed(config.master_seed)
     if not config.sparsity_levels:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
     _check_distinct("sparsity_levels", config.sparsity_levels)
+    s_max = max(config.sparsity_levels)  # a chunk holds about five complex (32, s) arrays
+    if 5 * _TRIAL_CHUNK * s_max > _MAX_ENTRIES:
+        raise ConfigError(f"sparsity_levels: a chunk of {_TRIAL_CHUNK} trials at s = {s_max} holds "
+                          f"about {5 * _TRIAL_CHUNK * s_max} complex entries, over {_MAX_ENTRIES}")
     if not config.schemes:
         raise ConfigError("schemes: at least one scheme is required")
     _check_distinct("schemes", config.schemes)
     if not config.tau_grid:
         raise ConfigError("tau_grid: at least one tau is required")
     _check_distinct("tau_grid", config.tau_grid)
-    # -0.0 is the cell 0.0: one label and one stream key
+    # -0.0 is the cell 0.0: one label (trial_stream_id keys both alike)
     config = replace(config, tau_grid=tuple(0.0 if tau == 0 else tau for tau in config.tau_grid))
     if (config.m is None) == (config.log2_m_over_n is None):
         raise ConfigError("m: set exactly one of m and log2_m_over_n")
@@ -400,9 +426,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                 )
             ms[m] = ratio
     for m in ms:
-        # m-length draws run in row blocks of _MAX_ENTRIES entries; m + n stays under it
-        if m + config.n > _MAX_ENTRIES:
-            raise ConfigError(f"{field}: m + n = {m + config.n} exceeds {_MAX_ENTRIES}")
+        # m-length draws run in row blocks of _MAX_ENTRIES entries; one row must fit
+        if m > _MAX_ENTRIES:
+            raise ConfigError(f"{field}: m = {m} exceeds {_MAX_ENTRIES}")
     cells = [
         (scheme, s, m, float(tau))
         for scheme in config.schemes

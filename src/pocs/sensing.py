@@ -79,24 +79,18 @@ def _redraw_zero_values(gen, u, n):
         u[bad, n:] = gen.random((int(bad.sum()), u.shape[1] - n))
 
 
-def _support_value_rows(u, s):
-    # Row-wise map of (count, n + s) uniforms to a draw each: the support comes
-    # from a partial sort of the first n (uniform over all (n choose s)
-    # subsets), the values from the last s mapped onto [-1, 1] and normalized.
-    n = u.shape[1] - s
+def _support_value_batch(gen, n, s, count):
+    # One contiguous block of n+s uniforms per draw. Draw k of a batch
+    # consumes exactly the same stream slice as the k-th sequential single
+    # draw, so batch size never changes the samples. The support comes from a
+    # partial sort of the first n (uniform over all (n choose s) subsets), the
+    # values from the last s mapped onto [-1, 1] and normalized.
+    u = gen.random((count, n + s))
+    _redraw_zero_values(gen, u, n)
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
     values = 2.0 * u[:, n:] - 1.0
     norms = np.sqrt((values * values).sum(axis=1))
     return supports, values / norms[:, None]
-
-
-def _support_value_batch(gen, n, s, count):
-    # One contiguous block of n+s uniforms per draw. Draw k of a batch
-    # consumes exactly the same stream slice as the k-th sequential single
-    # draw, so batch size never changes the samples.
-    u = gen.random((count, n + s))
-    _redraw_zero_values(gen, u, n)
-    return _support_value_rows(u, s)
 
 
 def sample_sparse_signal(

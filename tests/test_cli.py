@@ -129,6 +129,30 @@ class TestSweepTau:
                             "--out", str(outs[-1])) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_run_trial_at_negative_zero_tau_replays_the_tau_zero_cell(self, tmp_path):
+        # the stream key prints tau + 0.0: run_trial keys -0.0 as the sweep cell does
+        out = tmp_path / "tau.json"
+        assert run_main("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau=-0",
+                        "--trials", "1", "--seed", "3", "--format", "json",
+                        "--out", str(out)) == 0
+        cell = json.loads(out.read_text())["cells"][0]
+        alone = experiments.run_trial("po", 16, 2, 8, -0.0, 3, 0)
+        assert alone == experiments.run_trial("po", 16, 2, 8, 0.0, 3, 0)
+        assert alone == cell["mean_error"]
+        assert experiments.trial_stream_id("po", 2, 8, -0.0, 0) == experiments.trial_stream_id(
+            "po", 2, 8, 0.0, 0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pooled_batches_of_chunks_give_the_serial_bytes(self, tmp_path, fmt):
+        # 2 cells x 5 chunks = 10 tasks: two workers take them in batches of 2
+        outs = []
+        for workers in ("1", "2"):
+            outs.append(tmp_path / f"w{workers}.{fmt}")
+            assert run_main("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0",
+                            "--tau", "0.5", "--trials", "150", "--seed", "2", "--format", fmt,
+                            "--workers", workers, "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_negative_tau_exits_2(self, tmp_path):
         code = run_main(
             "sweep-tau", "--n", "16", "--s", "2", "--m", "8",
@@ -153,17 +177,36 @@ def test_non_finite_grid_values_exit_2(capsys, argv, field):
 
 @pytest.mark.parametrize("argv,field", [
     (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "40"), "log2_m_over_n"),
-    (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**28), "--tau", "0"), "m"),
-    (("sweep-tau", "--n", str(2**28), "--s", "2", "--m", "8", "--tau", "0"), "n"),
-    # a 32-trial chunk of (32, n) arrays far past 4 GiB, even at one trial
-    (("sweep-tau", "--n", "200000000", "--s", "2", "--m", "8", "--tau", "0"), "n"),
+    # one row of the m-length draw past 2^28 entries
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**28 + 1), "--tau", "0"), "m"),
+    # n - s would not be exact in a double
+    (("sweep-tau", "--n", str(2**53 + 1), "--s", "2", "--m", "8", "--tau", "0"), "n"),
+    (("sweep-tau", "--n", str(2**64), "--s", "2", "--m", "8", "--tau", "0"), "n"),
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "25.00001"), "log2_m_over_n"),
+    # a 32-trial chunk of five (32, s) complex arrays past 2^28 entries
+    (("sweep-tau", "--n", str(2**21), "--s", "1677722", "--m", "8", "--tau", "0"),
+     "sparsity_levels"),
 ])
 def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
-    # past 2^28 complex entries in a chunk's working set or in m + n, the
-    # sweep is rejected, not run
+    # past 2^28 complex entries in a chunk's working set or in one row of the
+    # m-length draw, or past 2^53 in n, the sweep is rejected, not run
     monkeypatch.setattr(experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
     assert run_main(*argv, "--trials", "3") == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a chunk holds (32, s) arrays whatever n is
+    ("sweep-tau", "--n", "200000000", "--s", "2", "--m", "8", "--tau", "0"),
+    ("sweep-tau", "--n", str(2**28), "--s", "2", "--m", "8", "--tau", "0"),
+    ("sweep-tau", "--n", str(2**53), "--s", "2", "--m", "8", "--tau", "0"),
+    # m = 2^28 at n = 8; the linear scheme draws one Gamma variable per trial
+    ("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "25", "--scheme", "cs"),
+])
+def test_sizes_a_chunk_can_hold_run(tmp_path, argv):
+    out = tmp_path / "big.csv"
+    assert run_main(*argv, "--trials", "1", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1].split(",")[4:6] == ["1", "0"]
 
 
 def test_trial_count_past_the_bookkeeping_bound_exits_2(monkeypatch, capsys):

@@ -75,6 +75,7 @@ class TestSeeding:
             # the cell rules a sweep applies (tau and m: tests/test_engine.py)
             (("po", 16, 0, 8, 0.0, 3, 0), "sparsity_levels"),
             (("bogus", 16, 2, 8, 0.0, 3, 0), "schemes"),
+            (("po", 2**53 + 1, 2, 8, 0.0, 3, 0), "n"),
         ],
     )
     def test_run_trial_rejects_what_a_sweep_rejects(self, args, field):
@@ -148,13 +149,17 @@ class TestMSweep:
             (dict(tau_grid=(1e308,)), "tau_grid"),
             (dict(m=0, log2_m_over_n=None), "m"),
             (dict(log2_m_over_n=()), "log2_m_over_n"),
-            # a trial's m + n complex normals past 2^28: rejected before any draw
+            # one row of the m-length draw past 2^28 entries: rejected before any draw
             (dict(log2_m_over_n=(40.0,)), "log2_m_over_n"),
-            (dict(m=2**28, log2_m_over_n=None), "m"),
-            (dict(n=2**28), "n"),
+            (dict(m=2**28 + 1, log2_m_over_n=None), "m"),
+            # n - s must be exact in a double
+            (dict(n=2**53 + 1), "n"),
             # an error per trial and a task per chunk past 4 GiB: rejected before allocation
             (dict(trials=2**28 + 1), "trials"),
             (dict(trials=2**27 + 1, schemes=("po", "cs")), "trials"),
+            # a chunk's five (32, s) complex arrays past 2^28 entries, at any listed s
+            (dict(n=2**21, sparsity_levels=(1677722,)), "sparsity_levels"),
+            (dict(n=2**21, sparsity_levels=(2, 1677722)), "sparsity_levels"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field, monkeypatch):
@@ -174,6 +179,23 @@ class TestMSweep:
         run_sweep(SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",),
                               trials=2**28, master_seed=1))
         assert ran == [2**28]
+
+    def test_sparsity_bound_admits_its_edge(self, monkeypatch):
+        # 5 x 32 x s just under 2^28; a run would hold 4 GiB, so the cells are not run
+        ran = []
+        monkeypatch.setattr(pocs.experiments, "_run_cells", lambda *a: ran.append(a) or ())
+        run_sweep(SweepConfig(n=2**21, sparsity_levels=(1677721,), m=8, schemes=("po",),
+                              trials=1, master_seed=1))
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("patch", [
+        dict(n=2**28), dict(n=2**53), dict(m=2**28, schemes=("cs",)),
+    ])
+    def test_sizes_a_chunk_can_hold_run(self, patch):
+        # n enters a chunk only through n - s; the linear scheme draws m as one Gamma
+        cfg = dataclasses.replace(SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",),
+                                              trials=1, master_seed=1), **patch)
+        assert run_sweep(cfg).cells[0].failures == 0
 
     def test_library_grids_run_in_scheme_s_m_tau_order(self):
         # grids the CLI cannot ask for: two s with two taus, and both schemes at fixed m

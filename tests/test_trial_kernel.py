@@ -1,13 +1,15 @@
-"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v1``).
+"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v2``).
 
 The golden CSVs below were written by the kernel at this stream-key version.
 The property loop replays single trials with per-trial formulas (the chunk's
 draws in their documented order, a complex exponential for the phase noise,
-``np.vdot``, a stable argsort) and compares them with the kernel's rows. The
-scalar laws that replace the m-length draws of ``y = Phi x0`` are checked
-against the draws they stand for with two-sample Kolmogorov-Smirnov tests,
-and a trial's error is checked not to depend on the trial count, the worker
-count or being replayed alone.
+``np.vdot``, Renyi's recursion for the off-support moduli), places them in an
+n-vector and scores it with the paper's operators, ``hard_threshold`` and
+``direction_error``, then compares the result with the kernel's rows. The
+laws that replace the m-length draws of ``y = Phi x0`` and the n - s
+off-support draws are checked against the draws they stand for with
+two-sample Kolmogorov-Smirnov tests, and a trial's error is checked not to
+depend on the trial count, the worker count or being replayed alone.
 """
 
 import math
@@ -21,24 +23,27 @@ from pocs import (
     RngStream,
     SweepConfig,
     cli,
+    direction_error,
+    hard_threshold,
     run_sweep,
     run_trial,
     trial_stream_id,
 )
-from pocs.experiments import _draw_chunk, _run_chunk
+from pocs.experiments import _draw_chunk, _largest_exponentials, _run_chunk
+from pocs.recon import DegenerateEstimateError
 from pocs.sensing import _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
 GOLDEN_SWEEP_M = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,0.9899494937,-0.04386962154,0.07801894976
-po,1,9,0,70,0,0.06060915267,-12.17461787,0.0344818407
-po,3,2,0,70,0,1.067627629,0.2841980427,0.02761644679
-po,3,9,0,70,0,0.7003439844,-1.546885974,0.02257151942
-cs,1,2,0,70,0,0.9091372901,-0.4137052841,0.08157717725
-cs,1,9,0,70,0,0.02020305089,-16.94583042,0.02020305089
-cs,3,2,0,70,0,1.115637496,0.4752310242,0.02531598973
-cs,3,9,0,70,0,0.6431586875,-1.916818597,0.02573563292
+po,1,2,0,70,0,1.111167799,0.4577964731,0.06985852099
+po,1,9,0,70,0,0.1010152545,-9.956130378,0.04384641529
+po,3,2,0,70,0,1.132274383,0.5395168178,0.02459521886
+po,3,9,0,70,0,0.6920087377,-1.598884219,0.02259138251
+cs,1,2,0,70,0,0.8081220356,-0.9252305085,0.08425254637
+cs,1,9,0,70,0,0.04040610178,-13.93553047,0.02836363361
+cs,3,2,0,70,0,1.066440964,0.2793681869,0.02828688859
+cs,3,9,0,70,0,0.6598038448,-1.805851581,0.02107926891
 """
 
 # At s = 1 and m >= n every trial finds the support and the estimate is x0
@@ -46,24 +51,24 @@ cs,3,9,0,70,0,0.6431586875,-1.916818597,0.02573563292
 # and their digits pin the order of the floating-point operations too.
 GOLDEN_SWEEP_M_EXACT = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,1.171776952,0.6884495138,0.06416482768
-po,1,16,0,70,0,9.516197354e-18,-170.2153656,3.741564675e-18
-po,1,32,0,70,0,2.06184276e-17,-166.8574446,5.197526932e-18
-po,3,2,0,70,0,1.216516606,0.8511804152,0.02159810768
-po,3,16,0,70,0,0.6026210962,-2.199556689,0.02351176179
-po,3,32,0,70,0,0.4347644379,-3.617459868,0.01679661411
-cs,1,2,0,70,0,1.030355595,0.1298713392,0.07571018388
-cs,1,16,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
+po,1,2,0,70,0,1.191980003,0.7626896946,0.06196047819
+po,1,16,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
+po,1,32,0,70,0,2.379049338e-17,-166.2359655,5.484216849e-18
+po,3,2,0,70,0,1.242687737,0.9436201253,0.02265961157
+po,3,16,0,70,0,0.6164351671,-2.101125931,0.02090283056
+po,3,32,0,70,0,0.3910856788,-4.077280872,0.0170328941
+cs,1,2,0,70,0,1.050558646,0.2142030145,0.0744098342
+cs,1,16,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
 cs,1,32,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
-cs,3,2,0,70,0,1.20829533,0.8217309705,0.02307227818
-cs,3,16,0,70,0,0.5364953542,-2.704340345,0.02084499451
-cs,3,32,0,70,0,0.3150669085,-5.015972084,0.01668870251
+cs,3,2,0,70,0,1.213478241,0.8403199324,0.02484889557
+cs,3,16,0,70,0,0.5181289146,-2.855621709,0.02027312591
+cs,3,32,0,70,0,0.3333486258,-4.771013309,0.01566863716
 """
 
 GOLDEN_SWEEP_TAU = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,3,8,0,70,0,0.8606833523,-0.6515659724,0.02589350482
-po,3,8,0.7,70,0,0.9023139621,-0.4464232243,0.02984996498
+po,3,8,0,70,0,0.8443173667,-0.7349427769,0.02687445197
+po,3,8,0.7,70,0,0.8757591115,-0.5761533552,0.02960639577
 """
 
 # n = 8: m = 2 < s = 3 and m = 9 > n; 70 trials span three chunks, the last
@@ -93,25 +98,32 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, args, golden, workers):
 
 
 def reference_trial(scheme, n, s, m, tau, master_seed, t):
-    """Trial t with per-trial formulas: (support found, error, failed).
+    """Trial t with per-trial formulas and the paper's operators: (error, failed).
 
     Regenerates chunk t // 32 in the documented draw order and keeps row
-    r = t % 32 of each draw.
+    r = t % 32 of each draw. The back-projection goes into an n-vector: its
+    entries on the support (placed first), then the k off-support moduli,
+    then zeros, which PBP never keeps over them.
     """
     chunk0, r = t - t % 32, t % 32
     gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, chunk0)).generator()
-    u = gen.random((32, n + s))
-    while True:  # rows whose s values 2u - 1 are all zero are redrawn together
-        bad = np.flatnonzero((2.0 * u[:, n:] - 1.0 == 0.0).all(axis=1))
+    v = gen.random((32, s))
+    while True:  # rows whose s values 2v - 1 are all zero are redrawn together
+        bad = np.flatnonzero((2.0 * v - 1.0 == 0.0).all(axis=1))
         if bad.size == 0:
             break
-        u[bad, n:] = gen.random((bad.size, s))
-    support = np.sort(np.argpartition(u[r, :n], s - 1)[:s])
-    values = 2.0 * u[r, n:] - 1.0
-    x0 = np.zeros(n, dtype=np.complex128)
-    x0[support] = values / np.sqrt((values * values).sum())
-    normals = gen.standard_normal((32, n, 2))
+        v[bad] = gen.random((bad.size, s))
+    values = 2.0 * v[r] - 1.0
+    x0 = values / np.sqrt((values * values).sum())
+    normals = gen.standard_normal((32, s, 2))
     g = normals[r, :, 0] + 1j * normals[r, :, 1]
+    k = min(s, n - s)
+    top = np.empty(k)  # top[j - 1] is T_j, the j-th largest of n - s Exp(1)
+    if k:
+        top[k - 1] = -np.log(gen.beta(k, n - s - k + 1, 32)[r])
+        gaps = gen.standard_exponential((32, k - 1))[r]
+        for j in range(k - 1, 0, -1):
+            top[j - 1] = top[j] + gaps[j - 1] / j
     sigma = per_part_sigma(m, scheme)
     if scheme == "po":
         xi = gen.uniform(-tau, tau, (32, m))[r] if tau > 0 else np.zeros(m)
@@ -121,14 +133,15 @@ def reference_trial(scheme, n, s, m, tau, master_seed, t):
     else:
         norm_sq = sigma**2 * 2.0 * gen.standard_gamma(m, r + 1)[r]  # ||y||^2
         yz, scale = norm_sq, sigma * math.sqrt(norm_sq)
-    v = scale * g + x0 * (yz - scale * np.vdot(x0, g))
-    found = np.sort(np.argsort(-np.abs(v), kind="stable")[:s])
-    estimate = np.zeros_like(v)
-    estimate[found] = v[found]
-    nrm = np.linalg.norm(estimate)
-    if nrm == 0.0:
-        return found, math.nan, True
-    return found, float(np.linalg.norm(x0 - estimate / nrm)), False
+    back = np.zeros(n, dtype=np.complex128)
+    back[:s] = x0 * yz + scale * (g - x0 * np.vdot(x0, g))
+    back[s : s + k] = scale * np.sqrt(2.0 * top)
+    signal = np.zeros(n, dtype=np.complex128)
+    signal[:s] = x0
+    try:
+        return direction_error(signal, hard_threshold(back, s)[0]), False
+    except DegenerateEstimateError:
+        return math.nan, True
 
 
 def random_cases(count):
@@ -149,19 +162,17 @@ def random_cases(count):
 def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
     seed = 11
     for start, stop in ((30, 32), (32, 35)):  # rows 30 and 31 of chunk 0, rows 0 to 2 of chunk 1
-        errors, found, _ = _run_chunk(scheme, n, s, m, tau, seed, start, stop)
-        assert found.shape == (stop - start, s)
+        errors, _ = _run_chunk(scheme, n, s, m, tau, seed, start, stop)
         for k, t in enumerate(range(start, stop)):
-            ref_found, ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, t)
-            assert np.array_equal(found[k], ref_found)
+            ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, t)
             assert math.isnan(errors[k]) == ref_failed
-            assert errors[k] == pytest.approx(ref_error, rel=1e-11, abs=1e-13)
+            assert errors[k] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
             assert run_trial(scheme, n, s, m, tau, seed, t) == errors[k]
 
 
 class _ZeroValuesFirst:
-    """A generator whose first uniform draw has every signal value of the
-    given rows at 0.5."""
+    """A generator whose first uniform draw has every value of the given
+    rows at 0.5, past the first ``n`` columns."""
 
     def __init__(self, gen, n, rows):
         self._gen, self._n, self._rows, self._first = gen, n, rows, True
@@ -181,22 +192,24 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     n, s, m, tau, seed = 12, 3, 9, 0.4, 5
     plain = RngStream.generator
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroValuesFirst(plain(self), n, [0, 5]))
-    errors, found, _ = _run_chunk("po", n, s, m, tau, seed, 0, 8)
+                        lambda self: _ZeroValuesFirst(plain(self), 0, [0, 5]))
+    errors, _ = _run_chunk("po", n, s, m, tau, seed, 0, 8)
     for t in range(8):
-        ref_found, ref_error, _ = reference_trial("po", n, s, m, tau, seed, t)
-        assert np.array_equal(found[t], ref_found)
-        assert errors[t] == pytest.approx(ref_error, rel=1e-11, abs=1e-13)
+        ref_error, _ = reference_trial("po", n, s, m, tau, seed, t)
+        assert errors[t] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
     # by hand: the two rows' values come from one draw right after the
-    # (32, n + s) uniforms, in row order, and the normals follow it
+    # (32, s) uniforms, in row order, and the normals follow it
     stream = RngStream(seed, trial_stream_id("po", s, m, tau, 0))
-    u, _, _, g, _ = _draw_chunk("po", n, s, m, tau, seed, 0, 8)
+    x0, g, *_ = _draw_chunk("po", n, s, m, tau, seed, 0, 8)
     gen = plain(stream)
-    expected = gen.random((32, n + s))
-    expected[[0, 5], n:] = gen.random((2, s))
-    assert np.array_equal(u, expected[:8])
-    assert np.array_equal(g, gen.standard_normal((32, 2 * n)).view(np.complex128)[:8])
-    # the signal sampler that the RIP probe uses redraws the same way
+    expected = gen.random((32, s))
+    expected[[0, 5]] = gen.random((2, s))
+    values = 2.0 * expected[:8] - 1.0
+    assert np.array_equal(x0, values / np.sqrt((values * values).sum(axis=1))[:, None])
+    assert np.array_equal(g, gen.standard_normal((32, 2 * s)).view(np.complex128)[:8])
+    # the signal sampler of the full-matrix model and the RIP probe redraws the same way
+    monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                        lambda self: _ZeroValuesFirst(plain(self), n, [0]))
     supports, values = _support_value_batch(stream.generator(), n, s, 1)
     gen = plain(stream)
     u = gen.random(n + s)
@@ -206,20 +219,25 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
 
 
 def test_zero_estimates_fail_their_trials_only(monkeypatch):
-    real = pocs.experiments._combine_back_projection
+    # yz = scale = 0 zeroes the back-projection on the support and every
+    # off-support modulus: the estimate of that row has no direction
+    real = pocs.experiments._draw_chunk
 
-    def zero_first_row(x0, yz, scale, g):
-        v = real(x0, yz, scale, g)
-        v[0] = 0.0
-        return v
+    def zero_first_row(*args):
+        x0, g, top, yz, scale, zero_signs = real(*args)
+        if args[-2] == 0:
+            yz[0] = scale[0] = 0.0
+        return x0, g, top, yz, scale, zero_signs
 
-    monkeypatch.setattr(pocs.experiments, "_combine_back_projection", zero_first_row)
-    errors, _, _ = _run_chunk("po", 16, 2, 8, 0.0, 3, 0, 4)
-    assert np.isnan(errors).tolist() == [True, False, False, False]
-    assert math.isnan(run_trial("po", 16, 2, 8, 0.0, 3, 0))
-    cell = run_sweep(SweepConfig(n=16, sparsity_levels=(2,), m=8, schemes=("po",),
-                                 trials=4, master_seed=3)).cells[0]
-    assert cell.failures == 1 and cell.mean_error == errors[1:].mean()
+    monkeypatch.setattr(pocs.experiments, "_draw_chunk", zero_first_row)
+    for scheme, n, s in [("po", 16, 2), ("cs", 16, 2), ("po", 4, 4)]:  # k = 2, 2 and 0
+        errors, _ = _run_chunk(scheme, n, s, 8, 0.0, 3, 0, 4)
+        assert np.isnan(errors).tolist() == [True, False, False, False]
+        assert math.isnan(run_trial(scheme, n, s, 8, 0.0, 3, 0))
+        assert not math.isnan(run_trial(scheme, n, s, 8, 0.0, 3, 1))
+        cell = run_sweep(SweepConfig(n=n, sparsity_levels=(s,), m=8, schemes=(scheme,),
+                                     trials=4, master_seed=3)).cells[0]
+        assert cell.failures == 1 and cell.mean_error == errors[1:].mean()
 
 
 KS_DRAWS = 20_000
@@ -244,6 +262,19 @@ def test_chi_square_norm_law(m):
     drawn = 2.0 * gen.standard_gamma(m, KS_DRAWS)
     direct = np.square(gen.standard_normal((KS_DRAWS, 2 * m))).sum(axis=1)
     assert ks_statistic(drawn, direct) < KS_CRITICAL
+
+
+@pytest.mark.parametrize("pool,k", [(246, 10), (10, 10)])
+@pytest.mark.parametrize("rank", ["1", "k"])
+def test_largest_exponentials_law(pool, k, rank):
+    # the k largest of `pool` Exp(1) draws from a Beta draw and Renyi's gaps,
+    # against the same ranks of `pool` sorted Exp(1) draws
+    gen = RngStream(44).generator()
+    drawn = _largest_exponentials(gen, KS_DRAWS, pool, k)
+    direct = -np.sort(-gen.standard_exponential((KS_DRAWS, pool)), axis=1)[:, :k]
+    assert drawn.shape == (KS_DRAWS, k) and (np.diff(drawn, axis=1) < 0).all()
+    col = 0 if rank == "1" else k - 1
+    assert ks_statistic(drawn[:, col], direct[:, col]) < KS_CRITICAL
 
 
 @pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0)])
