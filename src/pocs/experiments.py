@@ -21,8 +21,15 @@ included); it changes whenever the draws do, and the JSON output echoes it.
 A chunk draws each quantity for all its rows in one call, the last one for
 the rows asked for only. numpy fills a draw in order, so trial t is row
 t % 32 of chunk t // 32 whatever the trial count, worker count or row
-blocking, and :func:`run_trial` replays it alone. Aggregation folds trials
-in index order, which makes repeated runs byte-identical.
+blocking, and :func:`run_trial` replays it alone.
+
+The engine's unit, and a pool task, is a range of consecutive chunks of one
+cell (:func:`_run_chunk`): each chunk draws on its own stream into rows of
+buffers shared by the range, and the arithmetic after the draws runs once
+over all its rows. A range holds as many chunks as keep its widest buffer,
+rows x max(m, 2s), within ``_RANGE_ENTRIES`` entries, and at least one.
+Aggregation folds trials in index order, which makes repeated runs
+byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -39,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -67,6 +75,9 @@ _TRIAL_CHUNK = 32
 # (about five (32, s) arrays, whatever n is), one row block of an m-length
 # draw, or rip-estimate's m x n matrix.
 _MAX_ENTRIES = 2**28
+# Widest buffer of a range of chunks, in entries (512 KiB of float64): rows
+# x max(m, 2s). Past it more rows cost memory traffic, not fewer calls.
+_RANGE_ENTRIES = 2**16
 
 
 class ConfigError(ValueError):
@@ -121,8 +132,13 @@ class SweepResult:
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs. A
     chunk runs on the stream id of its first trial."""
-    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial={trial_index}"
-    return fnv1a64(key.encode("ascii"))
+    return fnv1a64(b"%d" % trial_index, _stream_key_prefix(scheme, s, m, tau))
+
+
+def _stream_key_prefix(scheme, s, m, tau) -> int:
+    # the FNV-1a state after a cell's key up to the trial index: a range of
+    # chunks hashes it once and continues it with each chunk's first trial
+    return fnv1a64(f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial=".encode("ascii"))
 
 
 def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
@@ -141,28 +157,61 @@ def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.nd
     return re + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)), zeros
 
 
-def _largest_exponentials(gen, rows, pool, k) -> np.ndarray:
+def _largest_exponentials(beta, gaps) -> np.ndarray:
     """The k largest of ``pool`` i.i.d. ``Exp(1)`` variables, in decreasing
-    order, for each of ``rows`` rows: ``(rows, k)``, or ``(rows, 0)`` without
-    a draw when ``k = 0``.
+    order, per row: ``(rows, k)`` from the draws ``beta``, (rows,), and
+    ``gaps``, (rows, k - 1).
 
     The k-th largest is ``T_k = -log B`` with ``B ~ Beta(k, pool - k + 1)``,
-    the k-th smallest of ``pool`` uniforms. Above it lie k - 1 i.i.d.
-    ``Exp(1)`` excesses, whose spacings are independent ``Exp(1) / j``
-    (Renyi's representation): ``T_j = T_{j+1} + Z_j / j``, with ``Z_j`` the
-    j-th column of one (rows, k - 1) draw.
+    the k-th smallest of ``pool`` uniforms, drawn as ``beta``. Above it lie
+    k - 1 i.i.d. ``Exp(1)`` excesses, whose spacings are independent
+    ``Exp(1) / j`` (Renyi's representation): ``T_j = T_{j+1} + Z_j / j``,
+    with ``Z_j`` the j-th column of ``gaps``, ``Exp(1)`` draws.
     """
-    if k == 0:
-        return np.empty((rows, 0))
-    steps = np.empty((rows, k))  # T_k, then T_{j} - T_{j+1} for j = k - 1 down to 1
-    steps[:, 0] = -np.log(gen.beta(k, pool - k + 1, rows))
-    steps[:, 1:] = gen.standard_exponential((rows, k - 1))[:, ::-1] / np.arange(k - 1, 0, -1)
+    k = gaps.shape[1] + 1
+    steps = np.empty((beta.size, k))  # T_k, then T_{j} - T_{j+1} for j = k - 1 down to 1
+    steps[:, 0] = -np.log(beta)
+    steps[:, 1:] = gaps[:, ::-1] / np.arange(k - 1, 0, -1)
     return np.cumsum(steps, axis=1)[:, ::-1]
 
 
+def _moduli_statistic(e, xi, sigma):
+    # y^H z and its zero count from Exp(1) draws e, which become the moduli
+    # |y_i| = sigma sqrt(2 E_i) in place
+    np.multiply(e, 2.0 * sigma * sigma, out=e)
+    np.sqrt(e, out=e)
+    return _phase_only_statistic(e, xi)
+
+
+def _blocked_statistic(gen, tau, m, sigma, lo, hi, yz) -> int:
+    # po rows lo to hi - 1 of one chunk whose (32, m) draws pass _MAX_ENTRIES:
+    # the noise and the moduli run in row blocks, y^H z into yz block by
+    # block; returns the zero count
+    block = max(1, _MAX_ENTRIES // m)  # rows per block
+    noise = gen
+    if tau > 0:
+        # the moduli follow the noise of all 32 rows: read them from a copy of
+        # the stream past it (one 64-bit output per uniform)
+        bits = np.random.PCG64(0)
+        bits.state = gen.bit_generator.state
+        gen = np.random.Generator(bits.advance(_TRIAL_CHUNK * m))
+    zero_signs = 0
+    for b0 in range(0, hi, block):
+        b1 = min(b0 + block, hi)
+        xi = noise.uniform(-tau, tau, (b1 - b0, m)) if tau > 0 else None
+        e = gen.standard_exponential((b1 - b0, m))
+        first = max(lo, b0)  # rows before lo are drawn, not asked for
+        if first < b1:
+            yz[first - lo : b1 - lo], hits = _moduli_statistic(
+                e[first - b0 :], None if xi is None else xi[first - b0 :], sigma
+            )
+            zero_signs += hits
+    return zero_signs
+
+
 def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
-    """Draws for trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
-    ``(x0, g, top, yz, scale, zero_signs)``.
+    """Draws for trials ``start`` to ``stop - 1`` of one cell, any range of
+    them: ``(x0, g, top, yz, scale, zero_signs)``.
 
     ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
     deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
@@ -190,62 +239,74 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
     positions of S only break ties, which have probability zero.
 
-    The chunk's stream makes one array call per draw, in this order:
+    Each chunk the range touches runs on its own stream, which makes one
+    array call per draw, in this order:
 
     1. ``v``, (32, s) uniforms, the signal values ``2v - 1`` on S, normalized;
        rows whose values are all zero are redrawn;
     2. ``g``, (32, s) standard complex normals, its entries on S;
-    3. if k > 0, ``top``, the k largest of n - s ``Exp(1)`` variables
-       (:func:`_largest_exponentials`: a Beta draw, then (32, k - 1) gaps);
+    3. if k > 0, ``top``, the k largest of n - s ``Exp(1)`` variables: a
+       Beta draw, then (32, k - 1) gaps (:func:`_largest_exponentials`);
     4. on the phase-only channel with tau > 0, ``xi``, (32, m) uniforms on
        [-tau, tau];
-    5. the scalar law of the rows up to ``stop`` only: ``po`` draws (rows, m)
-       ``E ~ Exp(1)`` with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
-       ``q = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+    5. the scalar law of the chunk's rows up to ``stop`` only: ``po`` draws
+       (rows, m) ``E ~ Exp(1)`` with ``|y_i| = sigma sqrt(2 E_i)``; ``cs``
+       draws ``q = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
 
-    Row k of the last draw does not depend on the rows after it; that draw
-    runs in row blocks of at most ``_MAX_ENTRIES`` entries. Returns rows
-    ``start`` to ``stop - 1`` of ``x0`` (the values on S), ``g`` and
-    ``top``, their ``y^H z`` and ``sigma ||z||_2``, and how many
-    measurements met the zero-signum convention.
+    Row k of the last draw does not depend on the rows after it. The draws
+    fill row slices of buffers that hold the range's whole chunks (the last
+    draw's, its rows up to ``stop``); the normalization, the sums of the
+    top-k law, the moduli and ``y^H z`` then run once over the rows asked
+    for. Where a chunk's (32, m) draws would pass ``_MAX_ENTRIES`` entries,
+    its noise and moduli run in row blocks instead, ``y^H z`` block by
+    block. Returns rows ``start`` to
+    ``stop - 1`` of ``x0`` (the values on S), ``g`` and ``top``, their
+    ``y^H z`` and ``sigma ||z||_2``, and how many of their measurements met
+    the zero-signum convention.
     """
     chunk0 = start - start % _TRIAL_CHUNK
-    lo, hi = start - chunk0, stop - chunk0
+    lo, hi = start - chunk0, stop - chunk0  # the rows asked for, in the buffers
+    rows = hi + -hi % _TRIAL_CHUNK  # whole chunks
+    k = min(s, n - s)
     sigma = per_part_sigma(m, VarianceConvention(scheme))
-    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, chunk0)).generator()
-    v = gen.random((_TRIAL_CHUNK, s))
-    _redraw_zero_values(gen, v, 0)
-    x0 = 2.0 * v - 1.0
-    x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
-    g = gen.standard_normal((_TRIAL_CHUNK, 2 * s)).view(np.complex128)
-    top = _largest_exponentials(gen, _TRIAL_CHUNK, n - s, min(s, n - s))
-    x0, g, top = x0[lo:hi], g[lo:hi], top[lo:hi]
-    if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
-        q = 2.0 * gen.standard_gamma(m, hi)[lo:]
-        return x0, g, top, sigma * sigma * q, sigma * sigma * np.sqrt(q), 0
-    block = max(1, _MAX_ENTRIES // m)  # rows per block
-    noise = gen
-    if tau > 0 and block < _TRIAL_CHUNK:
-        # the moduli follow the noise of all 32 rows: read them from a copy of
-        # the stream past it (one 64-bit output per uniform), the noise block by block
-        bits = np.random.PCG64(0)
-        bits.state = gen.bit_generator.state
-        gen = np.random.Generator(bits.advance(_TRIAL_CHUNK * m))
+    prefix = _stream_key_prefix(scheme, s, m, tau)
+    blocked = scheme == "po" and _MAX_ENTRIES // m < _TRIAL_CHUNK
+    v, normals = np.empty((rows, s)), np.empty((rows, 2 * s))
+    beta, gaps = np.empty(rows), np.empty((rows, max(k - 1, 0)))
+    # the scalar law's draws, rows up to stop: Gamma(m, 1) for cs, E for po
+    # (kept only when not blocked)
+    law = np.empty(hi) if scheme == "cs" else np.empty((0 if blocked else hi, m))
+    xi = np.empty((rows, m)) if tau > 0 and not blocked else None
     yz, zero_signs = np.empty(hi - lo, dtype=np.complex128), 0
-    for b0 in range(0, hi, block):
-        b1 = min(b0 + block, hi)
-        xi = None
-        if tau > 0:
-            xi = noise.uniform(-tau, tau, (_TRIAL_CHUNK if noise is gen else b1 - b0, m))
-        mod = gen.standard_exponential((b1 - b0, m))
-        np.multiply(mod, 2.0 * sigma * sigma, out=mod)
-        np.sqrt(mod, out=mod)  # |y_i| = sigma sqrt(2 E_i)
-        first = max(lo, b0)  # rows before lo are drawn, not asked for
-        if first < b1:
-            yz[first - lo : b1 - lo], hits = _phase_only_statistic(
-                mod[first - b0 :], None if xi is None else xi[first - b0 : b1 - b0]
-            )
-            zero_signs += hits
+    for r0 in range(0, hi, _TRIAL_CHUNK):
+        r1 = min(r0 + _TRIAL_CHUNK, hi)  # the scalar law's rows: up to stop
+        chunk = slice(r0, r0 + _TRIAL_CHUNK)
+        gen = RngStream(master_seed, fnv1a64(b"%d" % (chunk0 + r0), prefix)).generator()
+        v[chunk] = gen.random((_TRIAL_CHUNK, s))
+        _redraw_zero_values(gen, v[chunk], 0)
+        gen.standard_normal((_TRIAL_CHUNK, 2 * s), out=normals[chunk])
+        if k:
+            beta[chunk] = gen.beta(k, n - s - k + 1, _TRIAL_CHUNK)
+            gen.standard_exponential((_TRIAL_CHUNK, k - 1), out=gaps[chunk])
+        if scheme == "cs":
+            gen.standard_gamma(m, r1 - r0, out=law[r0:r1])
+        elif blocked:
+            first = max(lo, r0)
+            zero_signs += _blocked_statistic(gen, tau, m, sigma, first - r0, r1 - r0,
+                                             yz[first - lo : r1 - lo])
+        else:
+            if xi is not None:
+                xi[chunk] = gen.uniform(-tau, tau, (_TRIAL_CHUNK, m))
+            gen.standard_exponential((r1 - r0, m), out=law[r0:r1])
+    x0 = 2.0 * v[lo:hi] - 1.0
+    x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
+    g = normals[lo:hi].view(np.complex128)
+    top = _largest_exponentials(beta[lo:hi], gaps[lo:hi]) if k else np.empty((hi - lo, 0))
+    if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
+        q = 2.0 * law[lo:hi]
+        return x0, g, top, sigma * sigma * q, sigma * sigma * np.sqrt(q), 0
+    if not blocked:
+        yz, zero_signs = _moduli_statistic(law[lo:hi], None if xi is None else xi[lo:hi], sigma)
     return x0, g, top, yz, np.full(hi - lo, sigma * math.sqrt(m)), zero_signs
 
 
@@ -275,7 +336,7 @@ def _score_chunk(x0, g, top, yz, scale):
 
 
 def _run_chunk(scheme, n, s, m, tau, master_seed, start, stop):
-    """Trials ``start`` to ``stop - 1`` of one cell, all in one chunk:
+    """Trials ``start`` to ``stop - 1`` of one cell, any range of them:
     :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, zero_signs)``."""
     *draws, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop)
     return _score_chunk(*draws), zero_signs
@@ -286,8 +347,8 @@ def run_trial(
 ) -> float:
     """One trial: draw x0 and the back-projection of its measurements, keep
     the s strongest entries (PBP) and return the direction error, NaN if the
-    estimate is zero. This is row ``trial_index % 32`` of its chunk, drawn
-    alone."""
+    estimate is zero. This is the one-row range: row ``trial_index % 32`` of
+    its chunk, drawn alone."""
     _check_cell(scheme, n, s, m, tau)
     _check_master_seed(master_seed)
     if trial_index < 0:
@@ -313,24 +374,37 @@ def _aggregate_cell(cell, errors: np.ndarray, zero_signs: int) -> CellAggregate:
 
 
 def pool_size(workers: int, num_tasks: int) -> int:
-    """Worker processes for ``num_tasks`` chunks: never more than there are chunks."""
+    """Worker processes for ``num_tasks`` tasks: never more than there are
+    tasks, nor than the CPUs this process may run on (a forking pool starts
+    all its workers at once)."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
-    return min(workers, num_tasks)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, num_tasks, cpus)
+
+
+def _range_trials(s, m) -> int:
+    # trials per task: the whole chunks whose widest buffer, rows x max(m, 2s),
+    # holds at most _RANGE_ENTRIES entries, and at least one chunk
+    return _TRIAL_CHUNK * max(1, _RANGE_ENTRIES // (_TRIAL_CHUNK * max(m, 2 * s)))
 
 
 def _run_cells(cells, n, trials, master_seed, workers):
-    tasks = [  # _run_chunk's arguments, cell by cell, chunk by chunk
-        (scheme, n, s, m, tau, master_seed, start, min(start + _TRIAL_CHUNK, trials))
+    tasks = [  # _run_chunk's arguments, cell by cell, range by range
+        (scheme, n, s, m, tau, master_seed, start, min(start + step, trials))
         for scheme, s, m, tau in cells
-        for start in range(0, trials, _TRIAL_CHUNK)
+        for step in (_range_trials(s, m),)
+        for start in range(0, trials, step)
     ]
     errors = np.empty((len(cells), trials))
     flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
     size = pool_size(workers, len(tasks))
     with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
         args = _run_chunk, *zip(*tasks)
-        # a pool gets about four batches of chunks per worker, one round trip each
+        # a pool gets about four batches of ranges per worker, one round trip each
         outputs = pool.map(*args, chunksize=-(-len(tasks) // (4 * size))) if pool else map(*args)
         for errs, zeros in outputs:  # in task order
             flat[done : done + errs.size] = errs
@@ -439,8 +513,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     for scheme, s, m, tau in cells:
         _check_cell(scheme, config.n, s, m, tau)
     # bookkeeping held from before the first draw: per chunk of each cell, 32
-    # float64 errors and one task (about 240 bytes, its arguments), so about
-    # 16 bytes, one complex entry, per trial
+    # float64 errors and at most one task (about 240 bytes, its arguments; a
+    # task is a range of chunks), so about 16 bytes, one complex entry, per trial
     entries = len(cells) * -(-config.trials // _TRIAL_CHUNK) * _TRIAL_CHUNK
     if entries > _MAX_ENTRIES:
         raise ConfigError(

@@ -143,8 +143,10 @@ class TestSweepTau:
             "po", 2, 8, 0.0, 0)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_pooled_batches_of_chunks_give_the_serial_bytes(self, tmp_path, fmt):
-        # 2 cells x 5 chunks = 10 tasks: two workers take them in batches of 2
+    def test_pooled_batches_of_chunks_give_the_serial_bytes(self, monkeypatch, tmp_path, fmt):
+        # 2 cells x 5 chunks, capped at one chunk per range = 10 tasks: two
+        # workers take them in batches of 2
+        monkeypatch.setattr(experiments, "_RANGE_ENTRIES", 1)
         outs = []
         for workers in ("1", "2"):
             outs.append(tmp_path / f"w{workers}.{fmt}")

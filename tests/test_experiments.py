@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -216,6 +217,11 @@ class TestMSweep:
 
 
 class TestPoolSize:
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        # more CPUs than any case asks for, unless a test says otherwise
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
     @pytest.mark.parametrize(
         "workers,tasks,size", [(1, 8, 1), (2, 8, 2), (8, 3, 3), (4, 1, 1)]
     )
@@ -227,6 +233,44 @@ class TestPoolSize:
         with pytest.raises(ConfigError) as err:
             pool_size(workers, 4)
         assert "workers" in str(err.value)
+
+    def test_never_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert pool_size(500, 313) == 2
+        assert pool_size(1, 313) == 1
+
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pool_size(500, 313) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert pool_size(500, 313) == 1
+
+    def test_a_sweep_asks_for_no_more_workers_than_cpus(self, monkeypatch):
+        # the executor is a stand-in that runs the tasks in this process: a
+        # large --workers starts no process here
+        asked = []
+
+        class Executor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = SweepConfig(n=16, sparsity_levels=(2,), m=4096, tau_grid=(0.0, 0.5),
+                          schemes=("po",), trials=320, master_seed=3)  # 2 cells x 10 ranges
+        serial = render_csv(run_sweep(cfg))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(pocs.experiments, "ProcessPoolExecutor", Executor)
+        assert render_csv(run_sweep(cfg, workers=500)) == serial
+        assert asked == [2]
 
 
 class TestTauSweep:
@@ -420,8 +464,8 @@ class _FirstModuliZero:
     def __init__(self, gen, count):
         self._gen, self._count = gen, count
 
-    def standard_exponential(self, size=None):
-        e = self._gen.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        e = self._gen.standard_exponential(size, out=out)
         e[..., : self._count] = 0.0  # the first moduli of every trial
         return e
 

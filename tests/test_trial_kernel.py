@@ -270,7 +270,8 @@ def test_largest_exponentials_law(pool, k, rank):
     # the k largest of `pool` Exp(1) draws from a Beta draw and Renyi's gaps,
     # against the same ranks of `pool` sorted Exp(1) draws
     gen = RngStream(44).generator()
-    drawn = _largest_exponentials(gen, KS_DRAWS, pool, k)
+    beta = gen.beta(k, pool - k + 1, KS_DRAWS)
+    drawn = _largest_exponentials(beta, gen.standard_exponential((KS_DRAWS, k - 1)))
     direct = -np.sort(-gen.standard_exponential((KS_DRAWS, pool)), axis=1)[:, :k]
     assert drawn.shape == (KS_DRAWS, k) and (np.diff(drawn, axis=1) < 0).all()
     col = 0 if rank == "1" else k - 1
@@ -313,3 +314,99 @@ def test_moduli_row_blocks_do_not_change_the_draws(monkeypatch):
         blocked = _run_chunk("po", 10, 2, 50, tau, 3, a, b)
         for got, want in zip(blocked, expected):
             assert np.array_equal(got, want)
+
+
+# n = 64, s = 3, m = 64: 1,024 trials (32 chunks) per range under the 2^16
+# cap, so 1,100 trials make two ranges per cell, the last chunk partial
+RANGE_ARGS = ("sweep-tau", "--n", "64", "--s", "3", "--m", "64", "--tau", "0",
+              "--tau", "0.7", "--trials", "1100", "--seed", "7")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_range_cap_does_not_change_the_bytes(monkeypatch, tmp_path, fmt):
+    outs = {}
+    for label, cap in [("one chunk", 1), ("2^16", 2**16), ("whole cell", 2**40)]:
+        monkeypatch.setattr(pocs.experiments, "_RANGE_ENTRIES", cap)
+        outs[label] = tmp_path / f"{label}.{fmt}"
+        assert cli.main([*RANGE_ARGS, "--format", fmt, "--out", str(outs[label])]) == 0
+    assert len({path.read_bytes() for path in outs.values()}) == 1
+
+
+@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0)])
+def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
+    errors, _ = _run_chunk(scheme, 20, 4, 9, tau, 5, 0, 70)  # three chunks in one range
+    for t in (31, 32, 33):
+        assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t]
+
+
+def test_range_chunks_run_on_their_trial_stream_ids(monkeypatch):
+    # the cell's key prefix is hashed once per range and continued per chunk
+    ids = []
+    plain = RngStream.generator
+
+    def record(self):
+        ids.append(self.stream_id)
+        return plain(self)
+
+    monkeypatch.setattr(pocs.rng.RngStream, "generator", record)
+    for tau in (0.5, -0.0):
+        ids.clear()
+        _draw_chunk("po", 40, 2, 3, tau, 1, 0, 10_000)
+        assert len(ids) == 313
+        for start in (0, 32, 9984):
+            assert ids[start // 32] == trial_stream_id("po", 2, 3, tau, start)
+    assert ids[0] == trial_stream_id("po", 2, 3, 0.0, 0)  # -0.0 keys as the cell 0.0
+    ids.clear()
+    _draw_chunk("po", 40, 2, 3, 0.5, 1, 9990, 10_000)  # a range that starts mid-chunk
+    assert ids == [trial_stream_id("po", 2, 3, 0.5, 9984)]
+
+
+class _ZeroModuli:
+    """A generator whose moduli draws, (rows, m) exponentials, get exact
+    zeros: the first two moduli of row ``row`` of the chunk starting at
+    ``chunk0``. The first moduli draw of a range first zeroes the whole
+    buffer it writes into, so that a row no call draws holds zeros."""
+
+    def __init__(self, gen, stream_id, m, chunk0, row):
+        self._gen, self._id, self._m, self._chunk0, self._row = gen, stream_id, m, chunk0, row
+
+    def standard_exponential(self, size=None, out=None):
+        if size[-1] == self._m and self._id == trial_stream_id("po", 2, self._m, 0.5, 0):
+            out.base[...] = 0.0
+        e = self._gen.standard_exponential(size, out=out)
+        if size[-1] == self._m and self._id == trial_stream_id("po", 2, self._m, 0.5, self._chunk0):
+            e[self._row, :2] = 0.0
+        return e
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+@pytest.mark.parametrize("chunk0,row,hits", [
+    (32, 3, 2),  # row 35, in the range's second chunk, counts
+    (0, 2, 0),   # row 2 is drawn, but before start
+])
+def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, chunk0, row, hits):
+    # trials 5 to 39: buffers of two chunks, 64 rows, whose rows past stop
+    # are never drawn, nor counted
+    plain = RngStream.generator
+    monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                        lambda self: _ZeroModuli(plain(self), self.stream_id, 8, chunk0, row))
+    *_, zero_signs = _draw_chunk("po", 16, 2, 8, 0.5, 3, 5, 40)
+    assert zero_signs == hits
+
+
+def test_range_memory_is_bounded():
+    # one range of the 10,000 trials would hold several (10000, 1024) arrays
+    # (240 MiB at tau > 0); capped, a range's buffers are 64 x 1024 entries
+    import tracemalloc
+
+    config = SweepConfig(n=256, sparsity_levels=(10,), m=1024, tau_grid=(0.5,),
+                         schemes=("po",), trials=10_000, master_seed=1)
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # eight float64 buffers of 2^16 entries
