@@ -10,24 +10,25 @@ s) largest off it. It forms neither the m x n sensing matrix nor the other
 entries. The trial then keeps the s strongest of those entries, as PBP
 does, and records the direction error (:func:`_score_chunk`).
 
-Trials run in chunks of 32 per cell, and chunk c runs on one stream: the
+Trials run in chunks of 32 per cell, and a cell runs on one stream, the
 stream id of its first trial,
 
-    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=<32c>")
+    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=0")
 
-under the configured master seed, with a tau of -0.0 keyed as 0.0.
-``ENGINE`` names the way a chunk consumes its stream (the chunk size
-included); it changes whenever the draws do, and the JSON output echoes it.
-A chunk draws each quantity for all its rows in one call, the last one for
-the rows asked for only. numpy fills a draw in order, so trial t is row
-t % 32 of chunk t // 32 whatever the trial count, worker count or row
-blocking, and :func:`run_trial` replays it alone.
+under the configured master seed, with a tau of -0.0 keyed as 0.0: chunk c
+draws from that stream advanced by c 2^64 outputs. ``ENGINE`` names the way
+a chunk consumes its stream (the chunk size included); it changes whenever
+the draws do, and the JSON output echoes it. A chunk draws each quantity for
+all its rows in one call, the last one for the rows asked for only. numpy
+fills a draw in order, so trial t is row t % 32 of chunk t // 32 whatever
+the trial count or worker count, and :func:`run_trial` replays it alone.
 
 The engine's unit, and a pool task, is a range of consecutive chunks of one
-cell (:func:`_run_chunk`): each chunk draws on its own stream into rows of
-buffers shared by the range, and the arithmetic after the draws runs once
-over all its rows. A range holds as many chunks as keep its widest buffer,
-rows x max(m, 2s), within ``_RANGE_ENTRIES`` entries, and at least one.
+cell (:func:`_run_chunk`): it builds the cell's generator once, each chunk
+draws from its own offset into rows of buffers shared by the range, and the
+arithmetic after the draws runs once over all its rows. A range holds as
+many chunks as keep its widest buffer, rows x max(m, 2s), within
+``_RANGE_ENTRIES`` entries, and at least one.
 Aggregation folds trials in index order, which makes repeated runs
 byte-identical.
 
@@ -37,8 +38,9 @@ significant digits):
     scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
 
 ``mean_error_db`` is 10 log10 of the mean linear error. The JSON output
-also carries each cell's ``zero_sign_hits``: how many measurements met the
-zero-signum convention of :func:`pocs.core.csign`.
+also carries each cell's ``zero_sign_hits``: how many drawn moduli (past
+tau = pi, those of the arc entries only) met the zero-signum convention of
+:func:`pocs.core.csign`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .sensing import (
 )
 
 # Stream-key version: names how a chunk consumes its stream.
-ENGINE = "stat-v2"
+ENGINE = "stat-v3"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
@@ -72,8 +74,8 @@ CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_err
 # changing it needs a new ENGINE.
 _TRIAL_CHUNK = 32
 # Largest request, in complex128 entries (4 GiB): a chunk's working set
-# (about five (32, s) arrays, whatever n is), one row block of an m-length
-# draw, or rip-estimate's m x n matrix.
+# (about five (32, s) arrays, whatever n is), its (32, m) draws, or
+# rip-estimate's m x n matrix.
 _MAX_ENTRIES = 2**28
 # Widest buffer of a range of chunks, in entries (512 KiB of float64): rows
 # x max(m, 2s). Past it more rows cost memory traffic, not fewer calls.
@@ -131,14 +133,9 @@ class SweepResult:
 
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs. A
-    chunk runs on the stream id of its first trial."""
-    return fnv1a64(b"%d" % trial_index, _stream_key_prefix(scheme, s, m, tau))
-
-
-def _stream_key_prefix(scheme, s, m, tau) -> int:
-    # the FNV-1a state after a cell's key up to the trial index: a range of
-    # chunks hashes it once and continues it with each chunk's first trial
-    return fnv1a64(f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial=".encode("ascii"))
+    cell runs on the stream id of its trial 0."""
+    key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial={trial_index}"
+    return fnv1a64(key.encode("ascii"))
 
 
 def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
@@ -175,38 +172,11 @@ def _largest_exponentials(beta, gaps) -> np.ndarray:
     return np.cumsum(steps, axis=1)[:, ::-1]
 
 
-def _moduli_statistic(e, xi, sigma):
-    # y^H z and its zero count from Exp(1) draws e, which become the moduli
-    # |y_i| = sigma sqrt(2 E_i) in place
-    np.multiply(e, 2.0 * sigma * sigma, out=e)
-    np.sqrt(e, out=e)
-    return _phase_only_statistic(e, xi)
-
-
-def _blocked_statistic(gen, tau, m, sigma, lo, hi, yz) -> int:
-    # po rows lo to hi - 1 of one chunk whose (32, m) draws pass _MAX_ENTRIES:
-    # the noise and the moduli run in row blocks, y^H z into yz block by
-    # block; returns the zero count
-    block = max(1, _MAX_ENTRIES // m)  # rows per block
-    noise = gen
-    if tau > 0:
-        # the moduli follow the noise of all 32 rows: read them from a copy of
-        # the stream past it (one 64-bit output per uniform)
-        bits = np.random.PCG64(0)
-        bits.state = gen.bit_generator.state
-        gen = np.random.Generator(bits.advance(_TRIAL_CHUNK * m))
-    zero_signs = 0
-    for b0 in range(0, hi, block):
-        b1 = min(b0 + block, hi)
-        xi = noise.uniform(-tau, tau, (b1 - b0, m)) if tau > 0 else None
-        e = gen.standard_exponential((b1 - b0, m))
-        first = max(lo, b0)  # rows before lo are drawn, not asked for
-        if first < b1:
-            yz[first - lo : b1 - lo], hits = _moduli_statistic(
-                e[first - b0 :], None if xi is None else xi[first - b0 :], sigma
-            )
-            zero_signs += hits
-    return zero_signs
+def _arc_law(tau):
+    # (q, r, p) of the mixture law of U[-tau, tau] mod 2 pi (_draw_chunk); the
+    # quotient of a tau past 2^53 pi is rounded, so p is clamped to 1
+    q, r = divmod(tau, math.pi)
+    return q, r, min(1.0, q * math.pi / tau) if q else 0.0
 
 
 def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
@@ -233,55 +203,70 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
     both come from ``||y||_2``.
 
+    The phase noise reduced mod 2 pi is a mixture (:func:`_arc_law`): with
+    q, r = divmod(tau, pi), an entry is uniform on the circle with
+    probability p = q pi / tau, else q pi + u with u ~ U[-r, r]. A circle
+    term ``|y_i| exp(1j xi_i)`` is a circular complex normal with per-part
+    sigma, so K of them sum to ``sigma sqrt(K) c`` with one standard complex
+    normal ``c``, and ``y^H z = (-1)^q sum_arc |y_i| exp(1j u_i) + sigma
+    sqrt(K) c``. At q = 0 every entry is an arc entry, u = xi.
+
     Off the support S of ``x0`` that is ``sigma ||z||_2 g_j``, independent of
     the entries on S, and it counts only through its modulus
     ``sigma ||z||_2 sqrt(2 E_j)``, ``E_j ~ Exp(1)``, if among the s largest.
     So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
     positions of S only break ties, which have probability zero.
 
-    Each chunk the range touches runs on its own stream, which makes one
-    array call per draw, in this order:
+    The range builds the cell's generator once; chunk c draws from it
+    advanced by c 2^64 outputs, one array call per draw, in this order:
 
     1. ``v``, (32, s) uniforms, the signal values ``2v - 1`` on S, normalized;
        rows whose values are all zero are redrawn;
     2. ``g``, (32, s) standard complex normals, its entries on S;
     3. if k > 0, ``top``, the k largest of n - s ``Exp(1)`` variables: a
        Beta draw, then (32, k - 1) gaps (:func:`_largest_exponentials`);
-    4. on the phase-only channel with tau > 0, ``xi``, (32, m) uniforms on
-       [-tau, tau];
-    5. the scalar law of the chunk's rows up to ``stop`` only: ``po`` draws
-       (rows, m) ``E ~ Exp(1)`` with ``|y_i| = sigma sqrt(2 E_i)``; ``cs``
-       draws ``q = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+    4. on the phase-only channel with q >= 1, 32 circle counts
+       ``K ~ Binomial(m, p)`` and then (32, 2) standard normals ``c``;
+    5. on the phase-only channel with tau > 0, the arc phases: the m - K of
+       each of the 32 rows, flat in row order, uniform on [-r, r] ((32, m)
+       at q = 0);
+    6. the scalar law of the chunk's rows up to ``stop`` only: ``po`` draws
+       ``E ~ Exp(1)`` for their arc entries, flat in row order ((rows, m)
+       at q = 0), with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
+       ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
 
     Row k of the last draw does not depend on the rows after it. The draws
     fill row slices of buffers that hold the range's whole chunks (the last
     draw's, its rows up to ``stop``); the normalization, the sums of the
     top-k law, the moduli and ``y^H z`` then run once over the rows asked
-    for. Where a chunk's (32, m) draws would pass ``_MAX_ENTRIES`` entries,
-    its noise and moduli run in row blocks instead, ``y^H z`` block by
-    block. Returns rows ``start`` to
-    ``stop - 1`` of ``x0`` (the values on S), ``g`` and ``top``, their
-    ``y^H z`` and ``sigma ||z||_2``, and how many of their measurements met
-    the zero-signum convention.
+    for. Returns rows ``start`` to ``stop - 1`` of ``x0`` (the values on S),
+    ``g`` and ``top``, their ``y^H z`` and ``sigma ||z||_2``, and how many of
+    their drawn moduli met the zero-signum convention.
     """
     chunk0 = start - start % _TRIAL_CHUNK
     lo, hi = start - chunk0, stop - chunk0  # the rows asked for, in the buffers
     rows = hi + -hi % _TRIAL_CHUNK  # whole chunks
     k = min(s, n - s)
     sigma = per_part_sigma(m, VarianceConvention(scheme))
-    prefix = _stream_key_prefix(scheme, s, m, tau)
-    blocked = scheme == "po" and _MAX_ENTRIES // m < _TRIAL_CHUNK
+    q, r, p = _arc_law(tau)
+    mixed = scheme == "po" and q > 0
     v, normals = np.empty((rows, s)), np.empty((rows, 2 * s))
     beta, gaps = np.empty(rows), np.empty((rows, max(k - 1, 0)))
-    # the scalar law's draws, rows up to stop: Gamma(m, 1) for cs, E for po
-    # (kept only when not blocked)
-    law = np.empty(hi) if scheme == "cs" else np.empty((0 if blocked else hi, m))
-    xi = np.empty((rows, m)) if tau > 0 and not blocked else None
-    yz, zero_signs = np.empty(hi - lo, dtype=np.complex128), 0
+    if mixed:  # circle counts and their normals; arc phases, and moduli up to stop, flat
+        circle, c = np.empty(rows, np.int64), np.empty((rows, 2))
+        arc, law = np.empty(rows * m), np.empty(hi * m)
+    else:  # the scalar law's draws, rows up to stop: Gamma(m, 1) for cs, E for po
+        law = np.empty(hi) if scheme == "cs" else np.empty((hi, m))
+        xi = np.empty((rows, m)) if tau > 0 else None
+    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
+    bits, flat = gen.bit_generator, 0  # flat: arc entries drawn so far
+    cell = bits.state if hi > _TRIAL_CHUNK else None  # the stream's start, for later chunks
     for r0 in range(0, hi, _TRIAL_CHUNK):
         r1 = min(r0 + _TRIAL_CHUNK, hi)  # the scalar law's rows: up to stop
         chunk = slice(r0, r0 + _TRIAL_CHUNK)
-        gen = RngStream(master_seed, fnv1a64(b"%d" % (chunk0 + r0), prefix)).generator()
+        if r0:
+            bits.state = cell
+        bits.advance((chunk0 + r0) // _TRIAL_CHUNK << 64)
         v[chunk] = gen.random((_TRIAL_CHUNK, s))
         _redraw_zero_values(gen, v[chunk], 0)
         gen.standard_normal((_TRIAL_CHUNK, 2 * s), out=normals[chunk])
@@ -290,10 +275,15 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
             gen.standard_exponential((_TRIAL_CHUNK, k - 1), out=gaps[chunk])
         if scheme == "cs":
             gen.standard_gamma(m, r1 - r0, out=law[r0:r1])
-        elif blocked:
-            first = max(lo, r0)
-            zero_signs += _blocked_statistic(gen, tau, m, sigma, first - r0, r1 - r0,
-                                             yz[first - lo : r1 - lo])
+        elif mixed:
+            circle[chunk] = gen.binomial(m, p, _TRIAL_CHUNK)
+            gen.standard_normal((_TRIAL_CHUNK, 2), out=c[chunk])
+            arcs = _TRIAL_CHUNK * m - int(circle[chunk].sum())
+            arc[flat : flat + arcs] = gen.uniform(-r, r, arcs)
+            # only the last chunk draws fewer moduli than phases
+            drawn = (r1 - r0) * m - int(circle[r0:r1].sum())
+            gen.standard_exponential(drawn, out=law[flat : flat + drawn])
+            flat += arcs
         else:
             if xi is not None:
                 xi[chunk] = gen.uniform(-tau, tau, (_TRIAL_CHUNK, m))
@@ -303,11 +293,23 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     g = normals[lo:hi].view(np.complex128)
     top = _largest_exponentials(beta[lo:hi], gaps[lo:hi]) if k else np.empty((hi - lo, 0))
     if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
-        q = 2.0 * law[lo:hi]
-        return x0, g, top, sigma * sigma * q, sigma * sigma * np.sqrt(q), 0
-    if not blocked:
-        yz, zero_signs = _moduli_statistic(law[lo:hi], None if xi is None else xi[lo:hi], sigma)
-    return x0, g, top, yz, np.full(hi - lo, sigma * math.sqrt(m)), zero_signs
+        w = 2.0 * law[lo:hi]
+        return x0, g, top, sigma * sigma * w, sigma * sigma * np.sqrt(w), 0
+    scale = np.full(hi - lo, sigma * math.sqrt(m))
+    if not mixed:
+        mod = law[lo:hi]  # becomes |y_i| = sigma sqrt(2 E_i) in place
+        np.sqrt(np.multiply(mod, 2.0 * sigma * sigma, out=mod), out=mod)
+        yz, zero_signs = _phase_only_statistic(mod, None if xi is None else xi[lo:hi])
+        return x0, g, top, yz, scale, zero_signs
+    counts = m - circle[:hi]  # arc entries per row
+    ends = np.cumsum(counts)
+    asked = slice(int(ends[lo] - counts[lo]), int(ends[-1]))  # those of the rows asked for
+    mod, u = np.sqrt(law[asked] * (2.0 * sigma * sigma)), arc[asked]
+    owner = np.repeat(np.arange(hi - lo), counts[lo:])  # the row of each arc entry
+    re, im = (np.bincount(owner, mod * f(u), hi - lo) for f in (np.cos, np.sin))
+    yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
+    yz += sigma * np.sqrt(circle[lo:hi]) * c[lo:hi].view(np.complex128)[:, 0]  # K circle terms
+    return x0, g, top, yz, scale, mod.size - int(np.count_nonzero(mod))
 
 
 def _score_chunk(x0, g, top, yz, scale):
@@ -415,9 +417,9 @@ def _run_cells(cells, n, trials, master_seed, workers):
     )
 
 
-def _check_cell(scheme, n, s, m, tau) -> None:
+def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
     # the rules of one (scheme, s, m, tau) cell at dimension n; a ConfigError
-    # names the sweep field that gave the value
+    # names the sweep field that gave the value, m_field the one that gave m
     if not 1 <= s <= n:
         raise ConfigError(f"sparsity_levels: s={s} outside [1, n={n}]")
     if n > 2**53:  # the law of the off-support moduli takes n - s as a double
@@ -428,8 +430,8 @@ def _check_cell(scheme, n, s, m, tau) -> None:
         raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     if scheme == "cs" and tau != 0:
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
-    if m < 1:
-        raise ConfigError(f"m: must be >= 1, got {m}")
+    if not 1 <= m <= _MAX_ENTRIES // _TRIAL_CHUNK:  # a chunk draws (32, m) moduli at once
+        raise ConfigError(f"{m_field}: m = {m} outside [1, {_MAX_ENTRIES // _TRIAL_CHUNK}]")
 
 
 def _check_master_seed(seed) -> None:
@@ -499,10 +501,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                     f"at n={config.n}"
                 )
             ms[m] = ratio
-    for m in ms:
-        # m-length draws run in row blocks of _MAX_ENTRIES entries; one row must fit
-        if m > _MAX_ENTRIES:
-            raise ConfigError(f"{field}: m = {m} exceeds {_MAX_ENTRIES}")
     cells = [
         (scheme, s, m, float(tau))
         for scheme in config.schemes
@@ -511,7 +509,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         for tau in config.tau_grid
     ]
     for scheme, s, m, tau in cells:
-        _check_cell(scheme, config.n, s, m, tau)
+        _check_cell(scheme, config.n, s, m, tau, field)
     # bookkeeping held from before the first draw: per chunk of each cell, 32
     # float64 errors and at most one task (about 240 bytes, its arguments; a
     # task is a range of chunks), so about 16 bytes, one complex entry, per trial

@@ -71,8 +71,9 @@ def sample_sensing_matrix(
 def _redraw_zero_values(gen, u, n):
     # The values 2u - 1 of a row (columns n:) are all zero only when every
     # value uniform is exactly 0.5. Such a row has no direction: redraw its
-    # value uniforms from gen, all such rows of a pass in one draw.
-    while True:
+    # value uniforms from gen, all such rows of a pass in one draw. The
+    # pre-test, one pass, skips the row check in all but rare calls.
+    while 0.5 in u[:, n:]:
         bad = (u[:, n:] == 0.5).all(axis=1)
         if not bad.any():
             return

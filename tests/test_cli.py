@@ -179,19 +179,19 @@ def test_non_finite_grid_values_exit_2(capsys, argv, field):
 
 @pytest.mark.parametrize("argv,field", [
     (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "40"), "log2_m_over_n"),
-    # one row of the m-length draw past 2^28 entries
-    (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**28 + 1), "--tau", "0"), "m"),
+    # a chunk's (32, m) moduli draw past 2^28 entries
+    (("sweep-tau", "--n", "8", "--s", "2", "--m", str(2**23 + 1), "--tau", "0"), "m"),
     # n - s would not be exact in a double
     (("sweep-tau", "--n", str(2**53 + 1), "--s", "2", "--m", "8", "--tau", "0"), "n"),
     (("sweep-tau", "--n", str(2**64), "--s", "2", "--m", "8", "--tau", "0"), "n"),
-    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "25.00001"), "log2_m_over_n"),
+    (("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "20.00001"), "log2_m_over_n"),
     # a 32-trial chunk of five (32, s) complex arrays past 2^28 entries
     (("sweep-tau", "--n", str(2**21), "--s", "1677722", "--m", "8", "--tau", "0"),
      "sparsity_levels"),
 ])
 def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
-    # past 2^28 complex entries in a chunk's working set or in one row of the
-    # m-length draw, or past 2^53 in n, the sweep is rejected, not run
+    # past 2^28 complex entries in a chunk's working set or in its (32, m)
+    # draws, or past 2^53 in n, the sweep is rejected, not run
     monkeypatch.setattr(experiments, "_run_cells", lambda *a: pytest.fail("cells ran"))
     assert run_main(*argv, "--trials", "3") == 2
     assert f"configuration error: {field}:" in capsys.readouterr().err
@@ -202,8 +202,9 @@ def test_trials_too_large_to_draw_exit_2(monkeypatch, capsys, argv, field):
     ("sweep-tau", "--n", "200000000", "--s", "2", "--m", "8", "--tau", "0"),
     ("sweep-tau", "--n", str(2**28), "--s", "2", "--m", "8", "--tau", "0"),
     ("sweep-tau", "--n", str(2**53), "--s", "2", "--m", "8", "--tau", "0"),
-    # m = 2^28 at n = 8; the linear scheme draws one Gamma variable per trial
-    ("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "25", "--scheme", "cs"),
+    # m = 2^23 at n = 8, the bound for both schemes; the linear scheme draws
+    # one Gamma variable per trial
+    ("sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "20", "--scheme", "cs"),
 ])
 def test_sizes_a_chunk_can_hold_run(tmp_path, argv):
     out = tmp_path / "big.csv"

@@ -150,9 +150,9 @@ class TestMSweep:
             (dict(tau_grid=(1e308,)), "tau_grid"),
             (dict(m=0, log2_m_over_n=None), "m"),
             (dict(log2_m_over_n=()), "log2_m_over_n"),
-            # one row of the m-length draw past 2^28 entries: rejected before any draw
+            # a chunk's (32, m) draws past 2^28 entries: rejected before any draw
             (dict(log2_m_over_n=(40.0,)), "log2_m_over_n"),
-            (dict(m=2**28 + 1, log2_m_over_n=None), "m"),
+            (dict(m=2**23 + 1, log2_m_over_n=None), "m"),
             # n - s must be exact in a double
             (dict(n=2**53 + 1), "n"),
             # an error per trial and a task per chunk past 4 GiB: rejected before allocation
@@ -161,6 +161,8 @@ class TestMSweep:
             # a chunk's five (32, s) complex arrays past 2^28 entries, at any listed s
             (dict(n=2**21, sparsity_levels=(1677722,)), "sparsity_levels"),
             (dict(n=2**21, sparsity_levels=(2, 1677722)), "sparsity_levels"),
+            # m = 16 * 2^19.00001 just past 2^23
+            (dict(log2_m_over_n=(19.00001,)), "log2_m_over_n"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field, monkeypatch):
@@ -190,7 +192,7 @@ class TestMSweep:
         assert len(ran) == 1
 
     @pytest.mark.parametrize("patch", [
-        dict(n=2**28), dict(n=2**53), dict(m=2**28, schemes=("cs",)),
+        dict(n=2**28), dict(n=2**53), dict(m=2**23, schemes=("cs",)),
     ])
     def test_sizes_a_chunk_can_hold_run(self, patch):
         # n enters a chunk only through n - s; the linear scheme draws m as one Gamma

@@ -1,4 +1,4 @@
-"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v2``).
+"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v3``).
 
 The golden CSVs below were written by the kernel at this stream-key version.
 The property loop replays single trials with per-trial formulas (the chunk's
@@ -6,8 +6,9 @@ draws in their documented order, a complex exponential for the phase noise,
 ``np.vdot``, Renyi's recursion for the off-support moduli), places them in an
 n-vector and scores it with the paper's operators, ``hard_threshold`` and
 ``direction_error``, then compares the result with the kernel's rows. The
-laws that replace the m-length draws of ``y = Phi x0`` and the n - s
-off-support draws are checked against the draws they stand for with
+laws that replace the m-length draws of ``y = Phi x0``, the phase noise
+past pi and the n - s off-support draws are checked against the draws they
+stand for with
 two-sample Kolmogorov-Smirnov tests, and a trial's error is checked not to
 depend on the trial count, the worker count or being replayed alone.
 """
@@ -29,46 +30,49 @@ from pocs import (
     run_trial,
     trial_stream_id,
 )
-from pocs.experiments import _draw_chunk, _largest_exponentials, _run_chunk
+from pocs.experiments import _arc_law, _draw_chunk, _largest_exponentials, _run_chunk
 from pocs.recon import DegenerateEstimateError
-from pocs.sensing import _support_value_batch, per_part_sigma
+from pocs.sensing import VarianceConvention, _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
 GOLDEN_SWEEP_M = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,1.111167799,0.4577964731,0.06985852099
-po,1,9,0,70,0,0.1010152545,-9.956130378,0.04384641529
-po,3,2,0,70,0,1.132274383,0.5395168178,0.02459521886
-po,3,9,0,70,0,0.6920087377,-1.598884219,0.02259138251
+po,1,2,0,70,0,0.9697464428,-0.1334180481,0.07903589426
+po,1,9,0,70,0,0.04040610178,-13.93553047,0.02836363361
+po,3,2,0,70,0,1.117959162,0.4842593959,0.02303545453
+po,3,9,0,70,0,0.7044199879,-1.521683294,0.02258337061
 cs,1,2,0,70,0,0.8081220356,-0.9252305085,0.08425254637
-cs,1,9,0,70,0,0.04040610178,-13.93553047,0.02836363361
-cs,3,2,0,70,0,1.066440964,0.2793681869,0.02828688859
-cs,3,9,0,70,0,0.6598038448,-1.805851581,0.02107926891
+cs,1,9,0,70,0,0.02020305089,-16.94583042,0.02020305089
+cs,3,2,0,70,0,1.064233869,0.2703707615,0.02455712096
+cs,3,9,0,70,0,0.6288562042,-2.014486501,0.02347435503
 """
 
-# At s = 1 and m >= n every trial finds the support and the estimate is x0
-# times a scalar: those rows are the rounding residue of an exact recovery,
+# At s = 1 and m >= n a trial almost always finds the support, and the
+# estimate is then x0 times a scalar: the rows where all 70 trials do (po at
+# m = 32, cs at m = 16 and 32) are the rounding residue of an exact recovery,
 # and their digits pin the order of the floating-point operations too.
 GOLDEN_SWEEP_M_EXACT = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,1.191980003,0.7626896946,0.06196047819
-po,1,16,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
-po,1,32,0,70,0,2.379049338e-17,-166.2359655,5.484216849e-18
-po,3,2,0,70,0,1.242687737,0.9436201253,0.02265961157
-po,3,16,0,70,0,0.6164351671,-2.101125931,0.02090283056
-po,3,32,0,70,0,0.3910856788,-4.077280872,0.0170328941
-cs,1,2,0,70,0,1.050558646,0.2142030145,0.0744098342
-cs,1,16,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
-cs,1,32,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
-cs,3,2,0,70,0,1.213478241,0.8403199324,0.02484889557
-cs,3,16,0,70,0,0.5181289146,-2.855621709,0.02027312591
-cs,3,32,0,70,0,0.3333486258,-4.771013309,0.01566863716
+po,1,2,0,70,0,1.272792206,1.047575073,0.05107539185
+po,1,16,0,70,0,0.02020305089,-16.94583042,0.02020305089
+po,1,32,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
+po,3,2,0,70,0,1.240487233,0.9359229901,0.01971179366
+po,3,16,0,70,0,0.6209823205,-2.069207641,0.02151712805
+po,3,32,0,70,0,0.4015949654,-3.962117404,0.02148770761
+cs,1,2,0,70,0,1.070761697,0.2969282742,0.07300537027
+cs,1,16,0,70,0,1.744636182e-17,-167.5829513,4.864183977e-18
+cs,1,32,0,70,0,1.586032892e-17,-167.9968781,4.676955843e-18
+cs,3,2,0,70,0,1.187216807,0.7453003614,0.02335282701
+cs,3,16,0,70,0,0.5167933689,-2.866830675,0.01961577262
+cs,3,32,0,70,0,0.3425908793,-4.652242033,0.0149740679
 """
 
 GOLDEN_SWEEP_TAU = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,3,8,0,70,0,0.8443173667,-0.7349427769,0.02687445197
-po,3,8,0.7,70,0,0.8757591115,-0.5761533552,0.02960639577
+po,3,8,0,70,0,0.8629816704,-0.6399842854,0.02538899512
+po,3,8,0.7,70,0,0.8842488966,-0.5342547342,0.02600964102
+po,3,8,4.71238898,70,0,1.45742478,1.635861493,0.0161336784
+po,3,8,6.283185307,70,0,1.393380602,1.440697602,0.01901873679
 """
 
 # n = 8: m = 2 < s = 3 and m = 9 > n; 70 trials span three chunks, the last
@@ -77,8 +81,10 @@ SWEEP_M_ARGS = ("sweep-m", "--n", "8", "--s", "1", "--s", "3", "--log2-ratio", "
                 "--log2-ratio", "0.2", "--trials", "70", "--seed", "7")
 SWEEP_M_EXACT_ARGS = ("sweep-m", "--n", "16", "--s", "1", "--s", "3", "--log2-ratio", "-3",
                       "--log2-ratio", "0", "--log2-ratio", "1", "--trials", "70", "--seed", "7")
+# tau = 0.7 (q = 0), 1.5 pi (q = 1) and 2 pi (r = 0): the three forms of the noise law
 SWEEP_TAU_ARGS = ("sweep-tau", "--n", "16", "--s", "3", "--m", "8", "--tau", "0",
-                  "--tau", "0.7", "--trials", "70", "--seed", "7")
+                  "--tau", "0.7", "--tau", "4.71238898038469", "--tau", "6.283185307179586",
+                  "--trials", "70", "--seed", "7")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -100,13 +106,15 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, args, golden, workers):
 def reference_trial(scheme, n, s, m, tau, master_seed, t):
     """Trial t with per-trial formulas and the paper's operators: (error, failed).
 
-    Regenerates chunk t // 32 in the documented draw order and keeps row
-    r = t % 32 of each draw. The back-projection goes into an n-vector: its
-    entries on the support (placed first), then the k off-support moduli,
-    then zeros, which PBP never keeps over them.
+    Regenerates chunk c = t // 32, c 2^64 outputs into the cell's stream,
+    in the documented draw order and keeps row r = t % 32 of each draw. The
+    phase of an arc entry is q pi + u. The back-projection goes into an
+    n-vector: its entries on the support (placed first), then the k
+    off-support moduli, then zeros, which PBP never keeps over them.
     """
-    chunk0, r = t - t % 32, t % 32
-    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, chunk0)).generator()
+    r = t % 32
+    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
+    gen.bit_generator.advance(t // 32 << 64)
     v = gen.random((32, s))
     while True:  # rows whose s values 2v - 1 are all zero are redrawn together
         bad = np.flatnonzero((2.0 * v - 1.0 == 0.0).all(axis=1))
@@ -126,9 +134,18 @@ def reference_trial(scheme, n, s, m, tau, master_seed, t):
             top[j - 1] = top[j] + gaps[j - 1] / j
     sigma = per_part_sigma(m, scheme)
     if scheme == "po":
-        xi = gen.uniform(-tau, tau, (32, m))[r] if tau > 0 else np.zeros(m)
-        modulus = sigma * np.sqrt(2.0 * gen.standard_exponential((r + 1, m))[r])
-        yz = np.sum(modulus * np.exp(1j * xi))
+        # K of the m phases are uniform on the circle; the other m - K, the
+        # arc entries, are q pi + u with u ~ U[-r, r], flat in row order
+        q, half = divmod(tau, math.pi)
+        circle, c = np.zeros(32, dtype=np.int64), np.zeros((32, 2))
+        if q:
+            circle, c = gen.binomial(m, q * math.pi / tau, 32), gen.standard_normal((32, 2))
+        arcs = m - circle
+        before = arcs[:r].sum()
+        u = gen.uniform(-half, half, arcs.sum())[before:] if tau > 0 else np.zeros(m)
+        modulus = sigma * np.sqrt(2.0 * gen.standard_exponential(before + arcs[r])[before:])
+        yz = np.sum(modulus * np.exp(1j * (q * math.pi + u[: arcs[r]])))
+        yz += sigma * math.sqrt(circle[r]) * (c[r, 0] + 1j * c[r, 1])  # the K circle terms
         scale = sigma * math.sqrt(m)
     else:
         norm_sq = sigma**2 * 2.0 * gen.standard_gamma(m, r + 1)[r]  # ||y||^2
@@ -301,19 +318,34 @@ def test_trial_errors_do_not_depend_on_trials_workers_or_replay(monkeypatch, sch
     assert np.array_equal(alone, longest)
 
 
-def test_moduli_row_blocks_do_not_change_the_draws(monkeypatch):
-    # past _MAX_ENTRIES entries the (rows, m) draws run in row blocks, and the
-    # phase noise is then read beside them from a copy of the stream
-    plain = {  # rows 27 to 39, on both sides of the chunk edge at 32
-        (tau, a, b): _run_chunk("po", 10, 2, 50, tau, 3, a, b)
-        for tau in (0.0, 1.2)
-        for a, b in ((27, 32), (32, 40))
-    }
-    monkeypatch.setattr(pocs.experiments, "_MAX_ENTRIES", 3 * 50)
-    for (tau, a, b), expected in plain.items():
-        blocked = _run_chunk("po", 10, 2, 50, tau, 3, a, b)
-        for got, want in zip(blocked, expected):
-            assert np.array_equal(got, want)
+@pytest.mark.parametrize("tau", [1.5 * math.pi, 2.0 * math.pi, 2.7 * math.pi, 4.0 * math.pi])
+def test_mixture_law_of_the_phase_noise(tau):
+    # y^H z from K ~ Binomial(m, p) circle terms, one complex normal and the
+    # arc entries, against sum_i |y_i| exp(1j xi_i) with xi_i ~ U[-tau, tau]
+    m, sigma = 8, per_part_sigma(8, VarianceConvention.PHASE_ONLY)
+    yz = _draw_chunk("po", 4, 2, m, tau, 45, 0, KS_DRAWS)[3]
+    gen = RngStream(46).generator()
+    modulus = sigma * np.sqrt(2.0 * gen.standard_exponential((KS_DRAWS, m)))
+    direct = (modulus * np.exp(1j * gen.uniform(-tau, tau, (KS_DRAWS, m)))).sum(axis=1)
+    for part in (np.real, np.imag, np.abs):
+        assert ks_statistic(part(yz), part(direct)) < KS_CRITICAL
+
+
+def test_mixture_parameters_stay_in_range():
+    # tau = k pi, where q steps (r = 0, or k pi as a double lies just off the
+    # multiple), its neighbours on both sides, and 1e300, whose quotient by
+    # pi is rounded; Generator.binomial raises ValueError (exit 2 on the CLI)
+    # for p > 1
+    taus = [float(t) for k in range(1, 65) for t in
+            (np.nextafter(k * math.pi, 0.0), k * math.pi, np.nextafter(k * math.pi, math.inf))]
+    taus.append(1e300)
+    for tau in taus:
+        q, r, p = _arc_law(tau)
+        assert q == int(q) >= 1 or tau < math.pi
+        assert 0.0 <= r < math.pi and 0.0 <= p <= 1.0
+    result = run_sweep(SweepConfig(n=16, sparsity_levels=(2,), m=8, tau_grid=taus,
+                                   schemes=("po",), trials=1, master_seed=1))
+    assert [c.failures for c in result.cells] == [0] * len(taus)
 
 
 # n = 64, s = 3, m = 64: 1,024 trials (32 chunks) per range under the 2^16
@@ -332,15 +364,17 @@ def test_range_cap_does_not_change_the_bytes(monkeypatch, tmp_path, fmt):
     assert len({path.read_bytes() for path in outs.values()}) == 1
 
 
-@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0)])
+@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0),
+                                        ("po", 1.5 * math.pi), ("po", 2.0 * math.pi)])
 def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
     errors, _ = _run_chunk(scheme, 20, 4, 9, tau, 5, 0, 70)  # three chunks in one range
     for t in (31, 32, 33):
         assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t]
 
 
-def test_range_chunks_run_on_their_trial_stream_ids(monkeypatch):
-    # the cell's key prefix is hashed once per range and continued per chunk
+def test_range_chunks_run_on_the_cell_stream(monkeypatch):
+    # a range builds one generator, on the stream id of the cell's trial 0,
+    # and chunk c draws from it c 2^64 outputs in
     ids = []
     plain = RngStream.generator
 
@@ -351,31 +385,46 @@ def test_range_chunks_run_on_their_trial_stream_ids(monkeypatch):
     monkeypatch.setattr(pocs.rng.RngStream, "generator", record)
     for tau in (0.5, -0.0):
         ids.clear()
-        _draw_chunk("po", 40, 2, 3, tau, 1, 0, 10_000)
-        assert len(ids) == 313
-        for start in (0, 32, 9984):
-            assert ids[start // 32] == trial_stream_id("po", 2, 3, tau, start)
-    assert ids[0] == trial_stream_id("po", 2, 3, 0.0, 0)  # -0.0 keys as the cell 0.0
+        _draw_chunk("po", 40, 2, 3, tau, 1, 0, 10_000)  # 313 chunks
+        assert ids == [trial_stream_id("po", 2, 3, tau, 0)]
+    assert ids == [trial_stream_id("po", 2, 3, 0.0, 0)]  # -0.0 keys as the cell 0.0
     ids.clear()
-    _draw_chunk("po", 40, 2, 3, 0.5, 1, 9990, 10_000)  # a range that starts mid-chunk
-    assert ids == [trial_stream_id("po", 2, 3, 0.5, 9984)]
+    x0 = _draw_chunk("po", 40, 2, 3, 0.5, 1, 9990, 10_000)[0]  # starts mid-chunk 312
+    assert ids == [trial_stream_id("po", 2, 3, 0.5, 0)]
+    gen = plain(RngStream(1, ids[0]))
+    gen.bit_generator.advance(312 << 64)
+    values = 2.0 * gen.random((32, 2))[6:16] - 1.0
+    assert np.array_equal(x0, values / np.sqrt((values * values).sum(axis=1))[:, None])
 
 
 class _ZeroModuli:
-    """A generator whose moduli draws, (rows, m) exponentials, get exact
-    zeros: the first two moduli of row ``row`` of the chunk starting at
-    ``chunk0``. The first moduli draw of a range first zeroes the whole
-    buffer it writes into, so that a row no call draws holds zeros."""
+    """A generator whose moduli draws get exact zeros: the first two moduli
+    of row ``row`` of the chunk starting at ``chunk0``. A moduli draw is a
+    (rows, m) or a flat exponential draw (the top-k gaps are (32, 1) here);
+    the chunks make one each, in order, and a row's entries in a flat draw
+    follow the arc entries, m - K, of the rows before it. The first moduli
+    draw of a range first zeroes the whole buffer it writes into, so that an
+    entry no call draws holds zeros."""
 
-    def __init__(self, gen, stream_id, m, chunk0, row):
-        self._gen, self._id, self._m, self._chunk0, self._row = gen, stream_id, m, chunk0, row
+    def __init__(self, gen, m, chunk0, row):
+        self._gen, self._m, self._chunk0, self._row = gen, m, chunk0, row
+        self._chunk, self._circle = 0, np.zeros(32, dtype=np.int64)
+
+    def binomial(self, *args):
+        self._circle = self._gen.binomial(*args)
+        return self._circle
 
     def standard_exponential(self, size=None, out=None):
-        if size[-1] == self._m and self._id == trial_stream_id("po", 2, self._m, 0.5, 0):
+        if isinstance(size, tuple) and size[-1] != self._m:  # the top-k gaps
+            return self._gen.standard_exponential(size, out=out)
+        if self._chunk == 0:
             out.base[...] = 0.0
-        e = self._gen.standard_exponential(size, out=out)
-        if size[-1] == self._m and self._id == trial_stream_id("po", 2, self._m, 0.5, self._chunk0):
-            e[self._row, :2] = 0.0
+        e = self._gen.standard_exponential(size, out=out).reshape(-1)
+        if self._chunk == self._chunk0 // 32:
+            arcs = self._m - self._circle
+            assert arcs[self._row] >= 2
+            e[arcs[: self._row].sum() :][:2] = 0.0
+        self._chunk += 1
         return e
 
     def __getattr__(self, name):
@@ -387,13 +436,15 @@ class _ZeroModuli:
     (0, 2, 0),   # row 2 is drawn, but before start
 ])
 def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, chunk0, row, hits):
-    # trials 5 to 39: buffers of two chunks, 64 rows, whose rows past stop
-    # are never drawn, nor counted
+    # trials 5 to 39: buffers of two chunks, 64 rows, whose moduli past stop
+    # are never drawn, nor counted; at 1.5 pi (q = 1) the moduli are flat and
+    # drawn for the arc entries only
     plain = RngStream.generator
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroModuli(plain(self), self.stream_id, 8, chunk0, row))
-    *_, zero_signs = _draw_chunk("po", 16, 2, 8, 0.5, 3, 5, 40)
-    assert zero_signs == hits
+    for m, tau in ((8, 0.5), (64, 1.5 * math.pi)):
+        monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                            lambda self: _ZeroModuli(plain(self), m, chunk0, row))
+        *_, zero_signs = _draw_chunk("po", 16, 2, m, tau, 3, 5, 40)
+        assert zero_signs == hits
 
 
 def test_range_memory_is_bounded():
