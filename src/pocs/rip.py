@@ -9,7 +9,10 @@ for every s-sparse x. Under the PHASE_ONLY variance convention the statistic
 distortion witnessed by a probe is ``| ||Phi x||_1 - 1 |``. The randomized
 search below reports the maximum over a finite probe set, which is an
 empirical LOWER bound on the true distortion; it never certifies the
-property (exact certification is combinatorial and out of reach).
+property (exact certification is combinatorial and out of reach). It screens
+the random probes in float32 with a rigorous error bound and evaluates in
+float64 only the probes the bound cannot rule out, so it reports what a full
+float64 search reports, first maximum included.
 
 Also here: statistical self-tests of the expectation identity and of the
 Gaussian concentration rate that controls it, the closed-form minimum
@@ -59,12 +62,41 @@ class ConcentrationReport:
     passed: bool
 
 
-def _probe_stats(mat_t: np.ndarray, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # | ||Phi x||_1 - 1 | per probe row: one real GEMM on the (n, 2m) view of Phi^T
-    coef = np.zeros((supports.shape[0], mat_t.shape[0]))
+def _screen(
+    mat_t32: np.ndarray, col_l1: np.ndarray, supports: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 screen of probe rows: ``(approx, err)`` with ``|approx - stat| <= err``.
+
+    ``stat`` is both the exact statistic ``| ||Phi x||_1 - 1 |`` of a row and its
+    float64 evaluation by :func:`_probe_stat`. ``mat_t32`` is the C-contiguous
+    complex64 copy of Phi^T and ``col_l1`` the float64 column l1 norms of Phi.
+    """
+    n, m = mat_t32.shape
+    coef = np.zeros((supports.shape[0], n), dtype=np.float32)
     np.put_along_axis(coef, supports, values, axis=1)
-    proj = (coef @ mat_t.view(np.float64)).view(np.complex128)
-    return np.abs(np.abs(proj).sum(axis=1) - 1.0)
+    # one real GEMM on the (n, 2m) view of Phi^T: Re and Im of Phi x, interleaved
+    proj = (coef @ mat_t32.view(np.float32)).view(np.complex64)
+    sums = np.abs(proj).sum(axis=1, dtype=np.float64)
+    # Bound, both for the exact statistic and for its float64 re-check. Each part of
+    # an entry of Phi x is a dot product of n terms from float32-rounded (or float64)
+    # factors: in any summation order it is off by at most gamma_{n+2} sum_k |x_k| |part|,
+    # and |Re| + |Im| <= sqrt2 |z| sums that over the rows to
+    # gamma sqrt2 sum_k |x_k| ||Phi e_{S_k}||_1. A modulus is off by 1 ulp, a sum of m
+    # of them by gamma_m, and |sum - 1| by 1 ulp; the floor covers float32 underflow
+    # and the last factor the float64 rounding of col_l1 and of this bound.
+    u32, u64 = 2.0**-24, 2.0**-53
+    dot = (n + 2) * u32 / (1.0 - (n + 2) * u32) + (n + 2) * u64 / (1.0 - (n + 2) * u64)
+    mod = 2.0 * u32 + 4.0 * u64 + 2.0 * m * u64 / (1.0 - m * u64)
+    weight = (np.abs(values) * col_l1[supports]).sum(axis=1)
+    floor = 2.0 * u64 + 8.0 * m * (n + 2) * 2.0**-150 * (2.0 + float(col_l1.max()))
+    err = (math.sqrt(2.0) * dot * weight + mod * sums + floor) * (1.0 + 2.0**-20)
+    return np.abs(sums - 1.0), err
+
+
+def _probe_stat(mat: np.ndarray, support: np.ndarray, values: np.ndarray) -> float:
+    """Float64 statistic ``| ||Phi x||_1 - 1 |`` of one probe, as the climb computes it."""
+    proj = mat[:, support] @ values
+    return float(np.abs(np.abs(proj).sum() - 1.0))
 
 
 def rip_distortion_probe(
@@ -81,6 +113,13 @@ def rip_distortion_probe(
     :func:`pocs.sensing.sample_sparse_signal`), all n canonical basis
     vectors (whose distortion is a column statistic), and a sign-flip hill
     climb around the worst probe found. Deterministic given the stream.
+
+    The random probes are screened in float32, with a rigorous bound on each
+    screen value's distance from the float64 statistic (:func:`_screen`). Only
+    a probe whose bound still reaches the best statistic so far and every
+    other probe of its batch is evaluated in float64, in index order; the best
+    is replaced on a strict ``>`` only, so the first maximum wins. At s = 1 a
+    random probe is ``+-e_j`` and is scored by its column statistic.
     """
     if Phi.convention is not VarianceConvention.PHASE_ONLY:
         raise ValueError(
@@ -99,22 +138,35 @@ def rip_distortion_probe(
     best_values = None
     evaluated = num_probes + n  # random and canonical stages; the climb adds its own
 
-    # C-contiguous Phi^T, copied in 64-row blocks (faster than a plain transpose copy)
-    mat_t = np.empty((n, m), dtype=np.complex128)
-    for i in range(0, m, 64):
-        mat_t[:, i : i + 64] = mat[i : i + 64].T
+    col_l1 = np.abs(mat).sum(axis=0)
+    col_stats = np.abs(col_l1 - 1.0)
+    if s > 1:
+        # C-contiguous complex64 Phi^T, copied in 64-row blocks (faster than a plain
+        # transpose copy)
+        mat_t32 = np.empty((n, m), dtype=np.complex64)
+        for i in range(0, m, 64):
+            mat_t32[:, i : i + 64] = mat[i : i + 64].T
     batch = max(8, 262_144 // max(m, n))  # <= 2^18 coefficients and projections
     for done in range(0, num_probes, batch):
         count = min(batch, num_probes - done)
         supports, values = _support_value_batch(gen, n, s, count)
-        stats = _probe_stats(mat_t, supports, values)
-        k = int(np.argmax(stats))
-        if stats[k] > best_stat:
-            best_stat = float(stats[k])
-            best_support = supports[k].copy()
-            best_values = values[k].astype(np.complex128)
+        if s == 1:
+            # +-e_j: the column statistic, up to the order in which it and the
+            # re-check add the same m moduli in float64
+            sums = col_l1[supports[:, 0]]
+            approx, err = np.abs(sums - 1.0), 2.0**-51 * ((m + 1) * sums + 1.0)
+        else:
+            approx, err = _screen(mat_t32, col_l1, supports, values)
+        # a probe is skipped only when its bound proves it below the best so far or
+        # below another probe of the batch (a NaN bound is re-checked)
+        cut = max(best_stat, float(np.max(approx - err)))
+        for k in np.flatnonzero(~(approx + err < cut)):
+            stat = _probe_stat(mat, supports[k], values[k])
+            if stat > best_stat:
+                best_stat = stat
+                best_support = supports[k].copy()
+                best_values = values[k].astype(np.complex128)
 
-    col_stats = np.abs(np.abs(mat).sum(axis=0) - 1.0)
     j = int(np.argmax(col_stats))
     if col_stats[j] > best_stat:
         best_stat = float(col_stats[j])

@@ -44,9 +44,9 @@ class SensingMatrix:
     sigma: float  # per-part standard deviation
 
 
-def per_part_sigma(m: int, convention: VarianceConvention) -> float:
+def per_part_sigma(m: int, convention: VarianceConvention | str) -> float:
     """Per-part standard deviation implied by a convention at m rows."""
-    if convention is VarianceConvention.PHASE_ONLY:
+    if VarianceConvention(convention) is VarianceConvention.PHASE_ONLY:
         return math.sqrt(2.0 / math.pi) / m
     return math.sqrt(1.0 / (2.0 * m))
 

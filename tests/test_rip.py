@@ -7,6 +7,7 @@ import pytest
 
 from pocs import (
     RngStream,
+    SensingMatrix,
     VarianceConvention,
     concentration_test,
     expectation_identity_test,
@@ -16,7 +17,8 @@ from pocs import (
     sample_complexity_bound,
     sample_sensing_matrix,
 )
-from pocs.rip import _probe_stats
+from pocs.experiments import rip_estimate_report
+from pocs.rip import _probe_stat, _screen
 from pocs.sensing import _support_value_batch
 
 
@@ -93,9 +95,12 @@ class TestDistortionProbe:
 
 def gathered_stats(mat, supports, values):
     """Per-probe | ||Phi x||_1 - 1 | by gathering the support columns (reference)."""
-    cols = mat[:, supports]  # (m, count, s)
-    proj = np.einsum("ick,ck->ci", cols, values)
-    return np.abs(np.abs(proj).sum(axis=1) - 1.0)
+    out = np.empty(supports.shape[0])
+    for i in range(0, supports.shape[0], 16):  # gathers (m, 16, s) at a time
+        cols = mat[:, supports[i : i + 16]]
+        proj = np.einsum("ick,ck->ci", cols, values[i : i + 16])
+        out[i : i + 16] = np.abs(np.abs(proj).sum(axis=1) - 1.0)
+    return out
 
 
 def reference_search(Phi, s, num_probes, gen, local_search_rounds=2):
@@ -127,8 +132,19 @@ def reference_search(Phi, s, num_probes, gen, local_search_rounds=2):
     return best, worst, evaluated
 
 
+class ScriptedUniforms:
+    """Stands in for the generator of a search: hands out prepared uniform rows in order."""
+
+    def __init__(self, rows):
+        self.rows, self.used = rows, 0
+
+    def random(self, shape):
+        self.used += shape[0]
+        return self.rows[self.used - shape[0] : self.used].copy()
+
+
 class TestProbeKernel:
-    """The dense real GEMM against the gathered complex einsum it replaced."""
+    """The float32 screen and the float64 re-check against the gathered complex einsum."""
 
     def test_per_probe_statistics_match_gathered_einsum(self):
         gen = np.random.default_rng(70)
@@ -140,9 +156,11 @@ class TestProbeKernel:
         for m, n, s in shapes:
             Phi = sample_sensing_matrix(gen, m, n, "po")
             supports, values = _support_value_batch(gen, n, s, int(gen.integers(1, 50)))
-            mat_t = np.ascontiguousarray(Phi.mat.T)
-            got = _probe_stats(mat_t, supports, values)
+            mat_t32 = np.ascontiguousarray(Phi.mat.T, dtype=np.complex64)
+            approx, err = _screen(mat_t32, np.abs(Phi.mat).sum(axis=0), supports, values)
             want = gathered_stats(Phi.mat, supports, values)
+            assert np.all(np.abs(approx - want) <= err), (m, n, s)
+            got = [_probe_stat(Phi.mat, support, v) for support, v in zip(supports, values)]
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, n, s)
 
     # at n <= m = 4096 the search runs 262,144 // 4096 = 64 probes per batch:
@@ -158,6 +176,61 @@ class TestProbeKernel:
         assert np.array_equal(est.worst_probe, worst)
         assert est.num_probes == evaluated
         assert gen.random() == ref_gen.random()  # drew exactly num_probes probes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_search_matches_gathered_reference_at_workload_scale(self, seed):
+        # (m, n, s) = (4096, 256, 20): the float32 screen leaves a few probes per search
+        Phi = sample_sensing_matrix(RngStream(73, seed).generator(), 4096, 256, "po")
+        gen, ref_gen = RngStream(74, seed).generator(), RngStream(74, seed).generator()
+        est = rip_distortion_probe(Phi, 20, 1000, gen)
+        best, worst, evaluated = reference_search(Phi, 20, 1000, ref_gen)
+        assert est.delta_lower == pytest.approx(best, rel=0.0, abs=1e-12)
+        assert np.array_equal(est.worst_probe, worst)
+        assert est.num_probes == evaluated
+        assert gen.random() == ref_gen.random()
+
+    @pytest.mark.parametrize("twin_first", [False, True])
+    @pytest.mark.parametrize("gap", [1, 80])  # same batch of 64 probes, or the next one
+    def test_first_of_tied_probes_wins(self, gap, twin_first):
+        # Phi = [A, A]: the probe on S + h with the values of the probe on S has the same
+        # Phi x to the bit, so every probe ties with its twin. The columns of A are near
+        # one column c with ||c||_1 = 1, so the random probes beat the canonical ones.
+        m, h, s, count = 4096, 16, 3, 80
+        gen = np.random.default_rng(75)
+        base = sample_sensing_matrix(gen, m, h, "po")
+        col = base.mat[:, :1] / np.abs(base.mat[:, 0]).sum()
+        A = col + 0.1 * (base.mat - base.mat[:, :1])
+        Phi = SensingMatrix(np.hstack([A, A]), base.convention, base.sigma)
+        u = gen.random((count, 2 * h + s))
+        u[:, :h] *= 0.5  # the s smallest uniforms, hence the support, in the first half
+        u[:, h : 2 * h] = 0.5 + 0.5 * u[:, h : 2 * h]
+        twin = u.copy()
+        twin[:, :h], twin[:, h : 2 * h] = u[:, h : 2 * h], u[:, :h]
+        first, second = (twin, u) if twin_first else (u, twin)
+        rows = np.empty((2 * count, 2 * h + s))
+        if gap == 1:
+            rows[0::2], rows[1::2] = first, second
+        else:
+            rows[:count], rows[count:] = first, second
+        est = rip_distortion_probe(Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0)
+        best, worst, _ = reference_search(
+            Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0
+        )
+        support = np.flatnonzero(est.worst_probe)
+        assert support.size == s
+        assert (support.min() >= h) == twin_first
+        assert np.array_equal(est.worst_probe, worst)
+        assert est.delta_lower == best
+
+    # the first measured call of the benchmark's rip_estimate_m4096 workload at seeds
+    # 0 and 7, to the bit, as the float64 GEMM search reported them
+    @pytest.mark.parametrize(
+        "master_seed,delta_hex", [(0, "0x1.0354fd6691ba0p-5"), (70_000, "0x1.17187c2f03640p-5")]
+    )
+    def test_workload_report_keeps_its_bits(self, master_seed, delta_hex):
+        report = rip_estimate_report(4096, 256, 20, 1000, master_seed)
+        assert report["delta_lower"].hex() == delta_hex
+        assert report["evaluated_probes"] == 1296
 
 
 class TestExpectationIdentity:

@@ -16,6 +16,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
+from pocs.sensing import per_part_sigma
 
 
 class TestSamplingConventions:
@@ -47,6 +48,14 @@ class TestSamplingConventions:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             sample_sensing_matrix(RngStream(0).generator(), 0, 4, "po")
+
+    @pytest.mark.parametrize("convention", list(VarianceConvention))
+    def test_sigma_takes_the_convention_string(self, convention):
+        assert per_part_sigma(8, convention.value) == per_part_sigma(8, convention)
+
+    def test_sigma_rejects_an_unknown_convention(self):
+        with pytest.raises(ValueError):
+            per_part_sigma(8, "linear")
 
 
 class TestSparseSignal:
