@@ -10,27 +10,27 @@ s) largest off it. It forms neither the m x n sensing matrix nor the other
 entries. The trial then keeps the s strongest of those entries, as PBP
 does, and records the direction error (:func:`_score_chunk`).
 
-Trials run in chunks of 32 per cell, and a cell runs on one stream, the
-stream id of its first trial,
+A cell runs on one stream, the stream id of its first trial,
 
     fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=0")
 
-under the configured master seed, with a tau of -0.0 keyed as 0.0: chunk c
-draws from that stream advanced by c 2^64 outputs. ``ENGINE`` names the way
-a chunk consumes its stream (the chunk size included); it changes whenever
-the draws do, and the JSON output echoes it. A chunk draws each quantity for
-all its rows in one call, the last one for the rows asked for only. numpy
-fills a draw in order, so trial t is row t % 32 of chunk t // 32 whatever
-the trial count or worker count, and :func:`run_trial` replays it alone.
+under the configured master seed, with a tau of -0.0 keyed as 0.0. Its
+trials run in chunks of :func:`_chunk_trials` trials: the multiple of 32
+whose widest draw, rows x max(m, 2s), holds at most ``_CHUNK_ENTRIES``
+entries, and at least 32 (1,024 trials at m = 64, s = 10; 32 from m = 2,048
+on). Quantity j of chunk c (:func:`_draw_chunk` lists the nine) draws from
+its own sub-stream, the cell's stream jumped 9c + j times (``PCG64.jumped``),
+in one array call for the chunk's rows up to the last one asked for. ``ENGINE``
+names the way a chunk consumes its stream (the chunk size included); it
+changes whenever the draws do, and the JSON output echoes it. numpy fills a
+draw in order, so trial t is row t % size of chunk t // size whatever the
+trial count, the range of trials asked for or the worker count, and
+:func:`run_trial` replays it alone.
 
-The engine's unit, and a pool task, is a range of consecutive chunks of one
-cell (:func:`_run_chunk`): it builds the cell's generator once, each chunk
-draws from its own offset into rows of buffers shared by the range, and the
-arithmetic after the draws runs once over all its rows. A range holds as
-many chunks as keep its widest buffer, rows x max(m, 2s), within
-``_RANGE_ENTRIES`` entries, and at least one.
-Aggregation folds trials in index order, which makes repeated runs
-byte-identical.
+A chunk of one cell is the engine's unit and a pool task
+(:func:`_run_chunk`); the functions take any range of a cell's trials and
+loop over the chunks it touches. Aggregation folds trials in index order,
+which makes repeated runs byte-identical.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -58,28 +58,31 @@ import numpy as np
 
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
-from .sensing import (
-    VarianceConvention,
-    _redraw_zero_values,
-    per_part_sigma,
-    sample_sensing_matrix,
-)
+from .sensing import VarianceConvention, per_part_sigma, sample_sensing_matrix
 
 # Stream-key version: names how a chunk consumes its stream.
-ENGINE = "stat-v3"
+ENGINE = "stat-v4"
 SCHEMES = ("po", "cs")
 CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
-# Trials per chunk, which share one stream: part of the stream key, so
-# changing it needs a new ENGINE.
-_TRIAL_CHUNK = 32
-# Largest request, in complex128 entries (4 GiB): a chunk's working set
-# (about five (32, s) arrays, whatever n is), its (32, m) draws, or
-# rip-estimate's m x n matrix.
+# The chunk size (_chunk_trials) is a multiple of this, and at least this.
+# It and _CHUNK_ENTRIES are part of the stream key: changing either needs a
+# new ENGINE.
+_MIN_CHUNK = 32
+# Largest request, in complex128 entries (4 GiB): the working set of a
+# 32-trial chunk (about five (32, s) arrays, whatever n is), its (32, m)
+# draws, or rip-estimate's m x n matrix.
 _MAX_ENTRIES = 2**28
-# Widest buffer of a range of chunks, in entries (512 KiB of float64): rows
-# x max(m, 2s). Past it more rows cost memory traffic, not fewer calls.
-_RANGE_ENTRIES = 2**16
+# Widest draw of a chunk, in entries (512 KiB of float64): rows x max(m, 2s).
+# Past it more rows cost memory traffic, not fewer calls.
+_CHUNK_ENTRIES = 2**16
+# What a chunk draws, each quantity from its own sub-stream, in this order
+# (_draw_chunk)
+_QUANTITIES = ("v", "redraw", "g", "beta", "gaps", "circle", "c", "arc", "law")
+# Sub-streams lie whole jumps apart: the step of numpy's PCG64.jumped,
+# (phi - 1) 2^128 outputs rounded to odd. Streams a multiple of 2^64 apart
+# share the low half of the LCG state, and their outputs are correlated.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 class ConfigError(ValueError):
@@ -217,98 +220,96 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
     positions of S only break ties, which have probability zero.
 
-    The range builds the cell's generator once; chunk c draws from it
-    advanced by c 2^64 outputs, one array call per draw, in this order:
+    Chunk c of the cell draws quantity j of this list from its own
+    sub-stream, the cell's stream jumped 9c + j times (``PCG64.jumped``), in
+    one array call for its rows 0 to ``hi - 1``, where ``hi - 1`` is the
+    chunk's last row asked for:
 
-    1. ``v``, (32, s) uniforms, the signal values ``2v - 1`` on S, normalized;
-       rows whose values are all zero are redrawn;
-    2. ``g``, (32, s) standard complex normals, its entries on S;
-    3. if k > 0, ``top``, the k largest of n - s ``Exp(1)`` variables: a
-       Beta draw, then (32, k - 1) gaps (:func:`_largest_exponentials`);
-    4. on the phase-only channel with q >= 1, 32 circle counts
-       ``K ~ Binomial(m, p)`` and then (32, 2) standard normals ``c``;
-    5. on the phase-only channel with tau > 0, the arc phases: the m - K of
-       each of the 32 rows, flat in row order, uniform on [-r, r] ((32, m)
-       at q = 0);
-    6. the scalar law of the chunk's rows up to ``stop`` only: ``po`` draws
-       ``E ~ Exp(1)`` for their arc entries, flat in row order ((rows, m)
-       at q = 0), with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
-       ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+    0. ``v``, (hi, s) uniforms, the signal values ``2v - 1`` on S, normalized;
+    1. the redraws of the rows whose values are all zero: row by row, in row
+       order, each row's s uniforms until they are not all 0.5;
+    2. ``g``, (hi, s) standard complex normals, its entries on S;
+    3. if k > 0, hi Beta draws for the k-th largest of n - s ``Exp(1)``
+       variables, and
+    4. (hi, k - 1) ``Exp(1)`` gaps above it (:func:`_largest_exponentials`);
+    5. on the phase-only channel with q >= 1, hi circle counts
+       ``K ~ Binomial(m, p)``, and
+    6. (hi, 2) standard normals ``c``;
+    7. on the phase-only channel with tau > 0, the arc phases: the m - K of
+       each row, flat in row order, uniform on [-r, r] ((hi, m) uniforms on
+       [-tau, tau] at q = 0);
+    8. the scalar law: ``po`` draws ``E ~ Exp(1)`` for the arc entries, flat
+       in row order ((hi, m) at q = 0), with ``|y_i| = sigma sqrt(2 E_i)``;
+       ``cs`` draws ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
 
-    Row k of the last draw does not depend on the rows after it. The draws
-    fill row slices of buffers that hold the range's whole chunks (the last
-    draw's, its rows up to ``stop``); the normalization, the sums of the
-    top-k law, the moduli and ``y^H z`` then run once over the rows asked
-    for. Returns rows ``start`` to ``stop - 1`` of ``x0`` (the values on S),
-    ``g`` and ``top``, their ``y^H z`` and ``sigma ||z||_2``, and how many of
-    their drawn moduli met the zero-signum convention.
+    Row k of a draw, and of the redraws, does not depend on the rows after
+    it. A range builds the cell's generator once and draws chunk by chunk;
+    a sweep task is one chunk. Returns rows ``start`` to ``stop - 1`` of
+    ``x0`` (the values on S), ``g`` and ``top``, their ``y^H z`` and
+    ``sigma ||z||_2``, and how many of their drawn moduli met the
+    zero-signum convention.
     """
-    chunk0 = start - start % _TRIAL_CHUNK
-    lo, hi = start - chunk0, stop - chunk0  # the rows asked for, in the buffers
-    rows = hi + -hi % _TRIAL_CHUNK  # whole chunks
-    k = min(s, n - s)
-    sigma = per_part_sigma(m, VarianceConvention(scheme))
-    q, r, p = _arc_law(tau)
-    mixed = scheme == "po" and q > 0
-    v, normals = np.empty((rows, s)), np.empty((rows, 2 * s))
-    beta, gaps = np.empty(rows), np.empty((rows, max(k - 1, 0)))
-    if mixed:  # circle counts and their normals; arc phases, and moduli up to stop, flat
-        circle, c = np.empty(rows, np.int64), np.empty((rows, 2))
-        arc, law = np.empty(rows * m), np.empty(hi * m)
-    else:  # the scalar law's draws, rows up to stop: Gamma(m, 1) for cs, E for po
-        law = np.empty(hi) if scheme == "cs" else np.empty((hi, m))
-        xi = np.empty((rows, m)) if tau > 0 else None
+    size = _chunk_trials(s, m)
     gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
-    bits, flat = gen.bit_generator, 0  # flat: arc entries drawn so far
-    cell = bits.state if hi > _TRIAL_CHUNK else None  # the stream's start, for later chunks
-    for r0 in range(0, hi, _TRIAL_CHUNK):
-        r1 = min(r0 + _TRIAL_CHUNK, hi)  # the scalar law's rows: up to stop
-        chunk = slice(r0, r0 + _TRIAL_CHUNK)
-        if r0:
-            bits.state = cell
-        bits.advance((chunk0 + r0) // _TRIAL_CHUNK << 64)
-        v[chunk] = gen.random((_TRIAL_CHUNK, s))
-        _redraw_zero_values(gen, v[chunk], 0)
-        gen.standard_normal((_TRIAL_CHUNK, 2 * s), out=normals[chunk])
-        if k:
-            beta[chunk] = gen.beta(k, n - s - k + 1, _TRIAL_CHUNK)
-            gen.standard_exponential((_TRIAL_CHUNK, k - 1), out=gaps[chunk])
-        if scheme == "cs":
-            gen.standard_gamma(m, r1 - r0, out=law[r0:r1])
-        elif mixed:
-            circle[chunk] = gen.binomial(m, p, _TRIAL_CHUNK)
-            gen.standard_normal((_TRIAL_CHUNK, 2), out=c[chunk])
-            arcs = _TRIAL_CHUNK * m - int(circle[chunk].sum())
-            arc[flat : flat + arcs] = gen.uniform(-r, r, arcs)
-            # only the last chunk draws fewer moduli than phases
-            drawn = (r1 - r0) * m - int(circle[r0:r1].sum())
-            gen.standard_exponential(drawn, out=law[flat : flat + drawn])
-            flat += arcs
-        else:
-            if xi is not None:
-                xi[chunk] = gen.uniform(-tau, tau, (_TRIAL_CHUNK, m))
-            gen.standard_exponential((r1 - r0, m), out=law[r0:r1])
-    x0 = 2.0 * v[lo:hi] - 1.0
+    cell = gen.bit_generator.state
+    parts = [
+        _draw_rows(gen, cell, c, scheme, n, s, m, tau, max(start - c * size, 0),
+                   min(stop - c * size, size))
+        for c in range(start // size, (stop - 1) // size + 1)
+    ]
+    *arrays, zero_signs = zip(*parts)
+    return (*(np.concatenate(a) for a in arrays), sum(zero_signs))
+
+
+def _draw_rows(gen, cell, chunk, scheme, n, s, m, tau, lo, hi):
+    """:func:`_draw_chunk` of rows ``lo`` to ``hi - 1`` of one chunk, from
+    ``gen``, whose bit generator's state ``cell`` starts the cell's stream."""
+    bits = gen.bit_generator
+
+    def at(quantity):  # gen, at the start of the quantity's sub-stream
+        bits.state = cell
+        bits.advance((chunk * len(_QUANTITIES) + _QUANTITIES.index(quantity)) * _JUMP)
+        return gen
+
+    k = min(s, n - s)
+    sigma = per_part_sigma(m, scheme)
+    v = at("v").random((hi, s))
+    if 0.5 in v:  # a row's values 2v - 1 are all zero only where each v is 0.5
+        bad = np.flatnonzero((v == 0.5).all(axis=1))
+        if bad.size:
+            at("redraw")
+        for row in bad:
+            while (v[row] == 0.5).all():
+                v[row] = gen.random(s)
+    x0 = 2.0 * v[lo:] - 1.0
     x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
-    g = normals[lo:hi].view(np.complex128)
-    top = _largest_exponentials(beta[lo:hi], gaps[lo:hi]) if k else np.empty((hi - lo, 0))
+    g = at("g").standard_normal((hi, 2 * s))[lo:].view(np.complex128)
+    top = np.empty((hi - lo, 0))
+    if k:
+        beta = at("beta").beta(k, n - s - k + 1, hi)[lo:]
+        top = _largest_exponentials(beta, at("gaps").standard_exponential((hi, k - 1))[lo:])
     if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
-        w = 2.0 * law[lo:hi]
+        w = 2.0 * at("law").standard_gamma(m, hi)[lo:]
         return x0, g, top, sigma * sigma * w, sigma * sigma * np.sqrt(w), 0
     scale = np.full(hi - lo, sigma * math.sqrt(m))
-    if not mixed:
-        mod = law[lo:hi]  # becomes |y_i| = sigma sqrt(2 E_i) in place
+    q, r, p = _arc_law(tau)
+    if not q:
+        xi = at("arc").uniform(-tau, tau, (hi, m))[lo:] if tau > 0 else None
+        mod = at("law").standard_exponential((hi, m))[lo:]  # becomes |y_i| in place
         np.sqrt(np.multiply(mod, 2.0 * sigma * sigma, out=mod), out=mod)
-        yz, zero_signs = _phase_only_statistic(mod, None if xi is None else xi[lo:hi])
+        yz, zero_signs = _phase_only_statistic(mod, xi)
         return x0, g, top, yz, scale, zero_signs
-    counts = m - circle[:hi]  # arc entries per row
+    circle = at("circle").binomial(m, p, hi)
+    c = at("c").standard_normal((hi, 2))[lo:].view(np.complex128)[:, 0]
+    counts = m - circle  # arc entries per row
     ends = np.cumsum(counts)
-    asked = slice(int(ends[lo] - counts[lo]), int(ends[-1]))  # those of the rows asked for
-    mod, u = np.sqrt(law[asked] * (2.0 * sigma * sigma)), arc[asked]
+    first, drawn = int(ends[lo] - counts[lo]), int(ends[-1])  # the rows asked for start at first
+    u = at("arc").uniform(-r, r, drawn)[first:]
+    mod = np.sqrt(at("law").standard_exponential(drawn)[first:] * (2.0 * sigma * sigma))
     owner = np.repeat(np.arange(hi - lo), counts[lo:])  # the row of each arc entry
     re, im = (np.bincount(owner, mod * f(u), hi - lo) for f in (np.cos, np.sin))
     yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
-    yz += sigma * np.sqrt(circle[lo:hi]) * c[lo:hi].view(np.complex128)[:, 0]  # K circle terms
+    yz += sigma * np.sqrt(circle[lo:]) * c  # K circle terms
     return x0, g, top, yz, scale, mod.size - int(np.count_nonzero(mod))
 
 
@@ -349,8 +350,8 @@ def run_trial(
 ) -> float:
     """One trial: draw x0 and the back-projection of its measurements, keep
     the s strongest entries (PBP) and return the direction error, NaN if the
-    estimate is zero. This is the one-row range: row ``trial_index % 32`` of
-    its chunk, drawn alone."""
+    estimate is zero. This is the one-row range: row ``trial_index % size`` of
+    its chunk of ``size`` trials, drawn with the rows before it only."""
     _check_cell(scheme, n, s, m, tau)
     _check_master_seed(master_seed)
     if trial_index < 0:
@@ -388,25 +389,25 @@ def pool_size(workers: int, num_tasks: int) -> int:
     return min(workers, num_tasks, cpus)
 
 
-def _range_trials(s, m) -> int:
-    # trials per task: the whole chunks whose widest buffer, rows x max(m, 2s),
-    # holds at most _RANGE_ENTRIES entries, and at least one chunk
-    return _TRIAL_CHUNK * max(1, _RANGE_ENTRIES // (_TRIAL_CHUNK * max(m, 2 * s)))
+def _chunk_trials(s, m) -> int:
+    # trials per chunk: the multiple of 32 whose widest draw, rows x max(m, 2s),
+    # holds at most _CHUNK_ENTRIES entries, and at least 32
+    return _MIN_CHUNK * max(1, _CHUNK_ENTRIES // (_MIN_CHUNK * max(m, 2 * s)))
 
 
 def _run_cells(cells, n, trials, master_seed, workers):
-    tasks = [  # _run_chunk's arguments, cell by cell, range by range
-        (scheme, n, s, m, tau, master_seed, start, min(start + step, trials))
+    tasks = [  # _run_chunk's arguments, cell by cell, chunk by chunk
+        (scheme, n, s, m, tau, master_seed, start, min(start + size, trials))
         for scheme, s, m, tau in cells
-        for step in (_range_trials(s, m),)
-        for start in range(0, trials, step)
+        for size in (_chunk_trials(s, m),)
+        for start in range(0, trials, size)
     ]
     errors = np.empty((len(cells), trials))
     flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
     size = pool_size(workers, len(tasks))
     with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
         args = _run_chunk, *zip(*tasks)
-        # a pool gets about four batches of ranges per worker, one round trip each
+        # a pool gets about four batches of chunks per worker, one round trip each
         outputs = pool.map(*args, chunksize=-(-len(tasks) // (4 * size))) if pool else map(*args)
         for errs, zeros in outputs:  # in task order
             flat[done : done + errs.size] = errs
@@ -430,8 +431,8 @@ def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
         raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
     if scheme == "cs" and tau != 0:
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
-    if not 1 <= m <= _MAX_ENTRIES // _TRIAL_CHUNK:  # a chunk draws (32, m) moduli at once
-        raise ConfigError(f"{m_field}: m = {m} outside [1, {_MAX_ENTRIES // _TRIAL_CHUNK}]")
+    if not 1 <= m <= _MAX_ENTRIES // _MIN_CHUNK:  # a chunk draws (32, m) moduli at once
+        raise ConfigError(f"{m_field}: m = {m} outside [1, {_MAX_ENTRIES // _MIN_CHUNK}]")
 
 
 def _check_master_seed(seed) -> None:
@@ -475,9 +476,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
     _check_distinct("sparsity_levels", config.sparsity_levels)
     s_max = max(config.sparsity_levels)  # a chunk holds about five complex (32, s) arrays
-    if 5 * _TRIAL_CHUNK * s_max > _MAX_ENTRIES:
-        raise ConfigError(f"sparsity_levels: a chunk of {_TRIAL_CHUNK} trials at s = {s_max} holds "
-                          f"about {5 * _TRIAL_CHUNK * s_max} complex entries, over {_MAX_ENTRIES}")
+    if 5 * _MIN_CHUNK * s_max > _MAX_ENTRIES:
+        raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s_max} holds "
+                          f"about {5 * _MIN_CHUNK * s_max} complex entries, over {_MAX_ENTRIES}")
     if not config.schemes:
         raise ConfigError("schemes: at least one scheme is required")
     _check_distinct("schemes", config.schemes)
@@ -510,10 +511,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     ]
     for scheme, s, m, tau in cells:
         _check_cell(scheme, config.n, s, m, tau, field)
-    # bookkeeping held from before the first draw: per chunk of each cell, 32
-    # float64 errors and at most one task (about 240 bytes, its arguments; a
-    # task is a range of chunks), so about 16 bytes, one complex entry, per trial
-    entries = len(cells) * -(-config.trials // _TRIAL_CHUNK) * _TRIAL_CHUNK
+    # bookkeeping held from before the first draw: per 32 trials of each cell,
+    # 32 float64 errors and at most one task (about 240 bytes, its arguments; a
+    # task is a chunk), so about 16 bytes, one complex entry, per trial
+    entries = len(cells) * -(-config.trials // _MIN_CHUNK) * _MIN_CHUNK
     if entries > _MAX_ENTRIES:
         raise ConfigError(
             f"trials: {config.trials} trials in each of {len(cells)} cells keep about "

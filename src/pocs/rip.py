@@ -177,15 +177,20 @@ def rip_distortion_probe(
     values = best_values
     proj = mat[:, support] @ values
     for _ in range(max(0, local_search_rounds)):
-        # flipping coordinate k maps the projection to proj - 2 v_k Phi[:, S_k]
-        flipped = proj[:, None] - 2.0 * mat[:, support] * values[None, :]
-        stats = np.abs(np.abs(flipped).sum(axis=0) - 1.0)
+        # column 0 is the probe, column k + 1 the probe with coordinate k flipped,
+        # proj - 2 v_k Phi[:, S_k]: one reduction scores them all (pairwise down
+        # each column of the Fortran-ordered block, as _probe_stat sums), so a
+        # summation order can never read a sign flip of one column as an improvement
+        cand = np.empty((m, support.size + 1), dtype=np.complex128, order="F")
+        cand[:, 0] = proj
+        cand[:, 1:] = proj[:, None] - 2.0 * mat[:, support] * values[None, :]
+        stats = np.abs(np.abs(cand).sum(axis=0) - 1.0)
         evaluated += support.size
-        k = int(np.argmax(stats))
-        if stats[k] <= best_stat:
+        k = int(np.argmax(stats[1:]))
+        if stats[k + 1] <= stats[0]:
             break
-        best_stat = float(stats[k])
-        proj = flipped[:, k].copy()
+        best_stat = float(stats[k + 1])
+        proj = cand[:, k + 1].copy()
         values = values.copy()
         values[k] = -values[k]
 

@@ -68,18 +68,6 @@ def sample_sensing_matrix(
     return SensingMatrix(mat=mat, convention=convention, sigma=sigma)
 
 
-def _redraw_zero_values(gen, u, n):
-    # The values 2u - 1 of a row (columns n:) are all zero only when every
-    # value uniform is exactly 0.5. Such a row has no direction: redraw its
-    # value uniforms from gen, all such rows of a pass in one draw. The
-    # pre-test, one pass, skips the row check in all but rare calls.
-    while 0.5 in u[:, n:]:
-        bad = (u[:, n:] == 0.5).all(axis=1)
-        if not bad.any():
-            return
-        u[bad, n:] = gen.random((int(bad.sum()), u.shape[1] - n))
-
-
 def _support_value_batch(gen, n, s, count):
     # One contiguous block of n+s uniforms per draw. Draw k of a batch
     # consumes exactly the same stream slice as the k-th sequential single
@@ -87,7 +75,15 @@ def _support_value_batch(gen, n, s, count):
     # partial sort of the first n (uniform over all (n choose s) subsets), the
     # values from the last s mapped onto [-1, 1] and normalized.
     u = gen.random((count, n + s))
-    _redraw_zero_values(gen, u, n)
+    # The values 2u - 1 of a row are all zero only when every value uniform is
+    # exactly 0.5. Such a row has no direction: redraw its value uniforms, all
+    # such rows of a pass in one draw. The pre-test, one pass, skips the row
+    # check in all but rare calls.
+    while 0.5 in u[:, n:]:
+        bad = (u[:, n:] == 0.5).all(axis=1)
+        if not bad.any():
+            break
+        u[bad, n:] = gen.random((int(bad.sum()), s))
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
     values = 2.0 * u[:, n:] - 1.0
     norms = np.sqrt((values * values).sum(axis=1))

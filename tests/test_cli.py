@@ -146,7 +146,7 @@ class TestSweepTau:
     def test_pooled_batches_of_chunks_give_the_serial_bytes(self, monkeypatch, tmp_path, fmt):
         # 2 cells x 5 chunks, capped at one chunk per range = 10 tasks: two
         # workers take them in batches of 2
-        monkeypatch.setattr(experiments, "_RANGE_ENTRIES", 1)
+        monkeypatch.setattr(experiments, "_CHUNK_ENTRIES", 1)
         outs = []
         for workers in ("1", "2"):
             outs.append(tmp_path / f"w{workers}.{fmt}")

@@ -1,4 +1,4 @@
-"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v3``).
+"""Exactness gate for the chunked sweep-trial kernel (engine ``stat-v4``).
 
 The golden CSVs below were written by the kernel at this stream-key version.
 The property loop replays single trials with per-trial formulas (the chunk's
@@ -30,53 +30,59 @@ from pocs import (
     run_trial,
     trial_stream_id,
 )
-from pocs.experiments import _arc_law, _draw_chunk, _largest_exponentials, _run_chunk
+from pocs.experiments import (
+    _arc_law,
+    _chunk_trials,
+    _draw_chunk,
+    _largest_exponentials,
+    _run_chunk,
+)
 from pocs.recon import DegenerateEstimateError
 from pocs.sensing import VarianceConvention, _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
 GOLDEN_SWEEP_M = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,0.9697464428,-0.1334180481,0.07903589426
-po,1,9,0,70,0,0.04040610178,-13.93553047,0.02836363361
-po,3,2,0,70,0,1.117959162,0.4842593959,0.02303545453
-po,3,9,0,70,0,0.7044199879,-1.521683294,0.02258337061
-cs,1,2,0,70,0,0.8081220356,-0.9252305085,0.08425254637
-cs,1,9,0,70,0,0.02020305089,-16.94583042,0.02020305089
-cs,3,2,0,70,0,1.064233869,0.2703707615,0.02455712096
-cs,3,9,0,70,0,0.6288562042,-2.014486501,0.02347435503
+po,1,2,0,70,0,1.13137085,0.5360498482,0.06810052246
+po,1,9,0,70,0,0.02020305089,-16.94583042,0.02020305089
+po,3,2,0,70,0,1.084667447,0.3529660623,0.02929235044
+po,3,9,0,70,0,0.6654664458,-1.768738377,0.02221346746
+cs,1,2,0,70,0,0.929340341,-0.318252105,0.08081220356
+cs,1,9,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
+cs,3,2,0,70,0,1.073099128,0.30639842,0.02189399457
+cs,3,9,0,70,0,0.6783411653,-1.685518269,0.02428158106
 """
 
 # At s = 1 and m >= n a trial almost always finds the support, and the
-# estimate is then x0 times a scalar: the rows where all 70 trials do (po at
-# m = 32, cs at m = 16 and 32) are the rounding residue of an exact recovery,
-# and their digits pin the order of the floating-point operations too.
+# estimate is then x0 times a scalar: the rows where all 70 trials do (po and
+# cs at m = 16 and 32) are the rounding residue of an exact recovery, and
+# their digits pin the order of the floating-point operations too.
 GOLDEN_SWEEP_M_EXACT = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,1,2,0,70,0,1.272792206,1.047575073,0.05107539185
-po,1,16,0,70,0,0.02020305089,-16.94583042,0.02020305089
-po,1,32,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
-po,3,2,0,70,0,1.240487233,0.9359229901,0.01971179366
-po,3,16,0,70,0,0.6209823205,-2.069207641,0.02151712805
-po,3,32,0,70,0,0.4015949654,-3.962117404,0.02148770761
-cs,1,2,0,70,0,1.070761697,0.2969282742,0.07300537027
-cs,1,16,0,70,0,1.744636182e-17,-167.5829513,4.864183977e-18
-cs,1,32,0,70,0,1.586032892e-17,-167.9968781,4.676955843e-18
-cs,3,2,0,70,0,1.187216807,0.7453003614,0.02335282701
-cs,3,16,0,70,0,0.5167933689,-2.866830675,0.01961577262
-cs,3,32,0,70,0,0.3425908793,-4.652242033,0.0149740679
+po,1,2,0,70,0,1.252589155,0.9780864732,0.05416680886
+po,1,16,0,70,0,1.586032892e-17,-167.9968781,4.676955843e-18
+po,1,32,0,70,0,1.903239471e-17,-167.2050656,5.037235602e-18
+po,3,2,0,70,0,1.213206514,0.8393473334,0.02539583862
+po,3,16,0,70,0,0.6300115906,-2.006514606,0.02563009172
+po,3,32,0,70,0,0.3560774272,-4.484555567,0.01886131041
+cs,1,2,0,70,0,1.151573901,0.6129181349,0.0662066352
+cs,1,16,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
+cs,1,32,0,70,0,2.696255917e-17,-165.6923889,5.731259065e-18
+cs,3,2,0,70,0,1.200385298,0.7932066768,0.02226677222
+cs,3,16,0,70,0,0.5465421899,-2.623763074,0.0214119037
+cs,3,32,0,70,0,0.3430880889,-4.645943593,0.0157414698
 """
 
 GOLDEN_SWEEP_TAU = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
-po,3,8,0,70,0,0.8629816704,-0.6399842854,0.02538899512
-po,3,8,0.7,70,0,0.8842488966,-0.5342547342,0.02600964102
-po,3,8,4.71238898,70,0,1.45742478,1.635861493,0.0161336784
-po,3,8,6.283185307,70,0,1.393380602,1.440697602,0.01901873679
+po,3,8,0,70,0,0.8707726546,-0.6009521782,0.02485258241
+po,3,8,0.7,70,0,0.9727874705,-0.1198203177,0.02317910009
+po,3,8,4.71238898,70,0,1.447619811,1.60654518,0.01387936173
+po,3,8,6.283185307,70,0,1.405778174,1.479167962,0.01523828244
 """
 
-# n = 8: m = 2 < s = 3 and m = 9 > n; 70 trials span three chunks, the last
-# one partial.
+# n = 8: m = 2 < s = 3 and m = 9 > n; 70 trials are the first rows of one
+# chunk (chunks hold thousands of trials at these m).
 SWEEP_M_ARGS = ("sweep-m", "--n", "8", "--s", "1", "--s", "3", "--log2-ratio", "-2",
                 "--log2-ratio", "0.2", "--trials", "70", "--seed", "7")
 SWEEP_M_EXACT_ARGS = ("sweep-m", "--n", "16", "--s", "1", "--s", "3", "--log2-ratio", "-3",
@@ -103,33 +109,50 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, args, golden, workers):
     assert out.read_bytes() == golden.encode("utf-8")
 
 
+# The documented draw order of a chunk: quantity j of chunk c draws from the
+# cell's stream jumped 9c + j times.
+QUANTITIES = {"v": 0, "redraw": 1, "g": 2, "beta": 3, "gaps": 4, "circle": 5, "c": 6,
+              "arc": 7, "law": 8}
+
+
+def chunk_size(s, m):
+    """Trials per chunk: the multiple of 32 whose widest draw, rows x max(m, 2s),
+    holds at most 2^16 entries, and at least 32."""
+    return 32 * max(1, 2**16 // (32 * max(m, 2 * s)))
+
+
+def substream(stream, chunk, quantity):
+    gen = stream.generator()
+    bits = gen.bit_generator
+    bits.state = bits.jumped(9 * chunk + QUANTITIES[quantity]).state
+    return gen
+
+
 def reference_trial(scheme, n, s, m, tau, master_seed, t):
     """Trial t with per-trial formulas and the paper's operators: (error, failed).
 
-    Regenerates chunk c = t // 32, c 2^64 outputs into the cell's stream,
-    in the documented draw order and keeps row r = t % 32 of each draw. The
-    phase of an arc entry is q pi + u. The back-projection goes into an
-    n-vector: its entries on the support (placed first), then the k
+    Regenerates rows 0 to r of each quantity of chunk c, where t is row r of
+    chunk c, in the documented order, and keeps row r. The phase of an arc
+    entry is q pi + u, drawn flat also at q = 0. The back-projection goes into
+    an n-vector: its entries on the support (placed first), then the k
     off-support moduli, then zeros, which PBP never keeps over them.
     """
-    r = t % 32
-    gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
-    gen.bit_generator.advance(t // 32 << 64)
-    v = gen.random((32, s))
-    while True:  # rows whose s values 2v - 1 are all zero are redrawn together
-        bad = np.flatnonzero((2.0 * v - 1.0 == 0.0).all(axis=1))
-        if bad.size == 0:
-            break
-        v[bad] = gen.random((bad.size, s))
+    c, r = divmod(t, chunk_size(s, m))
+    stream = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0))
+    v = substream(stream, c, "v").random((r + 1, s))
+    redraw = substream(stream, c, "redraw")
+    for row in range(r + 1):  # a row whose s values 2v - 1 are all zero is redrawn
+        while (2.0 * v[row] - 1.0 == 0.0).all():
+            v[row] = redraw.random(s)
     values = 2.0 * v[r] - 1.0
     x0 = values / np.sqrt((values * values).sum())
-    normals = gen.standard_normal((32, s, 2))
+    normals = substream(stream, c, "g").standard_normal((r + 1, s, 2))
     g = normals[r, :, 0] + 1j * normals[r, :, 1]
     k = min(s, n - s)
     top = np.empty(k)  # top[j - 1] is T_j, the j-th largest of n - s Exp(1)
     if k:
-        top[k - 1] = -np.log(gen.beta(k, n - s - k + 1, 32)[r])
-        gaps = gen.standard_exponential((32, k - 1))[r]
+        top[k - 1] = -np.log(substream(stream, c, "beta").beta(k, n - s - k + 1, r + 1)[r])
+        gaps = substream(stream, c, "gaps").standard_exponential((r + 1, k - 1))[r]
         for j in range(k - 1, 0, -1):
             top[j - 1] = top[j] + gaps[j - 1] / j
     sigma = per_part_sigma(m, scheme)
@@ -137,19 +160,21 @@ def reference_trial(scheme, n, s, m, tau, master_seed, t):
         # K of the m phases are uniform on the circle; the other m - K, the
         # arc entries, are q pi + u with u ~ U[-r, r], flat in row order
         q, half = divmod(tau, math.pi)
-        circle, c = np.zeros(32, dtype=np.int64), np.zeros((32, 2))
+        circle, normal = np.zeros(r + 1, dtype=np.int64), np.zeros((r + 1, 2))
         if q:
-            circle, c = gen.binomial(m, q * math.pi / tau, 32), gen.standard_normal((32, 2))
+            circle = substream(stream, c, "circle").binomial(m, q * math.pi / tau, r + 1)
+            normal = substream(stream, c, "c").standard_normal((r + 1, 2))
         arcs = m - circle
-        before = arcs[:r].sum()
-        u = gen.uniform(-half, half, arcs.sum())[before:] if tau > 0 else np.zeros(m)
-        modulus = sigma * np.sqrt(2.0 * gen.standard_exponential(before + arcs[r])[before:])
-        yz = np.sum(modulus * np.exp(1j * (q * math.pi + u[: arcs[r]])))
-        yz += sigma * math.sqrt(circle[r]) * (c[r, 0] + 1j * c[r, 1])  # the K circle terms
+        before, drawn = arcs[:r].sum(), arcs.sum()
+        u = substream(stream, c, "arc").uniform(-half, half, drawn)[before:] if tau > 0 \
+            else np.zeros(m)
+        exps = substream(stream, c, "law").standard_exponential(drawn)[before:]
+        yz = np.sum(sigma * np.sqrt(2.0 * exps) * np.exp(1j * (q * math.pi + u)))
+        yz += sigma * math.sqrt(circle[r]) * (normal[r, 0] + 1j * normal[r, 1])  # K circle terms
         scale = sigma * math.sqrt(m)
     else:
-        norm_sq = sigma**2 * 2.0 * gen.standard_gamma(m, r + 1)[r]  # ||y||^2
-        yz, scale = norm_sq, sigma * math.sqrt(norm_sq)
+        norm_sq = sigma**2 * 2.0 * substream(stream, c, "law").standard_gamma(m, r + 1)[r]
+        yz, scale = norm_sq, sigma * math.sqrt(norm_sq)  # ||y||^2 and ||y||_2
     back = np.zeros(n, dtype=np.complex128)
     back[:s] = x0 * yz + scale * (g - x0 * np.vdot(x0, g))
     back[s : s + k] = scale * np.sqrt(2.0 * top)
@@ -177,8 +202,10 @@ def random_cases(count):
 
 @pytest.mark.parametrize("scheme,n,s,m,tau", random_cases(80))
 def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
-    seed = 11
-    for start, stop in ((30, 32), (32, 35)):  # rows 30 and 31 of chunk 0, rows 0 to 2 of chunk 1
+    seed, size = 11, chunk_size(s, m)
+    assert _chunk_trials(s, m) == size
+    # rows 0 and 1 and the last two of chunk 0, rows 0 to 2 of chunk 1
+    for start, stop in ((0, 2), (size - 2, size), (size, size + 3)):
         errors, _ = _run_chunk(scheme, n, s, m, tau, seed, start, stop)
         for k, t in enumerate(range(start, stop)):
             ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, t)
@@ -187,18 +214,22 @@ def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
             assert run_trial(scheme, n, s, m, tau, seed, t) == errors[k]
 
 
-class _ZeroValuesFirst:
-    """A generator whose first uniform draw has every value of the given
-    rows at 0.5, past the first ``n`` columns."""
+class _ZeroValues:
+    """A generator whose first two-dimensional uniform draw has every value of
+    the given rows at 0.5, past the first ``n`` columns, and whose first
+    ``again`` one-dimensional uniform draws (a row's redraws) are all 0.5."""
 
-    def __init__(self, gen, n, rows):
-        self._gen, self._n, self._rows, self._first = gen, n, rows, True
+    def __init__(self, gen, n, rows, again=0):
+        self._gen, self._n, self._rows, self._again, self._first = gen, n, rows, again, True
 
     def random(self, size=None):
         u = self._gen.random(size)
-        if self._first:
+        if u.ndim == 2 and self._first:
             self._first = False
             u[[r for r in self._rows if r < len(u)], self._n:] = 0.5  # values 2u - 1 all zero
+        elif u.ndim == 1 and self._again:
+            self._again -= 1
+            u[...] = 0.5
         return u
 
     def __getattr__(self, name):
@@ -207,26 +238,34 @@ class _ZeroValuesFirst:
 
 def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     n, s, m, tau, seed = 12, 3, 9, 0.4, 5
-    plain = RngStream.generator
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroValuesFirst(plain(self), 0, [0, 5]))
-    errors, _ = _run_chunk("po", n, s, m, tau, seed, 0, 8)
-    for t in range(8):
-        ref_error, _ = reference_trial("po", n, s, m, tau, seed, t)
-        assert errors[t] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
-    # by hand: the two rows' values come from one draw right after the
-    # (32, s) uniforms, in row order, and the normals follow it
+    size = chunk_size(s, m)
     stream = RngStream(seed, trial_stream_id("po", s, m, tau, 0))
-    x0, g, *_ = _draw_chunk("po", n, s, m, tau, seed, 0, 8)
-    gen = plain(stream)
-    expected = gen.random((32, s))
-    expected[[0, 5]] = gen.random((2, s))
-    values = 2.0 * expected[:8] - 1.0
-    assert np.array_equal(x0, values / np.sqrt((values * values).sum(axis=1))[:, None])
-    assert np.array_equal(g, gen.standard_normal((32, 2 * s)).view(np.complex128)[:8])
-    # the signal sampler of the full-matrix model and the RIP probe redraws the same way
+    x0, g, *_ = _draw_chunk("po", n, s, m, tau, seed, size, size + 8)
+    # by hand: row 0 of chunk 1 is redrawn to completion, then row 5, on the
+    # redraw sub-stream; the other rows and the normals do not move
+    expected = substream(stream, 1, "v").random((8, s))
+    redraw = substream(stream, 1, "redraw")
+    redraw.random(s)  # the first redraw of row 0, all 0.5 again
+    expected[0], expected[5] = redraw.random(s), redraw.random(s)
+    values = 2.0 * expected - 1.0
+    plain = RngStream.generator
+    # rows 0 and 5 of chunk 1 have all values zero, and the first redraw of row 0 too
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroValuesFirst(plain(self), n, [0]))
+                        lambda self: _ZeroValues(plain(self), 0, [0, 5], again=1))
+    errors, _ = _run_chunk("po", n, s, m, tau, seed, size, size + 8)
+    for t in range(8):
+        ref_error, _ = reference_trial("po", n, s, m, tau, seed, size + t)
+        assert errors[t] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
+    x0_redrawn, g_redrawn, *_ = _draw_chunk("po", n, s, m, tau, seed, size, size + 8)
+    assert np.array_equal(x0_redrawn, values / np.sqrt((values * values).sum(axis=1))[:, None])
+    assert np.array_equal(np.delete(x0_redrawn, [0, 5], axis=0), np.delete(x0, [0, 5], axis=0))
+    assert np.array_equal(g_redrawn, g)
+    # row 2 does not depend on the rows after it, redrawn or not
+    assert np.array_equal(_draw_chunk("po", n, s, m, tau, seed, size + 2, size + 3)[0],
+                          x0_redrawn[2:3])
+    # the signal sampler of the full-matrix model and the RIP probe redraws in one pass
+    monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                        lambda self: _ZeroValues(plain(self), n, [0]))
     supports, values = _support_value_batch(stream.generator(), n, s, 1)
     gen = plain(stream)
     u = gen.random(n + s)
@@ -348,108 +387,196 @@ def test_mixture_parameters_stay_in_range():
     assert [c.failures for c in result.cells] == [0] * len(taus)
 
 
-# n = 64, s = 3, m = 64: 1,024 trials (32 chunks) per range under the 2^16
-# cap, so 1,100 trials make two ranges per cell, the last chunk partial
-RANGE_ARGS = ("sweep-tau", "--n", "64", "--s", "3", "--m", "64", "--tau", "0",
-              "--tau", "0.7", "--trials", "1100", "--seed", "7")
+class _ZeroEveryModulus:
+    """A generator whose moduli draws (those of the scalar law: (rows, m) or
+    flat) have every ``step``-th entry at an exact zero, counted from the
+    draw's first entry."""
 
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_range_cap_does_not_change_the_bytes(monkeypatch, tmp_path, fmt):
-    outs = {}
-    for label, cap in [("one chunk", 1), ("2^16", 2**16), ("whole cell", 2**40)]:
-        monkeypatch.setattr(pocs.experiments, "_RANGE_ENTRIES", cap)
-        outs[label] = tmp_path / f"{label}.{fmt}"
-        assert cli.main([*RANGE_ARGS, "--format", fmt, "--out", str(outs[label])]) == 0
-    assert len({path.read_bytes() for path in outs.values()}) == 1
-
-
-@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0),
-                                        ("po", 1.5 * math.pi), ("po", 2.0 * math.pi)])
-def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
-    errors, _ = _run_chunk(scheme, 20, 4, 9, tau, 5, 0, 70)  # three chunks in one range
-    for t in (31, 32, 33):
-        assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t]
-
-
-def test_range_chunks_run_on_the_cell_stream(monkeypatch):
-    # a range builds one generator, on the stream id of the cell's trial 0,
-    # and chunk c draws from it c 2^64 outputs in
-    ids = []
-    plain = RngStream.generator
-
-    def record(self):
-        ids.append(self.stream_id)
-        return plain(self)
-
-    monkeypatch.setattr(pocs.rng.RngStream, "generator", record)
-    for tau in (0.5, -0.0):
-        ids.clear()
-        _draw_chunk("po", 40, 2, 3, tau, 1, 0, 10_000)  # 313 chunks
-        assert ids == [trial_stream_id("po", 2, 3, tau, 0)]
-    assert ids == [trial_stream_id("po", 2, 3, 0.0, 0)]  # -0.0 keys as the cell 0.0
-    ids.clear()
-    x0 = _draw_chunk("po", 40, 2, 3, 0.5, 1, 9990, 10_000)[0]  # starts mid-chunk 312
-    assert ids == [trial_stream_id("po", 2, 3, 0.5, 0)]
-    gen = plain(RngStream(1, ids[0]))
-    gen.bit_generator.advance(312 << 64)
-    values = 2.0 * gen.random((32, 2))[6:16] - 1.0
-    assert np.array_equal(x0, values / np.sqrt((values * values).sum(axis=1))[:, None])
-
-
-class _ZeroModuli:
-    """A generator whose moduli draws get exact zeros: the first two moduli
-    of row ``row`` of the chunk starting at ``chunk0``. A moduli draw is a
-    (rows, m) or a flat exponential draw (the top-k gaps are (32, 1) here);
-    the chunks make one each, in order, and a row's entries in a flat draw
-    follow the arc entries, m - K, of the rows before it. The first moduli
-    draw of a range first zeroes the whole buffer it writes into, so that an
-    entry no call draws holds zeros."""
-
-    def __init__(self, gen, m, chunk0, row):
-        self._gen, self._m, self._chunk0, self._row = gen, m, chunk0, row
-        self._chunk, self._circle = 0, np.zeros(32, dtype=np.int64)
-
-    def binomial(self, *args):
-        self._circle = self._gen.binomial(*args)
-        return self._circle
+    def __init__(self, gen, m, step):
+        self._gen, self._m, self._step = gen, m, step
 
     def standard_exponential(self, size=None, out=None):
-        if isinstance(size, tuple) and size[-1] != self._m:  # the top-k gaps
-            return self._gen.standard_exponential(size, out=out)
-        if self._chunk == 0:
-            out.base[...] = 0.0
-        e = self._gen.standard_exponential(size, out=out).reshape(-1)
-        if self._chunk == self._chunk0 // 32:
-            arcs = self._m - self._circle
-            assert arcs[self._row] >= 2
-            e[arcs[: self._row].sum() :][:2] = 0.0
-        self._chunk += 1
+        e = self._gen.standard_exponential(size, out=out)
+        if not isinstance(size, tuple) or size[-1] == self._m:  # not the top-k gaps
+            e.reshape(-1)[:: self._step] = 0.0
         return e
 
     def __getattr__(self, name):
         return getattr(self._gen, name)
 
 
-@pytest.mark.parametrize("chunk0,row,hits", [
-    (32, 3, 2),  # row 35, in the range's second chunk, counts
+@pytest.mark.parametrize("scheme,tau", [("cs", 0.0), ("po", 0.0), ("po", 0.9),
+                                        ("po", 1.5 * math.pi), ("po", 2.5 * math.pi)])
+def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, scheme, tau):
+    # n = 64, s = 3, m = 64: chunks of 1,024 trials, so 2,100 trials are three,
+    # the last partial; q = 0, 1 and 2 on the phase-only channel. Every 7th
+    # drawn modulus is an exact zero, so the zero-sign counts add up too.
+    n, s, m, seed, trials = 64, 3, 64, 9, 2100
+    assert _chunk_trials(s, m) == 1024
+    plain = RngStream.generator
+    monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                        lambda self: _ZeroEveryModulus(plain(self), m, 7))
+    whole, whole_zeros = _run_chunk(scheme, n, s, m, tau, seed, 0, trials)
+    assert (whole_zeros > 0) == (scheme == "po")
+    rng = np.random.default_rng(20261019)
+    for _ in range(4):
+        # chunk edges, one-row ranges, and starts in mid-chunk
+        cuts = {0, trials, 1024, 2048, 1023, 1025, 2047, 2049, 5, 6}
+        cuts.update(int(c) for c in rng.integers(1, trials, 6))
+        cuts = sorted(cuts if rng.random() < 0.5 else cuts - {1024, 2048})
+        parts = [_run_chunk(scheme, n, s, m, tau, seed, a, b) for a, b in zip(cuts, cuts[1:])]
+        errors = np.concatenate([e for e, _ in parts])
+        assert np.array_equal(errors, whole, equal_nan=True)
+        assert sum(z for _, z in parts) == whole_zeros
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.5 * math.pi])
+def test_run_trial_replays_the_last_row_of_a_full_chunk(monkeypatch, tau):
+    # (s, m) = (10, 64): chunks of 1,024 trials, as in the paper's tau grid
+    seen = []
+    aggregate = pocs.experiments._aggregate_cell
+
+    def keep_errors(cell, errors, zero_signs):
+        seen.append(errors.copy())
+        return aggregate(cell, errors, zero_signs)
+
+    monkeypatch.setattr(pocs.experiments, "_aggregate_cell", keep_errors)
+    run_sweep(SweepConfig(n=256, sparsity_levels=(10,), m=64, tau_grid=(tau,),
+                          schemes=("po",), trials=2048, master_seed=4), workers=2)
+    assert _chunk_trials(10, 64) == 1024
+    for t in (1023, 1024, 2047):
+        assert run_trial("po", 256, 10, 64, tau, 4, t) == seen[0][t]
+
+
+@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0),
+                                        ("po", 1.5 * math.pi), ("po", 2.0 * math.pi)])
+def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
+    size = chunk_size(4, 9)
+    errors, _ = _run_chunk(scheme, 20, 4, 9, tau, 5, size - 40, size + 30)  # across a chunk edge
+    for t in (size - 40, size - 1, size, size + 1):
+        assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t - size + 40]
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def test_substreams_are_not_correlated():
+    # At the same position, the 64-bit outputs of two independent streams
+    # differ in 32 bits on average, with a standard error of 4 / sqrt(N) for
+    # the mean over N outputs. Sub-streams a multiple of 2^64 outputs apart
+    # share the low half of the LCG state: they read z of -7 to -11 here.
+    n = 1 << 19
+    stream = RngStream(17, trial_stream_id("po", 10, 64, 0.0, 0))
+    raw = {key: substream(stream, *key).bit_generator.random_raw(n)
+           for key in [(0, "v"), (0, "redraw"), (0, "g"), (0, "law"), (1, "v"), (2, "g")]}
+    for a, b in [((0, "v"), (0, "redraw")), ((0, "v"), (0, "g")), ((0, "g"), (0, "law")),
+                 ((0, "v"), (1, "v")), ((0, "v"), (2, "g")), ((0, "law"), (1, "v"))]:
+        differ = _POPCOUNT[(raw[a] ^ raw[b]).view(np.uint8)].sum() / n
+        assert abs(differ - 32.0) < 5 * 4 / math.sqrt(n), (a, b)
+
+
+class _Recorder:
+    """A generator that logs each draw: its method, its first argument and the
+    state of the bit generator it starts from."""
+
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        if name == "bit_generator":
+            return attr
+
+        def draw(*args, **kwargs):
+            self._log.append((name, args[0], self._gen.bit_generator.state["state"]["state"]))
+            return attr(*args, **kwargs)
+
+        return draw
+
+
+def test_range_chunks_run_on_the_cell_stream(monkeypatch):
+    # a range builds one generator, on the stream id of the cell's trial 0
+    # (-0.0 keys as the cell 0.0), and quantity j of chunk c starts 9c + j
+    # jumps into it and draws the chunk's rows up to the last asked for
+    ids, log = [], []
+    plain = RngStream.generator
+
+    def record(self):
+        ids.append(self.stream_id)
+        return _Recorder(plain(self), log)
+
+    monkeypatch.setattr(pocs.rng.RngStream, "generator", record)
+    n, s, m, seed = 40, 2, 2048, 1
+    assert _chunk_trials(s, m) == 32
+    for scheme, tau, quantities in [
+        ("cs", 0.0, ["v", "g", "beta", "gaps", "law"]),
+        ("po", -0.0, ["v", "g", "beta", "gaps", "law"]),
+        ("po", 0.5, ["v", "g", "beta", "gaps", "arc", "law"]),
+        ("po", 1.5 * math.pi, ["v", "g", "beta", "gaps", "circle", "c", "arc", "law"]),
+    ]:
+        ids.clear()
+        log.clear()
+        _draw_chunk(scheme, n, s, m, tau, seed, 70, 100)  # rows 6-31 of chunk 2, 0-3 of chunk 3
+        assert ids == [trial_stream_id(scheme, s, m, abs(tau), 0)]
+        methods = {"v": "random", "g": "standard_normal", "beta": "beta",
+                   "gaps": "standard_exponential", "circle": "binomial", "c": "standard_normal",
+                   "arc": "uniform",
+                   "law": "standard_gamma" if scheme == "cs" else "standard_exponential"}
+        stream = RngStream(seed, ids[0])
+        expected = [
+            (methods[name], substream(stream, c, name).bit_generator.state["state"]["state"])
+            for c in (2, 3) for name in quantities
+        ]
+        assert [(name, state) for name, _, state in log] == expected
+        assert [log[0][1], log[len(quantities)][1]] == [(32, s), (4, s)]  # values: 32 rows, 4
+
+
+class _ZeroModuli:
+    """A generator whose moduli draws (the top-k gaps are (rows, 1) here)
+    have the first two moduli of row ``row`` at exact zeros; in a flat draw a
+    row's entries follow the arc entries, m - K, of the rows before it."""
+
+    def __init__(self, gen, m, row):
+        self._gen, self._m, self._row = gen, m, row
+        self._circle = np.zeros(row + 1, dtype=np.int64)
+
+    def binomial(self, *args):
+        self._circle = self._gen.binomial(*args)
+        return self._circle
+
+    def standard_exponential(self, size=None, out=None):
+        e = self._gen.standard_exponential(size, out=out)
+        if isinstance(size, tuple) and size[-1] != self._m:  # the top-k gaps
+            return e
+        arcs = self._m - self._circle
+        assert arcs[self._row] >= 2
+        e.reshape(-1)[arcs[: self._row].sum() :][:2] = 0.0
+        return e
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+@pytest.mark.parametrize("first,row,hits", [
+    (32, 3, 2),  # row 35, in the range, counts
     (0, 2, 0),   # row 2 is drawn, but before start
 ])
-def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, chunk0, row, hits):
-    # trials 5 to 39: buffers of two chunks, 64 rows, whose moduli past stop
-    # are never drawn, nor counted; at 1.5 pi (q = 1) the moduli are flat and
-    # drawn for the arc entries only
+def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, first, row, hits):
+    # trials 5 to 39, one chunk: its draws hold rows 0 to 39, and only the
+    # moduli of rows 5 to 39 are counted; at 1.5 pi (q = 1) the moduli are
+    # flat and drawn for the arc entries only
     plain = RngStream.generator
     for m, tau in ((8, 0.5), (64, 1.5 * math.pi)):
+        assert _chunk_trials(2, m) >= 40
         monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                            lambda self: _ZeroModuli(plain(self), m, chunk0, row))
+                            lambda self: _ZeroModuli(plain(self), m, first + row))
         *_, zero_signs = _draw_chunk("po", 16, 2, m, tau, 3, 5, 40)
         assert zero_signs == hits
 
 
 def test_range_memory_is_bounded():
-    # one range of the 10,000 trials would hold several (10000, 1024) arrays
-    # (240 MiB at tau > 0); capped, a range's buffers are 64 x 1024 entries
+    # one chunk of the 10,000 trials would hold several (10000, 1024) arrays
+    # (240 MiB at tau > 0); capped, a chunk's draws are 64 x 1024 entries
     import tracemalloc
 
     config = SweepConfig(n=256, sparsity_levels=(10,), m=1024, tau_grid=(0.5,),
