@@ -2,35 +2,16 @@
 
 A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
 :func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
-fresh sparse signal and then, straight from their exact law
-(:func:`_draw_chunk`), the entries of the back-projection ``Phi^H z`` of
-its measurements (phase-only with bounded phase noise, or unaltered linear)
-that PBP can keep: the s on its support, and the moduli of the (at most
-s) largest off it. It forms neither the m x n sensing matrix nor the other
-entries. The trial then keeps the s strongest of those entries, as PBP
-does, and records the direction error (:func:`_score_chunk`).
-
-A cell runs on one stream, the stream id of its first trial,
-
-    fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=0")
-
-under the configured master seed, with a tau of -0.0 keyed as 0.0. Its
-trials run in chunks of :func:`_chunk_trials` trials: the multiple of 32
-whose widest draw, rows x max(m, 2s), holds at most ``_CHUNK_ENTRIES``
-entries, and at least 32 (1,024 trials at m = 64, s = 10; 32 from m = 2,048
-on). Quantity j of chunk c (:func:`_draw_chunk` lists the nine) draws from
-its own sub-stream, the cell's stream jumped 9c + j times (``PCG64.jumped``),
-in one array call for the chunk's rows up to the last one asked for. ``ENGINE``
-names the way a chunk consumes its stream (the chunk size included); it
-changes whenever the draws do, and the JSON output echoes it. numpy fills a
-draw in order, so trial t is row t % size of chunk t // size whatever the
-trial count, the range of trials asked for or the worker count, and
-:func:`run_trial` replays it alone.
-
-A chunk of one cell is the engine's unit and a pool task
-(:func:`_run_chunk`); the functions take any range of a cell's trials and
-loop over the chunks it touches. Aggregation folds trials in index order,
-which makes repeated runs byte-identical.
+fresh sparse signal and, straight from their exact law, the entries of the
+back-projection ``Phi^H z`` of its measurements (phase-only with bounded
+phase noise, or unaltered linear) that PBP can keep, without forming the
+m x n sensing matrix; it keeps the s strongest, as PBP does, and records
+the direction error (:func:`_score_chunk`). A cell runs on one stream, in
+chunks of :func:`_chunk_trials` trials; a chunk is a pool task
+(:func:`_run_chunk`). :func:`_draw_chunk` specifies the law, the stream
+key and the order of the draws. Aggregation folds trials in index order,
+so a sweep gives the same bytes for one ``ENGINE`` whatever the worker
+count, and :func:`run_trial` replays any trial alone.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -182,9 +163,11 @@ def _arc_law(tau):
     return q, r, min(1.0, q * math.pi / tau) if q else 0.0
 
 
-def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
-    """Draws for trials ``start`` to ``stop - 1`` of one cell, any range of
-    them: ``(x0, g, top, yz, scale, zero_signs)``.
+def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
+    """Draws for the first ``rows`` trials of chunk ``chunk`` of one cell:
+    ``(x0, g, top, yz, scale, zero_signs)``. This docstring specifies the
+    engine's draws and their order. ``ENGINE`` names it, the chunk size
+    included, and changes whenever the draws do.
 
     ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
     deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
@@ -212,7 +195,8 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     term ``|y_i| exp(1j xi_i)`` is a circular complex normal with per-part
     sigma, so K of them sum to ``sigma sqrt(K) c`` with one standard complex
     normal ``c``, and ``y^H z = (-1)^q sum_arc |y_i| exp(1j u_i) + sigma
-    sqrt(K) c``. At q = 0 every entry is an arc entry, u = xi.
+    sqrt(K) c``. At q = 0 every entry is an arc entry, u = xi; at tau = k pi
+    a row draws no phase and no modulus.
 
     Off the support S of ``x0`` that is ``sigma ||z||_2 g_j``, independent of
     the entries on S, and it counts only through its modulus
@@ -220,51 +204,47 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop):
     So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
     positions of S only break ties, which have probability zero.
 
-    Chunk c of the cell draws quantity j of this list from its own
-    sub-stream, the cell's stream jumped 9c + j times (``PCG64.jumped``), in
-    one array call for its rows 0 to ``hi - 1``, where ``hi - 1`` is the
-    chunk's last row asked for:
+    A cell runs on one stream, the stream id of its trial 0,
 
-    0. ``v``, (hi, s) uniforms, the signal values ``2v - 1`` on S, normalized;
+        fnv1a64(b"<ENGINE>|<scheme>|s=<s>|m=<m>|tau=<tau:.17g>|trial=0")
+
+    (:func:`trial_stream_id`) under the master seed, with a tau of -0.0
+    keyed as 0.0. Its trials run in chunks of :func:`_chunk_trials`
+    trials, and trial t is row t % size of chunk t // size. Quantity j of
+    this list draws from its own sub-stream, the cell's stream jumped
+    9 chunk + j times (``PCG64.jumped``, taken with ``advance``), in one
+    array call for the ``rows`` rows:
+
+    0. ``v``, (rows, s) uniforms, the signal values ``2v - 1`` on S,
+       normalized;
     1. the redraws of the rows whose values are all zero: row by row, in row
        order, each row's s uniforms until they are not all 0.5;
-    2. ``g``, (hi, s) standard complex normals, its entries on S;
-    3. if k > 0, hi Beta draws for the k-th largest of n - s ``Exp(1)``
+    2. ``g``, (rows, s) standard complex normals, its entries on S;
+    3. if k > 0, rows Beta draws for the k-th largest of n - s ``Exp(1)``
        variables, and
-    4. (hi, k - 1) ``Exp(1)`` gaps above it (:func:`_largest_exponentials`);
-    5. on the phase-only channel with q >= 1, hi circle counts
+    4. (rows, k - 1) ``Exp(1)`` gaps above it (:func:`_largest_exponentials`);
+    5. on the phase-only channel with q >= 1, rows circle counts
        ``K ~ Binomial(m, p)``, and
-    6. (hi, 2) standard normals ``c``;
+    6. (rows, 2) standard normals ``c``;
     7. on the phase-only channel with tau > 0, the arc phases: the m - K of
-       each row, flat in row order, uniform on [-r, r] ((hi, m) uniforms on
-       [-tau, tau] at q = 0);
+       each row, flat in row order, uniform on [-r, r] ((rows, m) uniforms
+       on [-tau, tau] at q = 0);
     8. the scalar law: ``po`` draws ``E ~ Exp(1)`` for the arc entries, flat
-       in row order ((hi, m) at q = 0), with ``|y_i| = sigma sqrt(2 E_i)``;
-       ``cs`` draws ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+       in row order ((rows, m) at q = 0, summed per row by ``np.bincount``
+       past it), with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
+       ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
 
-    Row k of a draw, and of the redraws, does not depend on the rows after
-    it. A range builds the cell's generator once and draws chunk by chunk;
-    a sweep task is one chunk. Returns rows ``start`` to ``stop - 1`` of
-    ``x0`` (the values on S), ``g`` and ``top``, their ``y^H z`` and
-    ``sigma ||z||_2``, and how many of their drawn moduli met the
-    zero-signum convention.
+    numpy fills a draw in order, so every draw is a prefix: row k of a
+    draw, a row's flat entries and a row's redraws do not depend on the
+    rows after it. A trial is therefore the same bits whatever the trial
+    count, the worker count, or ``rows`` (:func:`run_trial` draws its chunk
+    up to its row). Returns ``x0`` (the values on S), ``g`` and ``top``,
+    their ``y^H z`` and ``sigma ||z||_2``, and how many drawn moduli met the
+    zero-signum convention of :func:`pocs.core.csign`.
     """
-    size = _chunk_trials(s, m)
     gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
-    cell = gen.bit_generator.state
-    parts = [
-        _draw_rows(gen, cell, c, scheme, n, s, m, tau, max(start - c * size, 0),
-                   min(stop - c * size, size))
-        for c in range(start // size, (stop - 1) // size + 1)
-    ]
-    *arrays, zero_signs = zip(*parts)
-    return (*(np.concatenate(a) for a in arrays), sum(zero_signs))
-
-
-def _draw_rows(gen, cell, chunk, scheme, n, s, m, tau, lo, hi):
-    """:func:`_draw_chunk` of rows ``lo`` to ``hi - 1`` of one chunk, from
-    ``gen``, whose bit generator's state ``cell`` starts the cell's stream."""
     bits = gen.bit_generator
+    cell = bits.state
 
     def at(quantity):  # gen, at the start of the quantity's sub-stream
         bits.state = cell
@@ -273,7 +253,7 @@ def _draw_rows(gen, cell, chunk, scheme, n, s, m, tau, lo, hi):
 
     k = min(s, n - s)
     sigma = per_part_sigma(m, scheme)
-    v = at("v").random((hi, s))
+    v = at("v").random((rows, s))
     if 0.5 in v:  # a row's values 2v - 1 are all zero only where each v is 0.5
         bad = np.flatnonzero((v == 0.5).all(axis=1))
         if bad.size:
@@ -281,35 +261,34 @@ def _draw_rows(gen, cell, chunk, scheme, n, s, m, tau, lo, hi):
         for row in bad:
             while (v[row] == 0.5).all():
                 v[row] = gen.random(s)
-    x0 = 2.0 * v[lo:] - 1.0
+    x0 = 2.0 * v - 1.0
     x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
-    g = at("g").standard_normal((hi, 2 * s))[lo:].view(np.complex128)
-    top = np.empty((hi - lo, 0))
+    g = at("g").standard_normal((rows, 2 * s)).view(np.complex128)
+    top = np.empty((rows, 0))
     if k:
-        beta = at("beta").beta(k, n - s - k + 1, hi)[lo:]
-        top = _largest_exponentials(beta, at("gaps").standard_exponential((hi, k - 1))[lo:])
+        beta = at("beta").beta(k, n - s - k + 1, rows)
+        top = _largest_exponentials(beta, at("gaps").standard_exponential((rows, k - 1)))
     if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
-        w = 2.0 * at("law").standard_gamma(m, hi)[lo:]
+        w = 2.0 * at("law").standard_gamma(m, rows)
         return x0, g, top, sigma * sigma * w, sigma * sigma * np.sqrt(w), 0
-    scale = np.full(hi - lo, sigma * math.sqrt(m))
+    scale = np.full(rows, sigma * math.sqrt(m))
     q, r, p = _arc_law(tau)
     if not q:
-        xi = at("arc").uniform(-tau, tau, (hi, m))[lo:] if tau > 0 else None
-        mod = at("law").standard_exponential((hi, m))[lo:]  # becomes |y_i| in place
+        xi = at("arc").uniform(-tau, tau, (rows, m)) if tau > 0 else None
+        mod = at("law").standard_exponential((rows, m))  # becomes |y_i| in place
         np.sqrt(np.multiply(mod, 2.0 * sigma * sigma, out=mod), out=mod)
         yz, zero_signs = _phase_only_statistic(mod, xi)
         return x0, g, top, yz, scale, zero_signs
-    circle = at("circle").binomial(m, p, hi)
-    c = at("c").standard_normal((hi, 2))[lo:].view(np.complex128)[:, 0]
+    circle = at("circle").binomial(m, p, rows)
+    c = at("c").standard_normal((rows, 2)).view(np.complex128)[:, 0]
     counts = m - circle  # arc entries per row
-    ends = np.cumsum(counts)
-    first, drawn = int(ends[lo] - counts[lo]), int(ends[-1])  # the rows asked for start at first
-    u = at("arc").uniform(-r, r, drawn)[first:]
-    mod = np.sqrt(at("law").standard_exponential(drawn)[first:] * (2.0 * sigma * sigma))
-    owner = np.repeat(np.arange(hi - lo), counts[lo:])  # the row of each arc entry
-    re, im = (np.bincount(owner, mod * f(u), hi - lo) for f in (np.cos, np.sin))
+    drawn = int(counts.sum())
+    u = at("arc").uniform(-r, r, drawn)
+    mod = np.sqrt(at("law").standard_exponential(drawn) * (2.0 * sigma * sigma))
+    owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
+    re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
     yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
-    yz += sigma * np.sqrt(circle[lo:]) * c  # K circle terms
+    yz += sigma * np.sqrt(circle) * c  # K circle terms
     return x0, g, top, yz, scale, mod.size - int(np.count_nonzero(mod))
 
 
@@ -338,10 +317,10 @@ def _score_chunk(x0, g, top, yz, scale):
     return np.sqrt((residual.real * residual.real + residual.imag * residual.imag).sum(axis=1) + off)
 
 
-def _run_chunk(scheme, n, s, m, tau, master_seed, start, stop):
-    """Trials ``start`` to ``stop - 1`` of one cell, any range of them:
+def _run_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
+    """The first ``rows`` trials of chunk ``chunk`` of one cell, a pool task:
     :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, zero_signs)``."""
-    *draws, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, start, stop)
+    *draws, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows)
     return _score_chunk(*draws), zero_signs
 
 
@@ -350,14 +329,15 @@ def run_trial(
 ) -> float:
     """One trial: draw x0 and the back-projection of its measurements, keep
     the s strongest entries (PBP) and return the direction error, NaN if the
-    estimate is zero. This is the one-row range: row ``trial_index % size`` of
-    its chunk of ``size`` trials, drawn with the rows before it only."""
+    estimate is zero. The trial is row ``trial_index % size`` of its chunk
+    of ``size`` trials, drawn with the rows before it only."""
     _check_cell(scheme, n, s, m, tau)
     _check_master_seed(master_seed)
     if trial_index < 0:
         raise ConfigError(f"trial_index: must be >= 0, got {trial_index}")
-    errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, trial_index, trial_index + 1)
-    return float(errors[0])
+    chunk, row = divmod(trial_index, _chunk_trials(s, m))
+    errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
+    return float(errors[row])
 
 
 def _aggregate_cell(cell, errors: np.ndarray, zero_signs: int) -> CellAggregate:
@@ -397,10 +377,10 @@ def _chunk_trials(s, m) -> int:
 
 def _run_cells(cells, n, trials, master_seed, workers):
     tasks = [  # _run_chunk's arguments, cell by cell, chunk by chunk
-        (scheme, n, s, m, tau, master_seed, start, min(start + size, trials))
+        (scheme, n, s, m, tau, master_seed, c, min(size, trials - c * size))
         for scheme, s, m, tau in cells
         for size in (_chunk_trials(s, m),)
-        for start in range(0, trials, size)
+        for c in range(-(-trials // size))
     ]
     errors = np.empty((len(cells), trials))
     flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0

@@ -23,13 +23,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash of ``data``, used to derive stream ids.
-
-    ``state`` continues a hash: ``fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)``,
-    so keys sharing a prefix hash the prefix once.
-    """
-    h = state
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash of ``data``, used to derive stream ids."""
+    h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h

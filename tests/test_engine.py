@@ -30,7 +30,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-from pocs.experiments import _phase_only_statistic, _run_chunk
+from pocs.experiments import _chunk_trials, _phase_only_statistic, _run_chunk
 
 REFERENCE_SEED = 31
 ENGINE_SEED = 32
@@ -52,9 +52,10 @@ def reference_errors(scheme, n, s, m, tau, trials):
 
 
 def engine_errors(scheme, n, s, m, tau, trials):
+    size = _chunk_trials(s, m)
     return np.concatenate([
-        _run_chunk(scheme, n, s, m, tau, ENGINE_SEED, start, min(start + 32, trials))[0]
-        for start in range(0, trials, 32)
+        _run_chunk(scheme, n, s, m, tau, ENGINE_SEED, c, min(size, trials - c * size))[0]
+        for c in range(-(-trials // size))
     ])
 
 

@@ -33,8 +33,3 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
-
-
-def test_fnv1a64_continues_from_a_prefix_state():
-    for prefix, rest in [(b"", b"foobar"), (b"foo", b"bar"), (b"foobar", b"")]:
-        assert fnv1a64(rest, fnv1a64(prefix)) == fnv1a64(prefix + rest)

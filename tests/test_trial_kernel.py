@@ -204,14 +204,16 @@ def random_cases(count):
 def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
     seed, size = 11, chunk_size(s, m)
     assert _chunk_trials(s, m) == size
-    # rows 0 and 1 and the last two of chunk 0, rows 0 to 2 of chunk 1
-    for start, stop in ((0, 2), (size - 2, size), (size, size + 3)):
-        errors, _ = _run_chunk(scheme, n, s, m, tau, seed, start, stop)
-        for k, t in enumerate(range(start, stop)):
+    # rows 0 and 1 of chunk 0, the last two of the whole chunk 0, rows 0 to 2 of chunk 1
+    for chunk, rows, checked in ((0, 2, (0, 1)), (0, size, (size - 2, size - 1)),
+                                 (1, 3, (0, 1, 2))):
+        errors, _ = _run_chunk(scheme, n, s, m, tau, seed, chunk, rows)
+        for row in checked:
+            t = chunk * size + row
             ref_error, ref_failed = reference_trial(scheme, n, s, m, tau, seed, t)
-            assert math.isnan(errors[k]) == ref_failed
-            assert errors[k] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
-            assert run_trial(scheme, n, s, m, tau, seed, t) == errors[k]
+            assert math.isnan(errors[row]) == ref_failed
+            assert errors[row] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
+            assert run_trial(scheme, n, s, m, tau, seed, t) == errors[row]
 
 
 class _ZeroValues:
@@ -240,7 +242,7 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     n, s, m, tau, seed = 12, 3, 9, 0.4, 5
     size = chunk_size(s, m)
     stream = RngStream(seed, trial_stream_id("po", s, m, tau, 0))
-    x0, g, *_ = _draw_chunk("po", n, s, m, tau, seed, size, size + 8)
+    x0, g, *_ = _draw_chunk("po", n, s, m, tau, seed, 1, 8)
     # by hand: row 0 of chunk 1 is redrawn to completion, then row 5, on the
     # redraw sub-stream; the other rows and the normals do not move
     expected = substream(stream, 1, "v").random((8, s))
@@ -252,17 +254,16 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     # rows 0 and 5 of chunk 1 have all values zero, and the first redraw of row 0 too
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
                         lambda self: _ZeroValues(plain(self), 0, [0, 5], again=1))
-    errors, _ = _run_chunk("po", n, s, m, tau, seed, size, size + 8)
+    errors, _ = _run_chunk("po", n, s, m, tau, seed, 1, 8)
     for t in range(8):
         ref_error, _ = reference_trial("po", n, s, m, tau, seed, size + t)
         assert errors[t] == pytest.approx(ref_error, rel=1e-12, abs=1e-12)
-    x0_redrawn, g_redrawn, *_ = _draw_chunk("po", n, s, m, tau, seed, size, size + 8)
+    x0_redrawn, g_redrawn, *_ = _draw_chunk("po", n, s, m, tau, seed, 1, 8)
     assert np.array_equal(x0_redrawn, values / np.sqrt((values * values).sum(axis=1))[:, None])
     assert np.array_equal(np.delete(x0_redrawn, [0, 5], axis=0), np.delete(x0, [0, 5], axis=0))
     assert np.array_equal(g_redrawn, g)
-    # row 2 does not depend on the rows after it, redrawn or not
-    assert np.array_equal(_draw_chunk("po", n, s, m, tau, seed, size + 2, size + 3)[0],
-                          x0_redrawn[2:3])
+    # rows 0 to 2 do not depend on the rows after them, redrawn or not
+    assert np.array_equal(_draw_chunk("po", n, s, m, tau, seed, 1, 3)[0], x0_redrawn[:3])
     # the signal sampler of the full-matrix model and the RIP probe redraws in one pass
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
                         lambda self: _ZeroValues(plain(self), n, [0]))
@@ -334,25 +335,30 @@ def test_largest_exponentials_law(pool, k, rank):
     assert ks_statistic(drawn[:, col], direct[:, col]) < KS_CRITICAL
 
 
-@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0)])
-def test_trial_errors_do_not_depend_on_trials_workers_or_replay(monkeypatch, scheme, tau):
-    seen = {}
+@pytest.fixture
+def cell_errors(monkeypatch):
+    """``(errors, zero_signs)`` of each cell the sweeps of a test aggregate, in order."""
+    seen = []
     aggregate = pocs.experiments._aggregate_cell
 
     def keep_errors(cell, errors, zero_signs):
-        seen[key] = errors.copy()
+        seen.append((errors.copy(), zero_signs))
         return aggregate(cell, errors, zero_signs)
 
     monkeypatch.setattr(pocs.experiments, "_aggregate_cell", keep_errors)
+    return seen
+
+
+@pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0)])
+def test_trial_errors_do_not_depend_on_trials_workers_or_replay(cell_errors, scheme, tau):
     for trials in (5, 32, 33, 70):
         for workers in (1, 2):
-            key = trials, workers
             config = SweepConfig(n=12, sparsity_levels=(3,), m=20, tau_grid=(tau,),
                                  schemes=(scheme,), trials=trials, master_seed=13)
             run_sweep(config, workers=workers)
-    longest = seen[70, 1]
-    for (trials, _), errors in seen.items():
-        assert np.array_equal(errors, longest[:trials])
+    longest = cell_errors[-1][0]
+    for errors, _ in cell_errors:
+        assert np.array_equal(errors, longest[: errors.size])
     alone = [run_trial(scheme, 12, 3, 20, tau, 13, t) for t in range(70)]
     assert np.array_equal(alone, longest)
 
@@ -362,7 +368,9 @@ def test_mixture_law_of_the_phase_noise(tau):
     # y^H z from K ~ Binomial(m, p) circle terms, one complex normal and the
     # arc entries, against sum_i |y_i| exp(1j xi_i) with xi_i ~ U[-tau, tau]
     m, sigma = 8, per_part_sigma(8, VarianceConvention.PHASE_ONLY)
-    yz = _draw_chunk("po", 4, 2, m, tau, 45, 0, KS_DRAWS)[3]
+    size = _chunk_trials(2, m)  # 8,192: the draws are chunks 0 to 2 of the cell
+    yz = np.concatenate([_draw_chunk("po", 4, 2, m, tau, 45, c, min(size, KS_DRAWS - c * size))[3]
+                         for c in range(-(-KS_DRAWS // size))])
     gen = RngStream(46).generator()
     modulus = sigma * np.sqrt(2.0 * gen.standard_exponential((KS_DRAWS, m)))
     direct = (modulus * np.exp(1j * gen.uniform(-tau, tau, (KS_DRAWS, m)))).sum(axis=1)
@@ -407,52 +415,53 @@ class _ZeroEveryModulus:
 
 @pytest.mark.parametrize("scheme,tau", [("cs", 0.0), ("po", 0.0), ("po", 0.9),
                                         ("po", 1.5 * math.pi), ("po", 2.5 * math.pi)])
-def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, scheme, tau):
-    # n = 64, s = 3, m = 64: chunks of 1,024 trials, so 2,100 trials are three,
-    # the last partial; q = 0, 1 and 2 on the phase-only channel. Every 7th
-    # drawn modulus is an exact zero, so the zero-sign counts add up too.
+def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, cell_errors, scheme, tau):
+    # Any number of rows is a prefix of the same bits, and the chunks
+    # concatenated are the sweep's cell. n = 64, s = 3, m = 64: chunks of
+    # 1,024 trials, so 2,100 trials are three, the last partial; q = 0, 1 and
+    # 2 on the phase-only channel. Every 7th drawn modulus is an exact zero,
+    # so the zero-sign counts add up too.
     n, s, m, seed, trials = 64, 3, 64, 9, 2100
     assert _chunk_trials(s, m) == 1024
     plain = RngStream.generator
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
                         lambda self: _ZeroEveryModulus(plain(self), m, 7))
-    whole, whole_zeros = _run_chunk(scheme, n, s, m, tau, seed, 0, trials)
-    assert (whole_zeros > 0) == (scheme == "po")
+    run_sweep(SweepConfig(n=n, sparsity_levels=(s,), m=m, tau_grid=(tau,), schemes=(scheme,),
+                          trials=trials, master_seed=seed))
+    [(cell, cell_zeros)] = cell_errors
+    chunks = [_run_chunk(scheme, n, s, m, tau, seed, c, rows)
+              for c, rows in ((0, 1024), (1, 1024), (2, 52))]
+    assert np.array_equal(np.concatenate([e for e, _ in chunks]), cell, equal_nan=True)
+    assert sum(z for _, z in chunks) == cell_zeros
+    assert (cell_zeros > 0) == (scheme == "po")
     rng = np.random.default_rng(20261019)
-    for _ in range(4):
-        # chunk edges, one-row ranges, and starts in mid-chunk
-        cuts = {0, trials, 1024, 2048, 1023, 1025, 2047, 2049, 5, 6}
-        cuts.update(int(c) for c in rng.integers(1, trials, 6))
-        cuts = sorted(cuts if rng.random() < 0.5 else cuts - {1024, 2048})
-        parts = [_run_chunk(scheme, n, s, m, tau, seed, a, b) for a, b in zip(cuts, cuts[1:])]
-        errors = np.concatenate([e for e, _ in parts])
-        assert np.array_equal(errors, whole, equal_nan=True)
-        assert sum(z for _, z in parts) == whole_zeros
+    for c, (whole, whole_zeros) in enumerate(chunks[:2]):
+        counted = 0
+        for rows in sorted({1, 2, 5, 6, 1023, 1024, *(int(r) for r in rng.integers(1, 1024, 4))}):
+            part, zeros = _run_chunk(scheme, n, s, m, tau, seed, c, rows)
+            assert np.array_equal(part, whole[:rows], equal_nan=True)
+            assert counted <= zeros <= whole_zeros  # the moduli of the rows drawn
+            counted = zeros
+        assert counted == whole_zeros
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.5 * math.pi])
-def test_run_trial_replays_the_last_row_of_a_full_chunk(monkeypatch, tau):
+def test_run_trial_replays_the_last_row_of_a_full_chunk(cell_errors, tau):
     # (s, m) = (10, 64): chunks of 1,024 trials, as in the paper's tau grid
-    seen = []
-    aggregate = pocs.experiments._aggregate_cell
-
-    def keep_errors(cell, errors, zero_signs):
-        seen.append(errors.copy())
-        return aggregate(cell, errors, zero_signs)
-
-    monkeypatch.setattr(pocs.experiments, "_aggregate_cell", keep_errors)
     run_sweep(SweepConfig(n=256, sparsity_levels=(10,), m=64, tau_grid=(tau,),
                           schemes=("po",), trials=2048, master_seed=4), workers=2)
     assert _chunk_trials(10, 64) == 1024
     for t in (1023, 1024, 2047):
-        assert run_trial("po", 256, 10, 64, tau, 4, t) == seen[0][t]
+        assert run_trial("po", 256, 10, 64, tau, 4, t) == cell_errors[0][0][t]
 
 
 @pytest.mark.parametrize("scheme,tau", [("po", 0.0), ("po", 0.9), ("cs", 0.0),
                                         ("po", 1.5 * math.pi), ("po", 2.0 * math.pi)])
 def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
     size = chunk_size(4, 9)
-    errors, _ = _run_chunk(scheme, 20, 4, 9, tau, 5, size - 40, size + 30)  # across a chunk edge
+    # the last 40 rows of chunk 0 and the first 30 of chunk 1, across the edge
+    errors = np.concatenate([_run_chunk(scheme, 20, 4, 9, tau, 5, 0, size)[0][-40:],
+                             _run_chunk(scheme, 20, 4, 9, tau, 5, 1, 30)[0]])
     for t in (size - 40, size - 1, size, size + 1):
         assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t - size + 40]
 
@@ -495,9 +504,9 @@ class _Recorder:
 
 
 def test_range_chunks_run_on_the_cell_stream(monkeypatch):
-    # a range builds one generator, on the stream id of the cell's trial 0
+    # a call builds one generator, on the stream id of the cell's trial 0
     # (-0.0 keys as the cell 0.0), and quantity j of chunk c starts 9c + j
-    # jumps into it and draws the chunk's rows up to the last asked for
+    # jumps into it and draws the rows asked for
     ids, log = [], []
     plain = RngStream.generator
 
@@ -516,8 +525,9 @@ def test_range_chunks_run_on_the_cell_stream(monkeypatch):
     ]:
         ids.clear()
         log.clear()
-        _draw_chunk(scheme, n, s, m, tau, seed, 70, 100)  # rows 6-31 of chunk 2, 0-3 of chunk 3
-        assert ids == [trial_stream_id(scheme, s, m, abs(tau), 0)]
+        for chunk, rows in ((2, 32), (3, 4)):
+            _draw_chunk(scheme, n, s, m, tau, seed, chunk, rows)
+        assert ids == [trial_stream_id(scheme, s, m, abs(tau), 0)] * 2
         methods = {"v": "random", "g": "standard_normal", "beta": "beta",
                    "gaps": "standard_exponential", "circle": "binomial", "c": "standard_normal",
                    "arc": "uniform",
@@ -557,20 +567,17 @@ class _ZeroModuli:
         return getattr(self._gen, name)
 
 
-@pytest.mark.parametrize("first,row,hits", [
-    (32, 3, 2),  # row 35, in the range, counts
-    (0, 2, 0),   # row 2 is drawn, but before start
-])
-def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, first, row, hits):
-    # trials 5 to 39, one chunk: its draws hold rows 0 to 39, and only the
-    # moduli of rows 5 to 39 are counted; at 1.5 pi (q = 1) the moduli are
+@pytest.mark.parametrize("rows,row,hits", [(32, 3, 2)])
+def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, rows, row, hits):
+    # the first 32 rows of chunk 0, whose row 3 has two zero moduli: the
+    # zeros of every row drawn are counted; at 1.5 pi (q = 1) the moduli are
     # flat and drawn for the arc entries only
     plain = RngStream.generator
     for m, tau in ((8, 0.5), (64, 1.5 * math.pi)):
-        assert _chunk_trials(2, m) >= 40
+        assert _chunk_trials(2, m) >= rows
         monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                            lambda self: _ZeroModuli(plain(self), m, first + row))
-        *_, zero_signs = _draw_chunk("po", 16, 2, m, tau, 3, 5, 40)
+                            lambda self: _ZeroModuli(plain(self), m, row))
+        *_, zero_signs = _draw_chunk("po", 16, 2, m, tau, 3, 0, rows)
         assert zero_signs == hits
 
 
