@@ -12,10 +12,12 @@ emits deterministic CSV or JSON tables.
 """
 
 from .core import (
+    DegenerateEstimateError,
     adjoint_matvec,
     csign,
+    direction_error,
     hard_threshold,
-    restrict,
+    pbp,
 )
 from .experiments import (
     CellAggregate,
@@ -31,11 +33,6 @@ from .experiments import (
     run_sweep,
     run_trial,
     trial_stream_id,
-)
-from .recon import (
-    DegenerateEstimateError,
-    direction_error,
-    pbp,
 )
 from .rip import (
     ConcentrationReport,
@@ -89,7 +86,6 @@ __all__ = [
     "pbp_error_bound",
     "render_csv",
     "render_json",
-    "restrict",
     "rip_distortion_probe",
     "rip_estimate_report",
     "run_sweep",

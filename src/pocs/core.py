@@ -1,8 +1,11 @@
 """The paper's operators: PBP is ``H_s(Phi^H z)`` with ``z = csign(Phi x0) e^{i xi}``.
 
-Componentwise signum, hard thresholding ``H_s``, restriction to a support and
-the adjoint product ``Phi^H z``, over ``complex128`` arrays; support sets are
-sorted integer index arrays. All are pure functions, safe for concurrent use.
+Componentwise signum, hard thresholding ``H_s``, the adjoint product
+``Phi^H z``, PBP itself and the direction error that scores it, over
+``complex128`` arrays; support sets are sorted integer index arrays. Because
+phase-only measurements carry no amplitude, PBP estimates the direction of
+``x0`` only, and the error is taken against the l2-normalized estimate. All
+are pure functions, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -57,17 +60,6 @@ def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, v, 0), support
 
 
-def restrict(v, support) -> np.ndarray:
-    """Zero every entry of ``v`` outside ``support``."""
-    v = np.asarray(v, dtype=np.complex128)
-    support = np.asarray(support, dtype=np.intp)
-    if support.size and (support.min() < 0 or support.max() >= v.size):
-        raise ValueError("support index out of range")
-    out = np.zeros_like(v)
-    out[support] = v[support]
-    return out
-
-
 def adjoint_matvec(A, v) -> np.ndarray:
     """Conjugate-transpose product ``A^H v``."""
     A = np.asarray(A)
@@ -76,3 +68,32 @@ def adjoint_matvec(A, v) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {A.shape}^H @ {v.shape}")
     # conj(conj(v) A) == A^H v, without materialising the conjugated matrix
     return (v.conj() @ A).conj()
+
+
+class DegenerateEstimateError(ArithmeticError):
+    """Raised when an estimate is identically zero and has no direction."""
+
+
+def pbp(Phi, z, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-threshold ``Phi^H z`` to its s strongest entries: ``(xhat, support)``."""
+    return hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
+
+
+def direction_error(x0, xhat) -> float:
+    """l2 distance between ``x0`` and the normalized estimate ``xhat/||xhat||_2``.
+
+    Both arguments are vectors. Scale invariant in ``xhat``; at most 2 when
+    both directions are unit vectors. A zero estimate has no direction and
+    raises :class:`DegenerateEstimateError`.
+    """
+    ref = np.asarray(x0)
+    est = np.asarray(xhat)
+    if ref.ndim != 1 or est.ndim != 1:
+        raise ValueError(f"direction_error expects two vectors, got {ref.shape} and {est.shape}")
+    nrm = np.sqrt((est.real * est.real).sum() + (est.imag * est.imag).sum())
+    if nrm == 0.0:
+        raise DegenerateEstimateError("estimate is identically zero")
+    # ref - est / nrm, where est / nrm is taken as numpy divides a complex
+    # entry by a real one: times 1 / nrm
+    res = ref - np.multiply(est, 1.0 / nrm, dtype=np.result_type(ref, est, 1.0))
+    return float(np.sqrt((res.real * res.real).sum() + (res.imag * res.imag).sum()))

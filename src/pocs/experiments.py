@@ -403,6 +403,9 @@ def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
     # names the sweep field that gave the value, m_field the one that gave m
     if not 1 <= s <= n:
         raise ConfigError(f"sparsity_levels: s={s} outside [1, n={n}]")
+    if 5 * _MIN_CHUNK * s > _MAX_ENTRIES:  # a chunk holds about five complex (32, s) arrays
+        raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
+                          f"about {5 * _MIN_CHUNK * s} complex entries, over {_MAX_ENTRIES}")
     if n > 2**53:  # the law of the off-support moduli takes n - s as a double
         raise ConfigError(f"n: must be at most 2^53, got {n}")
     if scheme not in SCHEMES:
@@ -455,10 +458,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     if not config.sparsity_levels:
         raise ConfigError("sparsity_levels: at least one sparsity level is required")
     _check_distinct("sparsity_levels", config.sparsity_levels)
-    s_max = max(config.sparsity_levels)  # a chunk holds about five complex (32, s) arrays
-    if 5 * _MIN_CHUNK * s_max > _MAX_ENTRIES:
-        raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s_max} holds "
-                          f"about {5 * _MIN_CHUNK * s_max} complex entries, over {_MAX_ENTRIES}")
     if not config.schemes:
         raise ConfigError("schemes: at least one scheme is required")
     _check_distinct("schemes", config.schemes)

@@ -39,7 +39,6 @@ class RipEstimate:
     """Empirical lower bound on the distortion delta at sparsity level s."""
 
     delta_lower: float
-    s: int
     num_probes: int  # total candidates evaluated, all stages included
     worst_probe: np.ndarray
 
@@ -118,8 +117,7 @@ def rip_distortion_probe(
     screen value's distance from the float64 statistic (:func:`_screen`). Only
     a probe whose bound still reaches the best statistic so far and every
     other probe of its batch is evaluated in float64, in index order; the best
-    is replaced on a strict ``>`` only, so the first maximum wins. At s = 1 a
-    random probe is ``+-e_j`` and is scored by its column statistic.
+    is replaced on a strict ``>`` only, so the first maximum wins.
     """
     if Phi.convention is not VarianceConvention.PHASE_ONLY:
         raise ValueError(
@@ -140,23 +138,16 @@ def rip_distortion_probe(
 
     col_l1 = np.abs(mat).sum(axis=0)
     col_stats = np.abs(col_l1 - 1.0)
-    if s > 1:
-        # C-contiguous complex64 Phi^T, copied in 64-row blocks (faster than a plain
-        # transpose copy)
-        mat_t32 = np.empty((n, m), dtype=np.complex64)
-        for i in range(0, m, 64):
-            mat_t32[:, i : i + 64] = mat[i : i + 64].T
+    # C-contiguous complex64 Phi^T, copied in 64-row blocks (faster than a plain
+    # transpose copy)
+    mat_t32 = np.empty((n, m), dtype=np.complex64)
+    for i in range(0, m, 64):
+        mat_t32[:, i : i + 64] = mat[i : i + 64].T
     batch = max(8, 262_144 // max(m, n))  # <= 2^18 coefficients and projections
     for done in range(0, num_probes, batch):
         count = min(batch, num_probes - done)
         supports, values = _support_value_batch(gen, n, s, count)
-        if s == 1:
-            # +-e_j: the column statistic, up to the order in which it and the
-            # re-check add the same m moduli in float64
-            sums = col_l1[supports[:, 0]]
-            approx, err = np.abs(sums - 1.0), 2.0**-51 * ((m + 1) * sums + 1.0)
-        else:
-            approx, err = _screen(mat_t32, col_l1, supports, values)
+        approx, err = _screen(mat_t32, col_l1, supports, values)
         # a probe is skipped only when its bound proves it below the best so far or
         # below another probe of the batch (a NaN bound is re-checked)
         cut = max(best_stat, float(np.max(approx - err)))
@@ -196,9 +187,7 @@ def rip_distortion_probe(
 
     worst = np.zeros(n, dtype=np.complex128)
     worst[support] = values
-    return RipEstimate(
-        delta_lower=best_stat, s=int(s), num_probes=evaluated, worst_probe=worst
-    )
+    return RipEstimate(delta_lower=best_stat, num_probes=evaluated, worst_probe=worst)
 
 
 def expectation_identity_test(

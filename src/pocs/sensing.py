@@ -41,7 +41,6 @@ class SensingMatrix:
 
     mat: np.ndarray
     convention: VarianceConvention
-    sigma: float  # per-part standard deviation
 
 
 def per_part_sigma(m: int, convention: VarianceConvention | str) -> float:
@@ -61,11 +60,10 @@ def sample_sensing_matrix(
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     convention = VarianceConvention(convention)
-    sigma = per_part_sigma(m, convention)
     parts = gen.standard_normal((m, n, 2))
     mat = parts.view(np.complex128)[..., 0]
-    mat *= sigma
-    return SensingMatrix(mat=mat, convention=convention, sigma=sigma)
+    mat *= per_part_sigma(m, convention)
+    return SensingMatrix(mat=mat, convention=convention)
 
 
 def _support_value_batch(gen, n, s, count):

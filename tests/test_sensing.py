@@ -21,21 +21,20 @@ from pocs.sensing import per_part_sigma
 
 class TestSamplingConventions:
     def test_phase_only_sigma_value(self):
-        Phi = sample_sensing_matrix(RngStream(1).generator(), 64, 8, VarianceConvention.PHASE_ONLY)
-        assert Phi.sigma == pytest.approx(math.sqrt(2.0 / math.pi) / 64, rel=1e-12)
-        assert Phi.sigma == pytest.approx(0.012467, abs=1e-6)
+        sigma = per_part_sigma(64, VarianceConvention.PHASE_ONLY)
+        assert sigma == pytest.approx(math.sqrt(2.0 / math.pi) / 64, rel=1e-12)
+        assert sigma == pytest.approx(0.012467, abs=1e-6)
 
     def test_classical_cs_entry_variance(self):
-        Phi = sample_sensing_matrix(RngStream(2).generator(), 64, 8, "cs")
         # per-part variance 1/(2m) makes the total entry variance 1/m
-        assert 2 * Phi.sigma**2 == pytest.approx(1.0 / 64, rel=1e-12)
+        assert 2 * per_part_sigma(64, "cs") ** 2 == pytest.approx(1.0 / 64, rel=1e-12)
 
     @pytest.mark.parametrize("convention", ["po", "cs"])
     def test_empirical_part_variance(self, convention):
         m, n = 100, 500  # 10^5 entries
         Phi = sample_sensing_matrix(RngStream(3).generator(), m, n, convention)
         for part in (Phi.mat.real, Phi.mat.imag):
-            assert part.var() == pytest.approx(Phi.sigma**2, rel=0.02)
+            assert part.var() == pytest.approx(per_part_sigma(m, convention) ** 2, rel=0.02)
         # independent parts: empirical correlation is tiny
         corr = np.corrcoef(Phi.mat.real.ravel(), Phi.mat.imag.ravel())[0, 1]
         assert abs(corr) < 0.02
@@ -96,7 +95,7 @@ class TestSparseSignal:
 
 def inject(mat):
     mat = np.asarray(mat, dtype=np.complex128)
-    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY, sigma=1.0)
+    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY)
 
 
 class TestMeasureLinear:

@@ -21,6 +21,7 @@ import pytest
 import pocs.experiments
 import pocs.rng
 from pocs import (
+    DegenerateEstimateError,
     RngStream,
     SweepConfig,
     cli,
@@ -37,7 +38,6 @@ from pocs.experiments import (
     _largest_exponentials,
     _run_chunk,
 )
-from pocs.recon import DegenerateEstimateError
 from pocs.sensing import VarianceConvention, _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
