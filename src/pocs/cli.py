@@ -18,6 +18,7 @@ from .experiments import SweepConfig
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=256, help="signal dimension")
     p.add_argument("--trials", type=int, default=10_000, help="trials per cell")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, metavar="PATH", help="output file ('-' = stdout)")
@@ -33,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sm = sub.add_parser("sweep-m", help="direction error vs measurement count")
-    sm.add_argument("--n", type=int, default=256, help="signal dimension")
     sm.add_argument("--s", type=int, action="append", required=True,
                     help="sparsity level (repeatable)")
     sm.add_argument("--log2-ratio", dest="log2_ratio", type=float, action="append",
@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sm)
 
     st = sub.add_parser("sweep-tau", help="direction error vs phase-noise amplitude")
-    st.add_argument("--n", type=int, default=256, help="signal dimension")
     st.add_argument("--s", type=int, required=True, help="sparsity level")
     st.add_argument("--m", type=int, required=True, help="measurement count")
     st.add_argument("--tau", type=float, action="append", required=True,
@@ -89,12 +88,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    keys = list(report)
-    return ",".join(keys) + "\n" + ",".join(_cell_str(report[k]) for k in keys) + "\n"
-
-
-def _cell_str(v) -> str:
-    return f"{v:.10g}" if isinstance(v, float) else str(v)
+    return experiments.csv_text(list(report), [report.values()])
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:

@@ -90,10 +90,19 @@ def direction_error(x0, xhat) -> float:
     est = np.asarray(xhat)
     if ref.ndim != 1 or est.ndim != 1:
         raise ValueError(f"direction_error expects two vectors, got {ref.shape} and {est.shape}")
-    nrm = np.sqrt((est.real * est.real).sum() + (est.imag * est.imag).sum())
-    if nrm == 0.0:
-        raise DegenerateEstimateError("estimate is identically zero")
+
+    def norm(v):
+        return np.sqrt((v.real * v.real).sum() + (v.imag * v.imag).sum())
+
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = norm(est)
+    if not np.sqrt(np.finfo(nrm.dtype).tiny) <= nrm < np.inf:  # squares left the type's range
+        peak = np.abs(est).max(initial=0.0)
+        if peak == 0.0:
+            raise DegenerateEstimateError("estimate is identically zero")
+        est = est / peak
+        nrm = norm(est)
     # ref - est / nrm, where est / nrm is taken as numpy divides a complex
     # entry by a real one: times 1 / nrm
     res = ref - np.multiply(est, 1.0 / nrm, dtype=np.result_type(ref, est, 1.0))
-    return float(np.sqrt((res.real * res.real).sum() + (res.imag * res.imag).sum()))
+    return float(norm(res))

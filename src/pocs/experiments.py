@@ -44,7 +44,6 @@ from .sensing import VarianceConvention, per_part_sigma, sample_sensing_matrix
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
 SCHEMES = ("po", "cs")
-CSV_HEADER = "scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error"
 
 # The chunk size (_chunk_trials) is a multiple of this, and at least this.
 # It and _CHUNK_ENTRIES are part of the stream key: changing either needs a
@@ -74,22 +73,23 @@ class NumericalFailureError(ArithmeticError):
     """A sweep cell produced no usable trials."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepConfig:
     """Declarative description of one sweep: the grid of (scheme, s, m, tau)
     cells over ``schemes``, ``sparsity_levels``, the measurement counts and
     ``tau_grid``. The counts come from exactly one of ``m`` (a single count)
-    and ``log2_m_over_n`` (m = round(n 2^ratio) per ratio).
+    and ``log2_m_over_n`` (m = round(n 2^ratio) per ratio). The fields, in
+    this order, are the JSON output's ``config``.
     """
 
     n: int
     sparsity_levels: Sequence[int]
-    trials: int
-    master_seed: int
     log2_m_over_n: Sequence[float] | None = None
     m: int | None = None
     tau_grid: Sequence[float] = (0.0,)
     schemes: Sequence[str] = SCHEMES
+    trials: int
+    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class CellAggregate:
 
 
 _CELL_TYPES = get_type_hints(CellAggregate)  # field -> int, float or str, in CSV column order
+_CSV_FIELDS = tuple(_CELL_TYPES)[:9]  # zero_sign_hits is JSON only
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -120,22 +122,6 @@ def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -
     cell runs on the stream id of its trial 0."""
     key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial={trial_index}"
     return fnv1a64(key.encode("ascii"))
-
-
-def _phase_only_statistic(mod: np.ndarray, xi: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """``y^H z`` along the last axis for phase-only ``z = csign(y) exp(1j xi)``,
-    from the moduli ``mod = |y|``.
-
-    ``conj(y_i) csign(y_i) = |y_i|``, so ``y^H z = sum_i |y_i| exp(1j xi_i)``,
-    computed without forming ``z``; ``xi=None`` stands for no phase noise.
-    An exact zero of ``y`` adds 0 whatever csign maps it to. Returns the
-    statistic and the number of such zeros.
-    """
-    zeros = mod.size - int(np.count_nonzero(mod))
-    if xi is None:
-        return mod.sum(axis=-1), zeros
-    re = np.einsum("...i,...i->...", mod, np.cos(xi))
-    return re + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)), zeros
 
 
 def _largest_exponentials(beta, gaps) -> np.ndarray:
@@ -255,10 +241,8 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     sigma = per_part_sigma(m, scheme)
     v = at("v").random((rows, s))
     if 0.5 in v:  # a row's values 2v - 1 are all zero only where each v is 0.5
-        bad = np.flatnonzero((v == 0.5).all(axis=1))
-        if bad.size:
-            at("redraw")
-        for row in bad:
+        at("redraw")
+        for row in np.flatnonzero((v == 0.5).all(axis=1)):
             while (v[row] == 0.5).all():
                 v[row] = gen.random(s)
     x0 = 2.0 * v - 1.0
@@ -273,22 +257,25 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         return x0, g, top, sigma * sigma * w, sigma * sigma * np.sqrt(w), 0
     scale = np.full(rows, sigma * math.sqrt(m))
     q, r, p = _arc_law(tau)
+    # conj(y_i) csign(y_i) = |y_i|, and an exact zero adds 0 whatever csign maps it to
     if not q:
         xi = at("arc").uniform(-tau, tau, (rows, m)) if tau > 0 else None
         mod = at("law").standard_exponential((rows, m))  # becomes |y_i| in place
         np.sqrt(np.multiply(mod, 2.0 * sigma * sigma, out=mod), out=mod)
-        yz, zero_signs = _phase_only_statistic(mod, xi)
-        return x0, g, top, yz, scale, zero_signs
-    circle = at("circle").binomial(m, p, rows)
-    c = at("c").standard_normal((rows, 2)).view(np.complex128)[:, 0]
-    counts = m - circle  # arc entries per row
-    drawn = int(counts.sum())
-    u = at("arc").uniform(-r, r, drawn)
-    mod = np.sqrt(at("law").standard_exponential(drawn) * (2.0 * sigma * sigma))
-    owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
-    re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
-    yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
-    yz += sigma * np.sqrt(circle) * c  # K circle terms
+        yz = mod.sum(axis=1) if xi is None else (
+            np.einsum("...i,...i->...", mod, np.cos(xi))
+            + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)))
+    else:
+        circle = at("circle").binomial(m, p, rows)
+        c = at("c").standard_normal((rows, 2)).view(np.complex128)[:, 0]
+        counts = m - circle  # arc entries per row
+        drawn = int(counts.sum())
+        u = at("arc").uniform(-r, r, drawn)
+        mod = np.sqrt(at("law").standard_exponential(drawn) * (2.0 * sigma * sigma))
+        owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
+        re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
+        yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
+        yz += sigma * np.sqrt(circle) * c  # K circle terms
     return x0, g, top, yz, scale, mod.size - int(np.count_nonzero(mod))
 
 
@@ -543,48 +530,31 @@ def fit_rate(
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+def csv_text(header: Sequence[str], rows) -> str:
+    """CSV of the column names ``header`` and the value sequences ``rows``:
+    floats at 10 significant digits, anything else by ``str``, LF endings."""
+    lines = [header, *([f"{v:.10g}" if isinstance(v, float) else str(v) for v in r] for r in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def render_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER] + [
-        f"{c.scheme},{c.s},{c.m},{_fmt(c.tau)},{c.trials},{c.failures},"
-        f"{_fmt(c.mean_error)},{_fmt(c.mean_error_db)},{_fmt(c.stderr_error)}"
-        for c in result.cells
-    ]
-    return "\n".join(lines) + "\n"
+    return csv_text(_CSV_FIELDS, ([getattr(c, f) for f in _CSV_FIELDS] for c in result.cells))
 
 
 def render_json(result: SweepResult) -> str:
-    cfg = result.config
-    payload = {
-        "engine": ENGINE,
-        "config": {
-            "n": cfg.n,
-            "sparsity_levels": list(cfg.sparsity_levels),
-            "log2_m_over_n": (
-                list(cfg.log2_m_over_n) if cfg.log2_m_over_n is not None else None
-            ),
-            "m": cfg.m,
-            "tau_grid": list(cfg.tau_grid),
-            "schemes": list(cfg.schemes),
-            "trials": cfg.trials,
-            "master_seed": cfg.master_seed,
-        },
-        "cells": [asdict(c) for c in result.cells],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    payload = {"engine": ENGINE, "config": asdict(result.config),
+               "cells": [asdict(c) for c in result.cells]}
+    return json.dumps(payload, indent=2, default=list) + "\n"  # a range field, say, as a list
 
 
 def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
-    r = line.split(",")
-    if len(r) != 9:
-        raise ValueError(f"{path}, line {lineno}: expected 9 fields, got {len(r)}")
+    where, r = f"{path}, line {lineno}", line.split(",")
+    if len(r) != len(_CSV_FIELDS):
+        raise ValueError(f"{where}: expected {len(_CSV_FIELDS)} fields, got {len(r)}")
     try:
         return CellAggregate(**{k: kind(v) for (k, kind), v in zip(_CELL_TYPES.items(), r)})
     except ValueError as exc:  # a field that is not a number
-        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _json_value(where: str, value, kind):

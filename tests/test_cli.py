@@ -252,9 +252,11 @@ class TestRipTools:
             "--probes", "20", "--seed", "4", "--format", "csv", "--out", str(out),
         )
         assert code == 0
-        header, row = out.read_text().splitlines()
-        assert header.split(",")[0] == "m"
-        assert len(row.split(",")) == len(header.split(","))
+        assert out.read_bytes() == (
+            b"m,n,s,master_seed,requested_probes,evaluated_probes,delta_lower,"
+            b"oracle_support_error_bound,pbp_error_bound_noiseless\n"
+            b"32,16,2,4,20,38,0.1890372635,0.9722069314,1.944413863\n"
+        )
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--m", "0", "m"), ("--n", "0", "n"), ("--s", "0", "s"), ("--s", "17", "s"),

@@ -30,7 +30,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-from pocs.experiments import _chunk_trials, _phase_only_statistic, _run_chunk
+from pocs.experiments import _chunk_trials, _run_chunk
 
 REFERENCE_SEED = 31
 ENGINE_SEED = 32
@@ -145,17 +145,3 @@ class TestSampleBackProjection:
     def test_rejects_invalid_input(self, scheme, m, tau):
         with pytest.raises(ValueError):
             run_trial(scheme, 4, 2, m, tau, 0, 0)
-
-    @pytest.mark.parametrize(
-        "xi",
-        [None, np.array([0.3, -1.1, 0.7, 2.0, -0.2, 0.9])],
-        ids=["noiseless", "noisy"],
-    )
-    def test_phase_only_statistic_counts_zero_signs(self, xi):
-        # y^H z is computed without csign, but each exact zero of y must still
-        # be counted as a measurement that met csign's zero convention
-        y = np.array([0.0, 1 - 2j, 0.0, -0.5j, 0.0, 3.0 + 0.25j])
-        value, zeros = _phase_only_statistic(np.abs(y), xi)
-        assert zeros == 3
-        noise = np.zeros(y.size) if xi is None else xi
-        assert abs(value - np.vdot(y, csign(y) * np.exp(1j * noise))) <= 1e-12

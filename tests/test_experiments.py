@@ -394,6 +394,11 @@ class TestCsvContract:
     def test_json_text_is_deterministic(self):
         assert render_json(run_sweep(TINY)) == render_json(run_sweep(TINY))
 
+    def test_json_config_echoes_any_sequence_as_a_list(self):
+        config = dataclasses.replace(TINY, sparsity_levels=range(2, 4), schemes=["po"])
+        echo = json.loads(render_json(run_sweep(config)))["config"]
+        assert (echo["sparsity_levels"], echo["schemes"]) == ([2, 3], ["po"])
+
 
 class TestZeroSignHits:
     CFG = SweepConfig(
@@ -423,14 +428,14 @@ class TestZeroSignHits:
     def test_counts_from_every_worker_are_summed_per_cell(self, monkeypatch, workers):
         import pocs.experiments
 
-        statistic = pocs.experiments._phase_only_statistic
+        draw = pocs.experiments._draw_chunk
 
-        def two_zeros_per_trial(y, xi):  # called on rows of a chunk
-            yz, _ = statistic(y, xi)
-            return yz, 2 * y.shape[0]
+        def two_zeros_per_trial(*args):  # args end in the chunk's row count
+            *draws, _ = draw(*args)
+            return *draws, 2 * args[-1]
 
         plain = render_csv(run_sweep(self.CFG))
-        monkeypatch.setattr(pocs.experiments, "_phase_only_statistic", two_zeros_per_trial)
+        monkeypatch.setattr(pocs.experiments, "_draw_chunk", two_zeros_per_trial)
         result = run_sweep(self.CFG, workers=workers)
         assert [c.zero_sign_hits for c in result.cells] == [2 * self.CFG.trials] * 2
         assert render_csv(result) == plain

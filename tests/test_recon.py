@@ -137,8 +137,12 @@ class TestDirectionError:
         x0, _ = sample_sparse_signal(gen, 16, 4)
         xhat = gen.standard_normal(16) + 1j * gen.standard_normal(16)
         base = direction_error(x0, xhat)
-        for c in (2.0, 10.0, 0.125):
+        # 1e200 and 1e-160 square out of double range, 1e20 and 1e-23 out of float32's
+        for c in (2.0, 10.0, 0.125, 1e200, 1e-160):
             assert direction_error(x0, c * xhat) == pytest.approx(base, abs=1e-12)
+        for c in (1.0, 1e20, 1e-23):
+            est = (c * xhat).astype(np.complex64)
+            assert direction_error(x0, est) == pytest.approx(base, abs=1e-6)
 
     def test_bounded_by_two(self):
         gen = RngStream(30).generator()

@@ -109,6 +109,92 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, args, golden, workers):
     assert out.read_bytes() == golden.encode("utf-8")
 
 
+# SWEEP_TAU_ARGS as JSON: the config echo, the cells at full precision and
+# each cell's zero_sign_hits summed over workers
+GOLDEN_SWEEP_TAU_JSON = """\
+{
+  "engine": "stat-v4",
+  "config": {
+    "n": 16,
+    "sparsity_levels": [
+      3
+    ],
+    "log2_m_over_n": null,
+    "m": 8,
+    "tau_grid": [
+      0.0,
+      0.7,
+      4.71238898038469,
+      6.283185307179586
+    ],
+    "schemes": [
+      "po"
+    ],
+    "trials": 70,
+    "master_seed": 7
+  },
+  "cells": [
+    {
+      "scheme": "po",
+      "s": 3,
+      "m": 8,
+      "tau": 0.0,
+      "trials": 70,
+      "failures": 0,
+      "mean_error": 0.8707726546080515,
+      "mean_error_db": -0.6009521782490349,
+      "stderr_error": 0.024852582413994947,
+      "zero_sign_hits": 0
+    },
+    {
+      "scheme": "po",
+      "s": 3,
+      "m": 8,
+      "tau": 0.7,
+      "trials": 70,
+      "failures": 0,
+      "mean_error": 0.9727874704576935,
+      "mean_error_db": -0.11982031765961748,
+      "stderr_error": 0.023179100092086253,
+      "zero_sign_hits": 0
+    },
+    {
+      "scheme": "po",
+      "s": 3,
+      "m": 8,
+      "tau": 4.71238898038469,
+      "trials": 70,
+      "failures": 0,
+      "mean_error": 1.4476198113288308,
+      "mean_error_db": 1.6065451799233446,
+      "stderr_error": 0.013879361734101,
+      "zero_sign_hits": 0
+    },
+    {
+      "scheme": "po",
+      "s": 3,
+      "m": 8,
+      "tau": 6.283185307179586,
+      "trials": 70,
+      "failures": 0,
+      "mean_error": 1.4057781739496396,
+      "mean_error_db": 1.4791679619584495,
+      "stderr_error": 0.01523828243787678,
+      "zero_sign_hits": 0
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_json_matches_golden_bytes(tmp_path, workers):
+    out = tmp_path / "sweep.json"
+    assert cli.main([*SWEEP_TAU_ARGS, "--format", "json", "--workers", workers,
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_SWEEP_TAU_JSON.encode("utf-8")
+
+
 # The documented draw order of a chunk: quantity j of chunk c draws from the
 # cell's stream jumped 9c + j times.
 QUANTITIES = {"v": 0, "redraw": 1, "g": 2, "beta": 3, "gaps": 4, "circle": 5, "c": 6,
@@ -570,10 +656,10 @@ class _ZeroModuli:
 @pytest.mark.parametrize("rows,row,hits", [(32, 3, 2)])
 def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, rows, row, hits):
     # the first 32 rows of chunk 0, whose row 3 has two zero moduli: the
-    # zeros of every row drawn are counted; at 1.5 pi (q = 1) the moduli are
-    # flat and drawn for the arc entries only
+    # zeros of every row drawn are counted, without phase noise too; at
+    # 1.5 pi (q = 1) the moduli are flat and drawn for the arc entries only
     plain = RngStream.generator
-    for m, tau in ((8, 0.5), (64, 1.5 * math.pi)):
+    for m, tau in ((8, 0.0), (8, 0.5), (64, 1.5 * math.pi)):
         assert _chunk_trials(2, m) >= rows
         monkeypatch.setattr(pocs.rng.RngStream, "generator",
                             lambda self: _ZeroModuli(plain(self), m, row))
