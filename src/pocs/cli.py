@@ -2,13 +2,16 @@
 
 Subcommands: ``sweep-m``, ``sweep-tau``, ``rip-estimate``, ``rip-bound``,
 ``fit-rate``. Results go to ``--out`` (or stdout when omitted or ``-``) as
-CSV or JSON. Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 internal numerical failure.
+CSV or JSON. Exit codes: 0 success, 2 configuration error (``rip-bound``
+included, when the bound has no finite value), 3 I/O error, 4 internal
+numerical failure. ``main(argv)`` may be called repeatedly in one process;
+it builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -26,7 +29,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pocs`` parser, built on the first call and shared by every later one.
+
+    ``main`` parses each call with this one object, so it must not be mutated.
+    """
     parser = argparse.ArgumentParser(
         prog="pocs",
         description="Phase-only compressive sensing sweeps and diagnostics",

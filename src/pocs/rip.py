@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -266,7 +267,8 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     """Minimum rows m guaranteeing the (l1,l2)-RIP(s, delta) w.p. >= 1 - eta.
 
     Evaluates ceil((36/pi) delta^-2 [s ln(e n / s (1 + 6/delta)^2) + ln(2/eta)])
-    with natural logarithms.
+    with natural logarithms. A count that leaves the float range is a
+    ValueError naming the argument(s) that sent it there.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -274,9 +276,26 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    covering = (math.e * n / s) * (1.0 + 6.0 / delta) ** 2
-    value = (36.0 / math.pi) / delta**2 * (s * math.log(covering) + math.log(2.0 / eta))
+    ratio = _finite(lambda: math.e * n / s, n=n)
+    growth = _finite(lambda: (1.0 + 6.0 / delta) ** 2, delta=delta)
+    tail = _finite(lambda: math.log(2.0 / eta), eta=eta)
+    value = _finite(
+        lambda: (36.0 / math.pi) / delta**2 * (s * math.log(ratio * growth) + tail),
+        delta=delta, n=n,
+    )
     return math.ceil(value)
+
+
+def _finite(compute: Callable[[], float], **named: float) -> float:
+    """``compute()``, or a ValueError naming ``named`` when it is not a finite double."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        args = " and ".join(f"{name}={arg!r}" for name, arg in named.items())
+        raise ValueError(f"no finite bound: the measurement count at {args} is past the float range")
+    return value
 
 
 def pbp_error_bound(delta: float, tau: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -231,8 +232,17 @@ class TestRipTools:
         assert out.returncode == 0
         assert out.stdout.strip() == "4539"
 
-    def test_rip_bound_invalid_delta(self):
+    def test_rip_bound_invalid_delta(self, capsys):
         assert run_main("rip-bound", "--delta", "1.5", "--s", "10", "--n", "256") == 2
+        # a count past the float range names the argument
+        for flag, argv in [
+            ("delta", ("--delta", "1e-300", "--s", "10", "--n", "256")),
+            ("eta", ("--delta", "0.5", "--s", "10", "--n", "256", "--eta", "1e-320")),
+            ("n", ("--delta", "0.5", "--s", "10", "--n", "1" + "0" * 400)),
+        ]:
+            capsys.readouterr()
+            assert run_main("rip-bound", *argv) == 2
+            assert f"no finite bound: the measurement count at {flag}=" in capsys.readouterr().err
 
     def test_rip_estimate_json(self, tmp_path):
         out = tmp_path / "rip.json"
@@ -496,3 +506,44 @@ def test_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, argv, fmt):
     capsys.readouterr()
     assert run_main(*argv, "--format", fmt) == 0
     assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+class TestSharedParser:
+    SWEEP = ("sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0", "--tau", "1",
+             "--trials", "10", "--seed", "3")
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ("rip-bound", "--delta", "0.5", "--s", "10", "--n", "256")
+        assert run_main(*argv) == 0
+        first = len(built)
+        assert run_main(*argv) == 0
+        assert len(built) == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, capsys):
+        assert run_main(*self.SWEEP) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as rejected:  # argparse rejects a tau that is no number
+            run_main(*self.SWEEP[:-4], "--tau", "x", *self.SWEEP[-4:])
+        assert rejected.value.code == 2
+        with pytest.raises(SystemExit) as helped:
+            run_main("sweep-tau", "--help")
+        assert helped.value.code == 0
+        assert run_main(*RIP_ESTIMATE) == 0
+        assert run_main(*self.SWEEP, "--tau", "1") == 2  # ConfigError: repeated tau
+        capsys.readouterr()
+        assert run_main(*self.SWEEP) == 0
+        again = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pocs.cli", *self.SWEEP], capture_output=True, check=True,
+        ).stdout
+        assert first == again
+        assert first.encode("utf-8") == fresh

@@ -363,6 +363,13 @@ class TestSampleComplexityBound:
             sample_complexity_bound(0.5, 300, 256, 0.01)
         with pytest.raises(ValueError):
             sample_complexity_bound(0.5, 10, 256, 0.0)
+        # in range, but the count is not a finite double
+        with pytest.raises(ValueError, match="delta="):
+            sample_complexity_bound(1e-300, 10, 256, 0.01)
+        with pytest.raises(ValueError, match="eta="):
+            sample_complexity_bound(0.5, 10, 256, 1e-320)
+        with pytest.raises(ValueError, match=" n="):
+            sample_complexity_bound(0.5, 10, 10**400, 0.01)
 
 
 class TestErrorBounds:
