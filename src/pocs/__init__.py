@@ -22,7 +22,6 @@ from .core import (
 from .experiments import (
     CellAggregate,
     ConfigError,
-    NumericalFailureError,
     SweepConfig,
     SweepResult,
     fit_rate,
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigError",
     "DegenerateEstimateError",
     "ExpectationIdentityReport",
-    "NumericalFailureError",
     "RipEstimate",
     "RngStream",
     "SensingMatrix",

@@ -46,18 +46,10 @@ def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
     n = v.shape[-1]
     if not 1 <= s <= n:
         raise ValueError(f"sparsity level s={s} out of range [1, {n}]")
-    mod = np.abs(v)
-    # Keep every entry at or above the s-th largest modulus of its row. Where
-    # more entries tie at that modulus than places are left, keep the
-    # lowest-index ones, as a stable sort would.
-    kth = np.partition(mod, n - s, axis=-1)[..., n - s, None]
-    keep = mod >= kth
-    if (keep.sum(axis=-1) > s).any():
-        above = mod > kth
-        tie = mod == kth
-        keep = above | (tie & (np.cumsum(tie, axis=-1) <= s - above.sum(axis=-1, keepdims=True)))
-    support = np.nonzero(keep)[-1].reshape(v.shape[:-1] + (s,))
-    return np.where(keep, v, 0), support
+    support = np.sort(np.argsort(-np.abs(v), axis=-1, kind="stable")[..., :s], axis=-1)
+    out = np.zeros_like(v)
+    np.put_along_axis(out, support, np.take_along_axis(v, support, axis=-1), axis=-1)
+    return out, support
 
 
 def adjoint_matvec(A, v) -> np.ndarray:

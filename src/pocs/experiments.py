@@ -37,6 +37,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
+from .core import DegenerateEstimateError
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import VarianceConvention, per_part_sigma, sample_sensing_matrix
@@ -67,10 +68,6 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; the message names the offending field."""
-
-
-class NumericalFailureError(ArithmeticError):
-    """A sweep cell produced no usable trials."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -332,7 +329,7 @@ def _aggregate_cell(cell, errors: np.ndarray, zero_signs: int) -> CellAggregate:
     failed = np.isnan(errors)
     ok = errors[~failed]
     if ok.size == 0:
-        raise NumericalFailureError(
+        raise DegenerateEstimateError(
             f"cell scheme={scheme} s={s} m={m} tau={tau:g}: no successful trials"
         )
     mean = float(ok.mean())
@@ -515,7 +512,8 @@ def fit_rate(
                 f"fit_rate: cell scheme={scheme} s={s} m={c.m}; a log-log fit needs m >= 1"
             )
     points = sorted(
-        (c.m, c.mean_error) for c in cells if math.log2(c.m / n) >= min_log2_ratio - 1e-12
+        (c.m, c.mean_error) for c in cells
+        if math.log2(c.m) - math.log2(n) >= min_log2_ratio - 1e-12
     )
     if len(points) < 3:
         raise ValueError(f"fit_rate needs at least 3 grid points, found {len(points)}")

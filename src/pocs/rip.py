@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -267,8 +266,9 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     """Minimum rows m guaranteeing the (l1,l2)-RIP(s, delta) w.p. >= 1 - eta.
 
     Evaluates ceil((36/pi) delta^-2 [s ln(e n / s (1 + 6/delta)^2) + ln(2/eta)])
-    with natural logarithms. A count that leaves the float range is a
-    ValueError naming the argument(s) that sent it there.
+    with natural logarithms, in log space, so a huge n or a tiny eta gives its
+    count; a tiny delta or an s too large for a float, whose count is past the
+    float range, is a ValueError naming both.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -276,26 +276,17 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
         raise ValueError(f"sparsity s={s} out of range [1, {n}]")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    ratio = _finite(lambda: math.e * n / s, n=n)
-    growth = _finite(lambda: (1.0 + 6.0 / delta) ** 2, delta=delta)
-    tail = _finite(lambda: math.log(2.0 / eta), eta=eta)
-    value = _finite(
-        lambda: (36.0 / math.pi) / delta**2 * (s * math.log(ratio * growth) + tail),
-        delta=delta, n=n,
-    )
-    return math.ceil(value)
-
-
-def _finite(compute: Callable[[], float], **named: float) -> float:
-    """``compute()``, or a ValueError naming ``named`` when it is not a finite double."""
     try:
-        value = compute()
-    except OverflowError:
+        value = (36.0 / math.pi) / delta / delta * (
+            s * (1.0 + math.log(n) - math.log(s) + 2.0 * math.log1p(6.0 / delta))
+            + math.log(2.0) - math.log(eta)
+        )
+    except OverflowError:  # s past the float range
         value = math.inf
     if not math.isfinite(value):
-        args = " and ".join(f"{name}={arg!r}" for name, arg in named.items())
-        raise ValueError(f"no finite bound: the measurement count at {args} is past the float range")
-    return value
+        raise ValueError(f"no finite bound: the measurement count at delta={delta!r} "
+                         f"and s={s!r} is past the float range")
+    return math.ceil(value)
 
 
 def pbp_error_bound(delta: float, tau: float) -> float:

@@ -75,12 +75,8 @@ def _support_value_batch(gen, n, s, count):
     u = gen.random((count, n + s))
     # The values 2u - 1 of a row are all zero only when every value uniform is
     # exactly 0.5. Such a row has no direction: redraw its value uniforms, all
-    # such rows of a pass in one draw. The pre-test, one pass, skips the row
-    # check in all but rare calls.
-    while 0.5 in u[:, n:]:
-        bad = (u[:, n:] == 0.5).all(axis=1)
-        if not bad.any():
-            break
+    # such rows of a pass in one draw.
+    while (bad := (u[:, n:] == 0.5).all(axis=1)).any():
         u[bad, n:] = gen.random((int(bad.sum()), s))
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
     values = 2.0 * u[:, n:] - 1.0

@@ -235,14 +235,23 @@ class TestRipTools:
     def test_rip_bound_invalid_delta(self, capsys):
         assert run_main("rip-bound", "--delta", "1.5", "--s", "10", "--n", "256") == 2
         # a count past the float range names the argument
+        huge = "1" + "0" * 400
         for flag, argv in [
-            ("delta", ("--delta", "1e-300", "--s", "10", "--n", "256")),
-            ("eta", ("--delta", "0.5", "--s", "10", "--n", "256", "--eta", "1e-320")),
-            ("n", ("--delta", "0.5", "--s", "10", "--n", "1" + "0" * 400)),
+            ("delta=", ("--delta", "1e-300", "--s", "10", "--n", "256")),
+            ("s=", ("--delta", "0.5", "--s", huge, "--n", huge)),
         ]:
             capsys.readouterr()
             assert run_main("rip-bound", *argv) == 2
-            assert f"no finite bound: the measurement count at {flag}=" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "no finite bound: the measurement count at " in err and flag in err
+        # a huge n or a tiny eta has a finite count
+        for argv, count in [
+            (("--delta", "0.5", "--s", "10", "--n", huge), "424169"),
+            (("--delta", "0.5", "--s", "10", "--n", "256", "--eta", "1e-320"), "38102"),
+        ]:
+            capsys.readouterr()
+            assert run_main("rip-bound", *argv) == 0
+            assert capsys.readouterr().out == count + "\n"
 
     def test_rip_estimate_json(self, tmp_path):
         out = tmp_path / "rip.json"
@@ -395,8 +404,9 @@ class TestFitRate:
         (sweep_json({"m": "16"}), "cells[0].m must be int, got '16'"),
         (sweep_json({"mean_error": "0.5"}), "cells[0].mean_error must be float, got '0.5'"),
         (sweep_json(n="16"), "config.n must be int, got '16'"),
+        (CSV_HEADER.replace("mean_error,", "mean,") + "\n", "not a sweep CSV"),
     ], ids=["short-row", "long-row", "json-without-config", "non-numeric-field", "invalid-json",
-            "json-string-m", "json-string-mean-error", "json-string-config-n"])
+            "json-string-m", "json-string-mean-error", "json-string-config-n", "wrong-header"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "sweep.txt"
         path.write_text(text)
@@ -463,6 +473,15 @@ class TestFitRate:
         assert run_main(*argv, "--min-log2-ratio", "inf") == 2
         assert "found 0" in capsys.readouterr().err
 
+    def test_dimension_past_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(sweep_json())
+        argv = ("fit-rate", "--in", str(path), "--scheme", "po", "--s", "2", "--n", "1" + "0" * 400)
+        assert run_main(*argv) == 0
+        float(capsys.readouterr().out)
+        assert run_main(*argv, "--min-log2-ratio", "0") == 2
+        assert "needs at least 3 grid points, found 0" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self):
         assert run_main(
             "fit-rate", "--in", "/nonexistent/sweep.csv", "--scheme", "po", "--s", "2",
@@ -471,10 +490,10 @@ class TestFitRate:
 
 
 def test_numerical_failure_maps_to_exit_4(monkeypatch, tmp_path):
-    from pocs.experiments import NumericalFailureError
+    from pocs import DegenerateEstimateError
 
     def boom(config, workers=1):
-        raise NumericalFailureError("cell produced no usable trials")
+        raise DegenerateEstimateError("cell produced no usable trials")
 
     monkeypatch.setattr(cli.experiments, "run_sweep", boom)
     code = run_main(

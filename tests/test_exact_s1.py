@@ -1,0 +1,83 @@
+"""Exact gate for s = 1 cells: the sweep's mean error against arithmetic.
+
+At s = 1, ``x0 = +-e_j`` and the support entry of the back-projection is
+``x0 (y^H z)``; each of the n - 1 entries off it has squared modulus
+``2 scale^2 E`` with ``E ~ Exp(1)`` and ``scale = sigma ||z||_2``
+(:func:`pocs.experiments._draw_chunk`). At tau = 0, ``y^H z`` is real and
+positive, so PBP recovers ``x0`` exactly when it keeps the support entry and
+has error sqrt(2) when it keeps any other. It keeps the support entry iff
+``T < X``, with T the largest of the n - 1 ``Exp(1)`` and
+
+- ``cs``: ``X = G ~ Gamma(m, 1)``, since ``y^H z = sigma^2 w``,
+  ``scale = sigma^2 sqrt(w)`` and ``w = 2G``;
+- ``po``: ``X = R^2 / (2m)`` with R a sum of m i.i.d. Rayleigh(1), since
+  ``y^H z = sigma R`` and ``scale = sigma sqrt(m)``.
+
+So the mean error is ``sqrt(2) (1 - E[(1 - e^-X)^(n-1)])``. The expectation
+is computed with no random numbers, over cell masses placed at the centres
+of a grid of step h: the Gamma cell masses from its survival function, and
+the m-fold FFT convolution power of the Rayleigh cell masses. Both are off
+by O(h^2), far below the sweep's standard error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pocs import SweepConfig, run_sweep
+
+N = 256
+MS = (1, 2, 4, 8, 16)
+TRIALS = 200_000
+STEP = 1e-3  # grid step h of both discretisations
+
+
+def kept_probability(x, mass, n):
+    """``E[(1 - e^-X)^(n-1)]`` for X on the points ``x`` (all > 0) with masses ``mass``."""
+    return float(np.sum(mass * np.exp((n - 1) * np.log1p(-np.exp(-x)))))
+
+
+def exact_cs(m, n):
+    # X = G ~ Gamma(m, 1): its mass of the cells [k h, (k + 1) h) up to m + 20 sqrt(m) + 50,
+    # from the survival function e^-x sum_{j < m} x^j / j!, placed at the cell centres
+    edges = np.arange(int((m + 20 * math.sqrt(m) + 50) / STEP) + 1) * STEP
+    survival = np.exp(-edges) * sum(edges**j / math.factorial(j) for j in range(m))
+    mass = -np.diff(survival)
+    assert abs(mass.sum() - 1.0) < 1e-9
+    return math.sqrt(2.0) * (1.0 - kept_probability(edges[:-1] + 0.5 * STEP, mass, n))
+
+
+def exact_po(m, n):
+    # Rayleigh(1) mass of the cells [k h, (k + 1) h) up to 10, where the tail is e^-50;
+    # a sum of m cell centres (k_i + 1/2) h is (K + m/2) h, K the sum of the indices
+    edges = np.arange(int(10.0 / STEP) + 1) * STEP
+    cell = -np.diff(np.exp(-0.5 * edges * edges))
+    size = m * (cell.size - 1) + 1
+    mass = np.fft.irfft(np.fft.rfft(cell, size) ** m, size)
+    r = (np.arange(size) + 0.5 * m) * STEP
+    assert abs(mass.sum() - 1.0) < 1e-9
+    return math.sqrt(2.0) * (1.0 - kept_probability(r * r / (2.0 * m), mass, n))
+
+
+def test_references_at_known_points():
+    # the two laws meet at m = 1: R^2 / 2 of one Rayleigh(1) is Exp(1) = Gamma(1, 1)
+    assert exact_po(1, N) == pytest.approx(exact_cs(1, N), abs=1e-6)
+    # with n = 2, P(T < X) = E[1 - e^-X] = 1 - 2^-m for X ~ Gamma(m, 1)
+    for m in MS:
+        assert exact_cs(m, 2) == pytest.approx(math.sqrt(2.0) * 2.0**-m, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def s1_sweep():
+    config = SweepConfig(n=N, sparsity_levels=(1,), log2_m_over_n=tuple(math.log2(m / N) for m in MS),
+                         trials=TRIALS, master_seed=11)
+    return {(c.scheme, c.m): c for c in run_sweep(config, workers=2).cells}
+
+
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("scheme,exact", [("cs", exact_cs), ("po", exact_po)])
+def test_mean_error_matches_exact_value(s1_sweep, scheme, exact, m):
+    cell = s1_sweep[scheme, m]
+    assert cell.trials == TRIALS and cell.failures == 0
+    assert abs(cell.mean_error - exact(m, N)) <= 4.0 * cell.stderr_error

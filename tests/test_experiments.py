@@ -536,6 +536,13 @@ class TestFitRate:
         with pytest.raises(ValueError, match="^min_log2_ratio:"):
             fit_rate(cells, "po", 2, 64, min_log2_ratio=math.nan)
 
+    def test_dimension_past_the_float_range(self):
+        # m / n underflows to 0.0 at n = 10^400; the ratio is taken in log2
+        cells = synthetic_power_law(-0.5)
+        assert fit_rate(cells, "po", 2, 10**400) == pytest.approx(-0.5, abs=1e-9)
+        with pytest.raises(ValueError, match="needs at least 3 grid points, found 0"):
+            fit_rate(cells, "po", 2, 10**400, min_log2_ratio=0)
+
     def test_zero_mean_names_the_cell(self):
         cells = list(synthetic_power_law(-0.5))
         cells[1] = dataclasses.replace(cells[1], mean_error=0.0, mean_error_db=float("-inf"))

@@ -1,6 +1,8 @@
 """Restricted-isometry diagnostics: probe search, self-tests, closed forms."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -366,10 +368,25 @@ class TestSampleComplexityBound:
         # in range, but the count is not a finite double
         with pytest.raises(ValueError, match="delta="):
             sample_complexity_bound(1e-300, 10, 256, 0.01)
-        with pytest.raises(ValueError, match="eta="):
-            sample_complexity_bound(0.5, 10, 256, 1e-320)
-        with pytest.raises(ValueError, match=" n="):
-            sample_complexity_bound(0.5, 10, 10**400, 0.01)
+        with pytest.raises(ValueError, match="s="):
+            sample_complexity_bound(0.5, 10**400, 10**400, 0.01)
+        # a huge n or a tiny eta has a finite count
+        assert sample_complexity_bound(0.5, 10, 10**400, 0.01) == 424169
+        assert sample_complexity_bound(0.5, 10, 256, 1e-320) == 38102
+
+    @pytest.mark.parametrize("n,eta,expected", [
+        (256, 0.01, 4539), (10**400, 0.01, 424169), (256, 1e-320, 38102),
+    ])
+    def test_matches_decimal_product_form(self, n, eta, expected):
+        # ceil((36/pi) delta^-2 [s ln(e n/s (1+6/delta)^2) + ln(2/eta)]) at 60 digits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            delta, s = Decimal(0.5), Decimal(10)
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+            growth = Decimal(1).exp() * Decimal(n) / s * (1 + 6 / delta) ** 2
+            exact = 36 / pi / (delta * delta) * (s * growth.ln() + (2 / Decimal(eta)).ln())
+        assert math.ceil(exact) == expected
+        assert sample_complexity_bound(0.5, 10, n, eta) == expected
 
 
 class TestErrorBounds:

@@ -383,6 +383,25 @@ def test_zero_estimates_fail_their_trials_only(monkeypatch):
         assert cell.failures == 1 and cell.mean_error == errors[1:].mean()
 
 
+def test_cell_without_a_usable_trial_raises(monkeypatch, capsys):
+    # every estimate identically zero: the cell has no direction error to average
+    real = pocs.experiments._draw_chunk
+
+    def zero_rows(*args):
+        x0, g, top, yz, scale, zero_signs = real(*args)
+        yz[:] = scale[:] = 0.0
+        return x0, g, top, yz, scale, zero_signs
+
+    monkeypatch.setattr(pocs.experiments, "_draw_chunk", zero_rows)
+    config = SweepConfig(n=16, sparsity_levels=(2,), m=8, tau_grid=(0.5,), schemes=("po",),
+                         trials=40, master_seed=3)
+    with pytest.raises(DegenerateEstimateError, match="cell scheme=po s=2 m=8 tau=0.5"):
+        run_sweep(config)
+    argv = ["sweep-tau", "--n", "16", "--s", "2", "--m", "8", "--tau", "0.5", "--trials", "40"]
+    assert cli.main(argv) == 4
+    assert "numerical failure: cell scheme=po s=2 m=8 tau=0.5" in capsys.readouterr().err
+
+
 KS_DRAWS = 20_000
 KS_CRITICAL = 1.63 * math.sqrt(2.0 / KS_DRAWS)  # two-sample, 1% level
 
