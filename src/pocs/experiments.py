@@ -30,7 +30,6 @@ import contextlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -273,7 +272,7 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
         yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
         yz += sigma * np.sqrt(circle) * c  # K circle terms
-    return x0, g, top, yz, scale, mod.size - int(np.count_nonzero(mod))
+    return x0, g, top, yz, scale, int(np.count_nonzero(mod == 0.0))
 
 
 def _score_chunk(x0, g, top, yz, scale):
@@ -369,6 +368,8 @@ def _run_cells(cells, n, trials, master_seed, workers):
     errors = np.empty((len(cells), trials))
     flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
     size = pool_size(workers, len(tasks))
+    if size > 1:  # imported here: a serial run does not pay for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
         args = _run_chunk, *zip(*tasks)
         # a pool gets about four batches of chunks per worker, one round trip each

@@ -10,7 +10,8 @@ distortion witnessed by a probe is ``| ||Phi x||_1 - 1 |``. The randomized
 search below reports the maximum over a finite probe set, which is an
 empirical LOWER bound on the true distortion; it never certifies the
 property (exact certification is combinatorial and out of reach). It screens
-the random probes in float32 with a rigorous error bound and evaluates in
+the random probes in float32 with a rigorous error bound, streaming Phi through
+the screen in cache-sized row blocks rather than copying it, and evaluates in
 float64 only the probes the bound cannot rule out, so it reports what a full
 float64 search reports, first maximum included.
 
@@ -61,21 +62,35 @@ class ConcentrationReport:
     passed: bool
 
 
-def _screen(
-    mat_t32: np.ndarray, col_l1: np.ndarray, supports: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 screen of probe rows: ``(approx, err)`` with ``|approx - stat| <= err``.
+def _screen(mat: np.ndarray, supports: np.ndarray, values: np.ndarray, rows: int,
+            col_l1: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float32 screen of probe rows: ``(approx, err, col_l1)`` with ``|approx - stat| <= err``.
 
     ``stat`` is both the exact statistic ``| ||Phi x||_1 - 1 |`` of a row and its
-    float64 evaluation by :func:`_probe_stat`. ``mat_t32`` is the C-contiguous
-    complex64 copy of Phi^T and ``col_l1`` the float64 column l1 norms of Phi.
+    float64 evaluation by :func:`_probe_stat`. Phi streams through in blocks of
+    ``rows`` rows, each converted into one reused C-contiguous complex64 block of
+    Phi^T, so no m x n copy is made. ``col_l1`` are the float64 column l1 norms of
+    Phi; when None they are summed in the same pass, to the bits of
+    ``np.abs(mat).sum(axis=0)``.
     """
-    n, m = mat_t32.shape
+    m, n = mat.shape
     coef = np.zeros((supports.shape[0], n), dtype=np.float32)
     np.put_along_axis(coef, supports, values, axis=1)
-    # one real GEMM on the (n, 2m) view of Phi^T: Re and Im of Phi x, interleaved
-    proj = (coef @ mat_t32.view(np.float32)).view(np.complex64)
-    sums = np.abs(proj).sum(axis=1, dtype=np.float64)
+    sums = np.zeros(supports.shape[0])
+    block = np.empty(min(m, rows) * n, dtype=np.complex64)
+    moduli = np.zeros((rows + 1, n)) if col_l1 is None else None  # row 0: the sums so far
+    for i in range(0, m, rows):
+        part = mat[i : i + rows]
+        part_t = block[: part.size].reshape(n, len(part))
+        part_t[...] = part.T
+        # one real GEMM on the (n, 2 rows) block view: Re and Im of Phi x, interleaved
+        proj = (coef @ part_t.view(np.float32)).view(np.complex64)
+        sums += np.abs(proj).sum(axis=1, dtype=np.float64)
+        if moduli is not None:
+            np.abs(part, out=moduli[1 : len(part) + 1])
+            moduli[0] = moduli[: len(part) + 1].sum(axis=0)
+    if moduli is not None:  # numpy adds an array's rows in turn, but one column pairwise
+        col_l1 = moduli[0].copy() if n > 1 else np.abs(mat).sum(axis=0)
     # Bound, both for the exact statistic and for its float64 re-check. Each part of
     # an entry of Phi x is a dot product of n terms from float32-rounded (or float64)
     # factors: in any summation order it is off by at most gamma_{n+2} sum_k |x_k| |part|,
@@ -89,7 +104,7 @@ def _screen(
     weight = (np.abs(values) * col_l1[supports]).sum(axis=1)
     floor = 2.0 * u64 + 8.0 * m * (n + 2) * 2.0**-150 * (2.0 + float(col_l1.max()))
     err = (math.sqrt(2.0) * dot * weight + mod * sums + floor) * (1.0 + 2.0**-20)
-    return np.abs(sums - 1.0), err
+    return np.abs(sums - 1.0), err, col_l1
 
 
 def _probe_stat(mat: np.ndarray, support: np.ndarray, values: np.ndarray) -> float:
@@ -113,11 +128,14 @@ def rip_distortion_probe(
     vectors (whose distortion is a column statistic), and a sign-flip hill
     climb around the worst probe found. Deterministic given the stream.
 
-    The random probes are screened in float32, with a rigorous bound on each
-    screen value's distance from the float64 statistic (:func:`_screen`). Only
-    a probe whose bound still reaches the best statistic so far and every
-    other probe of its batch is evaluated in float64, in index order; the best
-    is replaced on a strict ``>`` only, so the first maximum wins.
+    The random probes are screened in float32, in batches of at most 2^18
+    coefficients, with a rigorous bound on each screen value's distance from
+    the float64 statistic (:func:`_screen`). Each batch streams Phi through one
+    GEMM per block of at most 2^15 entries (128 rows at n = 256), and the first
+    pass also sums the column l1 norms. Only a probe whose bound still reaches
+    the best statistic so far and every other probe of its batch is evaluated
+    in float64, in index order; the best is replaced on a strict ``>`` only, so
+    the first maximum wins.
     """
     if Phi.convention is not VarianceConvention.PHASE_ONLY:
         raise ValueError(
@@ -136,18 +154,15 @@ def rip_distortion_probe(
     best_values = None
     evaluated = num_probes + n  # random and canonical stages; the climb adds its own
 
-    col_l1 = np.abs(mat).sum(axis=0)
-    col_stats = np.abs(col_l1 - 1.0)
-    # C-contiguous complex64 Phi^T, copied in 64-row blocks (faster than a plain
-    # transpose copy)
-    mat_t32 = np.empty((n, m), dtype=np.complex64)
-    for i in range(0, m, 64):
-        mat_t32[:, i : i + 64] = mat[i : i + 64].T
-    batch = max(8, 262_144 // max(m, n))  # <= 2^18 coefficients and projections
+    # Phi streams through the screen in blocks of at most 2^15 entries; a batch holds
+    # at most 2^18 coefficients, and one block's projections at most 2^18 entries
+    rows = max(1, min(m, 2**15 // n))
+    batch = max(1, 2**18 // max(n, rows))
+    col_l1 = None  # summed by the first batch's pass
     for done in range(0, num_probes, batch):
         count = min(batch, num_probes - done)
         supports, values = _support_value_batch(gen, n, s, count)
-        approx, err = _screen(mat_t32, col_l1, supports, values)
+        approx, err, col_l1 = _screen(mat, supports, values, rows, col_l1)
         # a probe is skipped only when its bound proves it below the best so far or
         # below another probe of the batch (a NaN bound is re-checked)
         cut = max(best_stat, float(np.max(approx - err)))
@@ -157,7 +172,9 @@ def rip_distortion_probe(
                 best_stat = stat
                 best_support = supports[k].copy()
                 best_values = values[k].astype(np.complex128)
+    del supports, values, approx, err  # the last batch's buffers, before the climb's
 
+    col_stats = np.abs(col_l1 - 1.0)
     j = int(np.argmax(col_stats))
     if col_stats[j] > best_stat:
         best_stat = float(col_stats[j])
@@ -174,7 +191,9 @@ def rip_distortion_probe(
         # summation order can never read a sign flip of one column as an improvement
         cand = np.empty((m, support.size + 1), dtype=np.complex128, order="F")
         cand[:, 0] = proj
-        cand[:, 1:] = proj[:, None] - 2.0 * mat[:, support] * values[None, :]
+        flips = mat[:, support]  # proj - 2.0 * Phi[:, S] * values, built in place
+        np.multiply(np.multiply(flips, 2.0, out=flips), values[None, :], out=flips)
+        np.subtract(proj[:, None], flips, out=cand[:, 1:])
         stats = np.abs(np.abs(cand).sum(axis=0) - 1.0)
         evaluated += support.size
         k = int(np.argmax(stats[1:]))

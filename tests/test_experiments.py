@@ -1,5 +1,6 @@
 """Sweep harness tests: seeding, determinism, aggregation, CSV/JSON, rate fits."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -273,7 +274,7 @@ class TestPoolSize:
                           schemes=("po",), trials=320, master_seed=3)  # 2 cells x 10 ranges
         serial = render_csv(run_sweep(cfg))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(pocs.experiments, "ProcessPoolExecutor", Executor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
         assert render_csv(run_sweep(cfg, workers=500)) == serial
         assert asked == [2]
 

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +20,7 @@ from pocs import (
     sample_complexity_bound,
     sample_sensing_matrix,
 )
+import pocs.rip
 from pocs.experiments import rip_estimate_report
 from pocs.rip import _probe_stat, _screen
 from pocs.sensing import _support_value_batch
@@ -146,34 +148,53 @@ class ScriptedUniforms:
         return self.rows[self.used - shape[0] : self.used].copy()
 
 
+def batch_sizes(monkeypatch):
+    """The probe counts of the search's batches, recorded as it draws them."""
+    sizes, draw = [], pocs.rip._support_value_batch
+    monkeypatch.setattr(pocs.rip, "_support_value_batch",
+                        lambda gen, n, s, count: sizes.append(count) or draw(gen, n, s, count))
+    return sizes
+
+
 class TestProbeKernel:
-    """The float32 screen and the float64 re-check against the gathered complex einsum."""
+    """The streamed float32 screen and the float64 re-check against the gathered einsum."""
 
     def test_per_probe_statistics_match_gathered_einsum(self):
         gen = np.random.default_rng(70)
-        shapes = [(1, 1, 1), (1, 9, 9), (1, 9, 1), (6, 1, 1), (13, 13, 13), (64, 256, 20)]
+        # (m, n, s, rows): the search's own row blocks, blocks that do not divide m
+        # (300 = 2 x 128 + 44 rows at n = 256, 1000 = 819 + 181 at n = 40) and
+        # blocks of 1, 3 and 7 rows, or all m
+        shapes = [(1, 1, 1, 1), (1, 9, 9, 1), (1, 9, 1, 1), (6, 1, 1, 6), (13, 13, 13, 13),
+                  (64, 256, 20, 64), (300, 256, 20, 128), (1000, 40, 5, 819),
+                  (4096, 256, 20, 128), (100, 37, 5, 7), (50, 3, 2, 3), (20, 12, 4, 1)]
         shapes += [
-            (int(m), int(n), int(gen.integers(1, n + 1)))
+            (int(m), int(n), int(gen.integers(1, n + 1)), int(gen.integers(1, m + 1)))
             for m, n in zip(gen.integers(1, 300, 40), gen.integers(1, 80, 40))
         ]
-        for m, n, s in shapes:
+        for m, n, s, rows in shapes:
             Phi = sample_sensing_matrix(gen, m, n, "po")
             supports, values = _support_value_batch(gen, n, s, int(gen.integers(1, 50)))
-            mat_t32 = np.ascontiguousarray(Phi.mat.T, dtype=np.complex64)
-            approx, err = _screen(mat_t32, np.abs(Phi.mat).sum(axis=0), supports, values)
+            col_l1 = np.abs(Phi.mat).sum(axis=0)
+            approx, err, summed = _screen(Phi.mat, supports, values, rows)
             want = gathered_stats(Phi.mat, supports, values)
-            assert np.all(np.abs(approx - want) <= err), (m, n, s)
+            assert np.all(np.abs(approx - want) <= err), (m, n, s, rows)
+            assert np.array_equal(summed, col_l1), (m, n, s, rows)  # summed in the pass
+            given = _screen(Phi.mat, supports, values, rows, col_l1)
+            assert np.array_equal(given[0], approx) and np.array_equal(given[1], err)
             got = [_probe_stat(Phi.mat, support, v) for support, v in zip(supports, values)]
-            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, n, s)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (m, n, s, rows)
 
-    # at n <= m = 4096 the search runs 262,144 // 4096 = 64 probes per batch:
-    # 40 ends inside the first batch, 209 spans four and ends inside the last
+    # at (m, n) = (3000, 16) Phi streams in row blocks of 2^15 // 16 = 2,048 (the last
+    # one 952) and a batch is 2^18 // 2,048 = 128 probes: 40 ends inside the first
+    # batch, 209 spans two and ends inside the second
     @pytest.mark.parametrize("num_probes", [40, 209])
     @pytest.mark.parametrize("seed", range(2))
-    def test_search_matches_gathered_reference(self, num_probes, seed):
-        Phi = sample_sensing_matrix(RngStream(71, seed).generator(), 4096, 32, "po")
+    def test_search_matches_gathered_reference(self, num_probes, seed, monkeypatch):
+        Phi = sample_sensing_matrix(RngStream(71, seed).generator(), 3000, 16, "po")
         gen, ref_gen = RngStream(72, seed).generator(), RngStream(72, seed).generator()
+        sizes = batch_sizes(monkeypatch)
         est = rip_distortion_probe(Phi, 5, num_probes, gen)
+        assert sizes == {40: [40], 209: [128, 81]}[num_probes]
         best, worst, evaluated = reference_search(Phi, 5, num_probes, ref_gen)
         assert est.delta_lower == pytest.approx(best, rel=0.0, abs=1e-12)
         assert np.array_equal(est.worst_probe, worst)
@@ -193,12 +214,15 @@ class TestProbeKernel:
         assert gen.random() == ref_gen.random()
 
     @pytest.mark.parametrize("twin_first", [False, True])
-    @pytest.mark.parametrize("gap", [1, 80])  # same batch of 64 probes, or the next one
-    def test_first_of_tied_probes_wins(self, gap, twin_first):
+    @pytest.mark.parametrize("gap", [1, 80])  # the next probe, or 80 probes later
+    def test_first_of_tied_probes_wins(self, gap, twin_first, monkeypatch):
         # Phi = [A, A]: the probe on S + h with the values of the probe on S has the same
         # Phi x to the bit, so every probe ties with its twin. The columns of A are near
         # one column c with ||c||_1 = 1, so the random probes beat the canonical ones.
-        m, h, s, count = 4096, 16, 3, 80
+        # At (m, n) = (4096, 8) a batch is 2^18 // 4,096 = 64 probes: a twin at gap 1
+        # shares its probe's batch, a twin 80 probes later is in the next batch or the
+        # one after, so every tie straddles a batch boundary.
+        m, h, s, count = 4096, 4, 3, 80
         gen = np.random.default_rng(75)
         base = sample_sensing_matrix(gen, m, h, "po")
         col = base.mat[:, :1] / np.abs(base.mat[:, 0]).sum()
@@ -215,7 +239,9 @@ class TestProbeKernel:
             rows[0::2], rows[1::2] = first, second
         else:
             rows[:count], rows[count:] = first, second
+        sizes = batch_sizes(monkeypatch)
         est = rip_distortion_probe(Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0)
+        assert sizes == [64, 64, 32]
         best, worst, _ = reference_search(
             Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0
         )
@@ -224,6 +250,21 @@ class TestProbeKernel:
         assert (support.min() >= h) == twin_first
         assert np.array_equal(est.worst_probe, worst)
         assert est.delta_lower == best
+
+    def test_probe_stage_makes_no_copy_of_phi(self):
+        # at (4096, 256, 20) a complex64 copy of Phi, or np.abs(Phi), is 8 MiB; the
+        # streamed screen, the sampler of 1,000 probes and the climb stay below 6 MiB
+        gen = RngStream(76).generator()
+        Phi = sample_sensing_matrix(gen, 4096, 256, "po")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rip_distortion_probe(Phi, 20, 1000, gen)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     # the first measured call of the benchmark's rip_estimate_m4096 workload at seeds
     # 0 and 7, to the bit, as the float64 GEMM search reported them; and s = 1, as the
