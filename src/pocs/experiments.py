@@ -3,15 +3,16 @@
 A sweep is a grid of cells, each one (scheme, s, m, tau) combination, that
 :func:`run_sweep` runs for a :class:`SweepConfig`. Every trial draws a
 fresh sparse signal and, straight from their exact law, the entries of the
-back-projection ``Phi^H z`` of its measurements (phase-only with bounded
-phase noise, or unaltered linear) that PBP can keep, without forming the
-m x n sensing matrix; it keeps the s strongest, as PBP does, and records
-the direction error (:func:`_score_chunk`). A cell runs on one stream, in
-chunks of :func:`_chunk_trials` trials; a chunk is a pool task
-(:func:`_run_chunk`). :func:`_draw_chunk` specifies the law, the stream
-key and the order of the draws. Aggregation folds trials in index order,
-so a sweep gives the same bytes for one ``ENGINE`` whatever the worker
-count, and :func:`run_trial` replays any trial alone.
+back-projection ``Phi^H z / (sigma ||z||_2) ~ x0 rho + (I - x0 x0^H) g``
+that PBP can keep, without forming the m x n sensing matrix: the channel
+(phase-only with bounded phase noise, or unaltered linear) enters only
+through ``rho = y^H z / (sigma ||z||_2)``. It keeps the s strongest, as PBP
+does, and records the direction error (:func:`_score_chunk`). A cell runs
+on one stream, in chunks of :func:`_chunk_trials` trials; a chunk is a pool
+task (:func:`_run_chunk`). :func:`_draw_chunk` specifies the law, the
+stream key and the order of the draws. Aggregation folds trials in index
+order, so a sweep gives the same bytes for one ``ENGINE`` whatever the
+worker count, and :func:`run_trial` replays any trial alone.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -39,7 +40,7 @@ import numpy as np
 from .core import DegenerateEstimateError
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
-from .sensing import VarianceConvention, per_part_sigma, sample_sensing_matrix
+from .sensing import VarianceConvention, sample_sensing_matrix
 
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
@@ -147,9 +148,9 @@ def _arc_law(tau):
 
 def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     """Draws for the first ``rows`` trials of chunk ``chunk`` of one cell:
-    ``(x0, g, top, yz, scale, zero_signs)``. This docstring specifies the
-    engine's draws and their order. ``ENGINE`` names it, the chunk size
-    included, and changes whenever the draws do.
+    ``(x0, g, top, rho, zero_signs)``. This docstring specifies the engine's
+    draws and their order. ``ENGINE`` names it, the chunk size included, and
+    changes whenever the draws do.
 
     ``Phi^H z``, PBP's input for an m x n matrix ``Phi`` with per-part
     deviation sigma and its measurements ``z`` of a unit-norm ``x0``, is
@@ -162,29 +163,31 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     ``(I - x0 x0^H)`` applied to a circular Gaussian n-vector with per-part
     deviation ``sigma ||z||_2``. Hence, whatever the sparsity of ``x0``,
 
-        Phi^H z  ~  x0 (y^H z) + sigma ||z||_2 (I - x0 x0^H) g
+        Phi^H z / (sigma ||z||_2)  ~  x0 rho + (I - x0 x0^H) g
 
-    with ``g`` n i.i.d. standard complex normals. ``y`` enters only through
-    two scalars, drawn from their laws: on the phase-only channel
-    (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``)
-    ``y^H z = sum_i |y_i| exp(1j xi_i)`` needs only the Rayleigh moduli and
-    ``||z||_2 = sqrt(m)``; on the linear one ``z = y``, ``tau`` is 0 and
-    both come from ``||y||_2``.
+    with ``g`` n i.i.d. standard complex normals and
+    ``rho = y^H z / (sigma ||z||_2)``. PBP and the direction error ignore a
+    positive scale, so (scheme, m, tau) enter a trial only through the law
+    of ``rho``, in which sigma cancels: on the phase-only channel
+    (``z = csign(y) exp(1j xi)``, ``|xi_i| <= tau``) ``||z||_2 = sqrt(m)``
+    and ``|y_i| / sigma = sqrt(2 E_i)``, ``E_i ~ Exp(1)``, so
+    ``rho = sum_i sqrt(2 E_i) exp(1j xi_i) / sqrt(m)``; on the linear one
+    ``z = y``, ``tau`` is 0 and ``rho = ||y||_2 / sigma = sqrt(2 Gamma(m, 1))``.
 
     The phase noise reduced mod 2 pi is a mixture (:func:`_arc_law`): with
     q, r = divmod(tau, pi), an entry is uniform on the circle with
     probability p = q pi / tau, else q pi + u with u ~ U[-r, r]. A circle
-    term ``|y_i| exp(1j xi_i)`` is a circular complex normal with per-part
-    sigma, so K of them sum to ``sigma sqrt(K) c`` with one standard complex
-    normal ``c``, and ``y^H z = (-1)^q sum_arc |y_i| exp(1j u_i) + sigma
-    sqrt(K) c``. At q = 0 every entry is an arc entry, u = xi; at tau = k pi
-    a row draws no phase and no modulus.
+    term ``sqrt(2 E_i) exp(1j xi_i)`` is a standard complex normal, so K of
+    them sum to ``sqrt(K) c`` with one standard complex normal ``c``, and
+    ``sqrt(m) rho = (-1)^q sum_arc sqrt(2 E_i) exp(1j u_i) + sqrt(K) c``.
+    At q = 0 every entry is an arc entry, u = xi; at tau = k pi a row draws
+    no phase and no modulus.
 
-    Off the support S of ``x0`` that is ``sigma ||z||_2 g_j``, independent of
-    the entries on S, and it counts only through its modulus
-    ``sigma ||z||_2 sqrt(2 E_j)``, ``E_j ~ Exp(1)``, if among the s largest.
-    So ``g`` on S and the k = min(s, n - s) largest ``E_j`` are exact; the
-    positions of S only break ties, which have probability zero.
+    Off the support S of ``x0`` the scaled back-projection is ``g_j``,
+    independent of the entries on S, and it counts only through its modulus
+    ``sqrt(2 E_j)``, ``E_j ~ Exp(1)``, if among the s largest. So ``g`` on S
+    and the k = min(s, n - s) largest ``E_j`` are exact; the positions of S
+    only break ties, which have probability zero.
 
     A cell runs on one stream, the stream id of its trial 0,
 
@@ -211,18 +214,18 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     7. on the phase-only channel with tau > 0, the arc phases: the m - K of
        each row, flat in row order, uniform on [-r, r] ((rows, m) uniforms
        on [-tau, tau] at q = 0);
-    8. the scalar law: ``po`` draws ``E ~ Exp(1)`` for the arc entries, flat
-       in row order ((rows, m) at q = 0, summed per row by ``np.bincount``
-       past it), with ``|y_i| = sigma sqrt(2 E_i)``; ``cs`` draws
-       ``w = ||y||^2 / sigma^2 ~ chi^2(2m) = 2 Gamma(m, 1)``.
+    8. the law of ``rho``: ``po`` draws ``E ~ Exp(1)`` for the arc entries,
+       flat in row order ((rows, m) at q = 0, summed per row by
+       ``np.bincount`` past it); ``cs`` draws ``G ~ Gamma(m, 1)``, and
+       ``rho = sqrt(2 G)``.
 
     numpy fills a draw in order, so every draw is a prefix: row k of a
     draw, a row's flat entries and a row's redraws do not depend on the
     rows after it. A trial is therefore the same bits whatever the trial
     count, the worker count, or ``rows`` (:func:`run_trial` draws its chunk
     up to its row). Returns ``x0`` (the values on S), ``g`` and ``top``,
-    their ``y^H z`` and ``sigma ||z||_2``, and how many drawn moduli met the
-    zero-signum convention of :func:`pocs.core.csign`.
+    their ``rho``, and how many drawn moduli met the zero-signum convention
+    of :func:`pocs.core.csign`.
     """
     gen = RngStream(master_seed, trial_stream_id(scheme, s, m, tau, 0)).generator()
     bits = gen.bit_generator
@@ -234,7 +237,6 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         return gen
 
     k = min(s, n - s)
-    sigma = per_part_sigma(m, scheme)
     v = at("v").random((rows, s))
     if 0.5 in v:  # a row's values 2v - 1 are all zero only where each v is 0.5
         at("redraw")
@@ -248,17 +250,15 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     if k:
         beta = at("beta").beta(k, n - s - k + 1, rows)
         top = _largest_exponentials(beta, at("gaps").standard_exponential((rows, k - 1)))
-    if scheme == "cs":  # z = y: y^H z = ||y||^2 and ||z||_2 = ||y||_2
-        w = 2.0 * at("law").standard_gamma(m, rows)
-        return x0, g, top, sigma * sigma * w, sigma * sigma * np.sqrt(w), 0
-    scale = np.full(rows, sigma * math.sqrt(m))
+    if scheme == "cs":  # z = y: rho = ||y||_2 / sigma
+        return x0, g, top, np.sqrt(2.0 * at("law").standard_gamma(m, rows)), 0
     q, r, p = _arc_law(tau)
     # conj(y_i) csign(y_i) = |y_i|, and an exact zero adds 0 whatever csign maps it to
     if not q:
         xi = at("arc").uniform(-tau, tau, (rows, m)) if tau > 0 else None
-        mod = at("law").standard_exponential((rows, m))  # becomes |y_i| in place
-        np.sqrt(np.multiply(mod, 2.0 * sigma * sigma, out=mod), out=mod)
-        yz = mod.sum(axis=1) if xi is None else (
+        mod = at("law").standard_exponential((rows, m))  # becomes |y_i| / sigma in place
+        np.sqrt(np.multiply(mod, 2.0, out=mod), out=mod)
+        rho = mod.sum(axis=1) if xi is None else (
             np.einsum("...i,...i->...", mod, np.cos(xi))
             + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)))
     else:
@@ -267,30 +267,28 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         counts = m - circle  # arc entries per row
         drawn = int(counts.sum())
         u = at("arc").uniform(-r, r, drawn)
-        mod = np.sqrt(at("law").standard_exponential(drawn) * (2.0 * sigma * sigma))
+        mod = np.sqrt(2.0 * at("law").standard_exponential(drawn))
         owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
         re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
-        yz = (-1.0 if q % 2 else 1.0) * (re + 1j * im)
-        yz += sigma * np.sqrt(circle) * c  # K circle terms
-    return x0, g, top, yz, scale, int(np.count_nonzero(mod == 0.0))
+        rho = (-1.0 if q % 2 else 1.0) * (re + 1j * im) + np.sqrt(circle) * c  # K circle terms
+    return x0, g, top, rho / math.sqrt(m), int(np.count_nonzero(mod == 0.0))
 
 
-def _score_chunk(x0, g, top, yz, scale):
+def _score_chunk(x0, g, top, rho):
     """PBP's direction error on drawn rows: NaN, a failed trial, where the
     estimate is identically zero.
 
-    On the support the back-projection is
-    ``b = x0 (y^H z) + scale (g - x0 (x0 . g))``; off it, the k candidates
-    have squared moduli ``2 scale^2 top``. PBP keeps the s largest of these
-    s + k entries, and the error is summed term by term,
-    ``sum_S |x0 - kept b / nrm|^2 + sum_kept_off 2 scale^2 top / nrm^2``
+    On the support the scaled back-projection (:func:`_draw_chunk`) is
+    ``b = x0 rho + g - x0 (x0 . g)``; off it, the k candidates have squared
+    moduli ``2 top``. PBP keeps the s largest of these s + k entries, and
+    the error is summed term by term,
+    ``sum_S |x0 - kept b / nrm|^2 + sum_kept_off 2 top / nrm^2``
     with ``nrm`` the estimate's norm, so that an exact recovery scores its
     rounding residue and not the cancellation of ``2 - 2 cos``.
     """
     s, k = x0.shape[1], top.shape[1]
-    scale = scale[:, None]
-    b = x0 * (yz[:, None] - scale * np.einsum("ij,ij->i", x0, g)[:, None]) + scale * g
-    power = np.concatenate([b.real * b.real + b.imag * b.imag, 2.0 * scale * scale * top], axis=1)
+    b = x0 * (rho[:, None] - np.einsum("ij,ij->i", x0, g)[:, None]) + g
+    power = np.concatenate([b.real * b.real + b.imag * b.imag, 2.0 * top], axis=1)
     if k:  # drop all but the s largest; ties have probability zero
         power[power < np.partition(power, k, axis=1)[:, k, None]] = 0.0
     nrm = np.sqrt(power.sum(axis=1))

@@ -67,15 +67,16 @@ def sample_sensing_matrix(
 
 
 def _support_value_batch(gen, n, s, count):
-    # One contiguous block of n+s uniforms per draw. Draw k of a batch
-    # consumes exactly the same stream slice as the k-th sequential single
-    # draw, so batch size never changes the samples. The support comes from a
+    # One contiguous block of n+s uniforms per draw. The support comes from a
     # partial sort of the first n (uniform over all (n choose s) subsets), the
     # values from the last s mapped onto [-1, 1] and normalized.
     u = gen.random((count, n + s))
     # The values 2u - 1 of a row are all zero only when every value uniform is
-    # exactly 0.5. Such a row has no direction: redraw its value uniforms, all
-    # such rows of a pass in one draw.
+    # exactly 0.5 (probability 2^-53 each). Such a row has no direction: redraw
+    # its value uniforms, all such rows of a pass in one draw after the batch.
+    # Draw k of a batch consumes the same stream slice as the k-th of single
+    # draws except in that event, where a single draw redraws from the next
+    # uniforms: from such a row on, the samples depend on the batch size.
     while (bad := (u[:, n:] == 0.5).all(axis=1)).any():
         u[bad, n:] = gen.random((int(bad.sum()), s))
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)

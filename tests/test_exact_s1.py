@@ -1,17 +1,16 @@
 """Exact gate for s = 1 cells: the sweep's mean error against arithmetic.
 
-At s = 1, ``x0 = +-e_j`` and the support entry of the back-projection is
-``x0 (y^H z)``; each of the n - 1 entries off it has squared modulus
-``2 scale^2 E`` with ``E ~ Exp(1)`` and ``scale = sigma ||z||_2``
-(:func:`pocs.experiments._draw_chunk`). At tau = 0, ``y^H z`` is real and
-positive, so PBP recovers ``x0`` exactly when it keeps the support entry and
-has error sqrt(2) when it keeps any other. It keeps the support entry iff
-``T < X``, with T the largest of the n - 1 ``Exp(1)`` and
+At s = 1, ``x0 = +-e_j`` and the support entry of the scaled
+back-projection is ``x0 rho``; each of the n - 1 entries off it has squared
+modulus ``2 E`` with ``E ~ Exp(1)`` (:func:`pocs.experiments._draw_chunk`).
+At tau = 0, ``rho`` is real and positive, so PBP recovers ``x0`` exactly
+when it keeps the support entry and has error sqrt(2) when it keeps any
+other. It keeps the support entry iff ``T < X`` with ``X = rho^2 / 2``, T
+the largest of the n - 1 ``Exp(1)``, for both schemes:
 
-- ``cs``: ``X = G ~ Gamma(m, 1)``, since ``y^H z = sigma^2 w``,
-  ``scale = sigma^2 sqrt(w)`` and ``w = 2G``;
-- ``po``: ``X = R^2 / (2m)`` with R a sum of m i.i.d. Rayleigh(1), since
-  ``y^H z = sigma R`` and ``scale = sigma sqrt(m)``.
+- ``cs``: ``rho = sqrt(2G)``, so ``X = G ~ Gamma(m, 1)``;
+- ``po``: ``rho = R / sqrt(m)``, so ``X = R^2 / (2m)`` with R a sum of m
+  i.i.d. Rayleigh(1).
 
 So the mean error is ``sqrt(2) (1 - E[(1 - e^-X)^(n-1)])``. The expectation
 is computed with no random numbers, over cell masses placed at the centres

@@ -16,7 +16,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-from pocs.sensing import per_part_sigma
+from pocs.sensing import _support_value_batch, per_part_sigma
 
 
 class TestSamplingConventions:
@@ -91,6 +91,48 @@ class TestSparseSignal:
             sample_sparse_signal(RngStream(0).generator(), 4, 0)
         with pytest.raises(ValueError):
             sample_sparse_signal(RngStream(0).generator(), 4, 5)
+
+
+class _ScriptedUniforms:
+    """A generator whose ``random`` hands out the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self._u, self._next = np.asarray(uniforms, dtype=float), 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        self._next += count
+        return self._u[self._next - count : self._next].reshape(size).copy()
+
+
+def batches(uniforms, n, s, sizes):
+    """Supports and values of consecutive batches of the given sizes, stacked."""
+    gen = _ScriptedUniforms(uniforms)
+    drawn = [_support_value_batch(gen, n, s, size) for size in sizes]
+    return np.concatenate([d[0] for d in drawn]), np.concatenate([d[1] for d in drawn])
+
+
+class TestSupportValueBatch:
+    # (n, s) = (4, 1): each draw takes 5 uniforms, the support at the smallest
+    # of the first 4 and the value from the last
+    UNIFORMS = [0.9, 0.8, 0.7, 0.1, 0.6, 0.25, 0.9, 0.8, 0.7, 0.1, 0.75, 0.2]
+
+    def test_batch_size_keeps_the_samples(self):
+        supports, values = batches(self.UNIFORMS, 4, 1, [2])
+        assert supports.ravel().tolist() == [3, 0] and values.ravel().tolist() == [1.0, -1.0]
+        single_supports, single_values = batches(self.UNIFORMS, 4, 1, [1, 1])
+        assert np.array_equal(single_supports, supports)
+        assert np.array_equal(single_values, values)
+
+    def test_an_all_zero_value_row_is_redrawn_after_its_batch(self):
+        # row 0's value uniform is 0.5, so its value 2u - 1 is zero: a batch of 2
+        # redraws it from the uniform after both rows, while single draws redraw
+        # it from the next uniform and shift the draw of row 1
+        uniforms = [*self.UNIFORMS[:4], 0.5, *self.UNIFORMS[5:]]
+        supports, values = batches(uniforms, 4, 1, [2])
+        assert supports.ravel().tolist() == [3, 0] and values.ravel().tolist() == [1.0, -1.0]
+        supports, values = batches(uniforms, 4, 1, [1, 1])
+        assert supports.ravel().tolist() == [3, 3] and values.ravel().tolist() == [-1.0, 1.0]
 
 
 def inject(mat):

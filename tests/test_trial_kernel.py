@@ -48,7 +48,7 @@ po,1,9,0,70,0,0.02020305089,-16.94583042,0.02020305089
 po,3,2,0,70,0,1.084667447,0.3529660623,0.02929235044
 po,3,9,0,70,0,0.6654664458,-1.768738377,0.02221346746
 cs,1,2,0,70,0,0.929340341,-0.318252105,0.08081220356
-cs,1,9,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
+cs,1,9,0,70,0,4.758098677e-18,-173.2256656,2.706983902e-18
 cs,3,2,0,70,0,1.073099128,0.30639842,0.02189399457
 cs,3,9,0,70,0,0.6783411653,-1.685518269,0.02428158106
 """
@@ -60,14 +60,14 @@ cs,3,9,0,70,0,0.6783411653,-1.685518269,0.02428158106
 GOLDEN_SWEEP_M_EXACT = """\
 scheme,s,m,tau,trials,failures,mean_error,mean_error_db,stderr_error
 po,1,2,0,70,0,1.252589155,0.9780864732,0.05416680886
-po,1,16,0,70,0,1.586032892e-17,-167.9968781,4.676955843e-18
-po,1,32,0,70,0,1.903239471e-17,-167.2050656,5.037235602e-18
+po,1,16,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
+po,1,32,0,70,0,1.110223025e-17,-169.5458977,4.009654378e-18
 po,3,2,0,70,0,1.213206514,0.8393473334,0.02539583862
 po,3,16,0,70,0,0.6300115906,-2.006514606,0.02563009172
 po,3,32,0,70,0,0.3560774272,-4.484555567,0.01886131041
 cs,1,2,0,70,0,1.151573901,0.6129181349,0.0662066352
-cs,1,16,0,70,0,1.268826314e-17,-168.9659782,4.252344905e-18
-cs,1,32,0,70,0,2.696255917e-17,-165.6923889,5.731259065e-18
+cs,1,16,0,70,0,2.06184276e-17,-166.8574446,5.197526932e-18
+cs,1,32,0,70,0,1.586032892e-17,-167.9968781,4.676955843e-18
 cs,3,2,0,70,0,1.200385298,0.7932066768,0.02226677222
 cs,3,16,0,70,0,0.5465421899,-2.623763074,0.0214119037
 cs,3,32,0,70,0,0.3430880889,-4.645943593,0.0157414698
@@ -143,7 +143,7 @@ GOLDEN_SWEEP_TAU_JSON = """\
       "failures": 0,
       "mean_error": 0.8707726546080515,
       "mean_error_db": -0.6009521782490349,
-      "stderr_error": 0.024852582413994947,
+      "stderr_error": 0.02485258241399495,
       "zero_sign_hits": 0
     },
     {
@@ -155,7 +155,7 @@ GOLDEN_SWEEP_TAU_JSON = """\
       "failures": 0,
       "mean_error": 0.9727874704576935,
       "mean_error_db": -0.11982031765961748,
-      "stderr_error": 0.023179100092086253,
+      "stderr_error": 0.023179100092086256,
       "zero_sign_hits": 0
     },
     {
@@ -362,15 +362,15 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
 
 
 def test_zero_estimates_fail_their_trials_only(monkeypatch):
-    # yz = scale = 0 zeroes the back-projection on the support and every
+    # rho = g = top = 0 zeroes the back-projection on the support and every
     # off-support modulus: the estimate of that row has no direction
     real = pocs.experiments._draw_chunk
 
     def zero_first_row(*args):
-        x0, g, top, yz, scale, zero_signs = real(*args)
+        x0, g, top, rho, zero_signs = real(*args)
         if args[-2] == 0:
-            yz[0] = scale[0] = 0.0
-        return x0, g, top, yz, scale, zero_signs
+            rho[0], g[0], top[0] = 0.0, 0.0, 0.0
+        return x0, g, top, rho, zero_signs
 
     monkeypatch.setattr(pocs.experiments, "_draw_chunk", zero_first_row)
     for scheme, n, s in [("po", 16, 2), ("cs", 16, 2), ("po", 4, 4)]:  # k = 2, 2 and 0
@@ -388,9 +388,9 @@ def test_cell_without_a_usable_trial_raises(monkeypatch, capsys):
     real = pocs.experiments._draw_chunk
 
     def zero_rows(*args):
-        x0, g, top, yz, scale, zero_signs = real(*args)
-        yz[:] = scale[:] = 0.0
-        return x0, g, top, yz, scale, zero_signs
+        x0, g, top, rho, zero_signs = real(*args)
+        rho[:], g[:], top[:] = 0.0, 0.0, 0.0
+        return x0, g, top, rho, zero_signs
 
     monkeypatch.setattr(pocs.experiments, "_draw_chunk", zero_rows)
     config = SweepConfig(n=16, sparsity_levels=(2,), m=8, tau_grid=(0.5,), schemes=("po",),
@@ -470,17 +470,55 @@ def test_trial_errors_do_not_depend_on_trials_workers_or_replay(cell_errors, sch
 
 @pytest.mark.parametrize("tau", [1.5 * math.pi, 2.0 * math.pi, 2.7 * math.pi, 4.0 * math.pi])
 def test_mixture_law_of_the_phase_noise(tau):
-    # y^H z from K ~ Binomial(m, p) circle terms, one complex normal and the
-    # arc entries, against sum_i |y_i| exp(1j xi_i) with xi_i ~ U[-tau, tau]
+    # rho from K ~ Binomial(m, p) circle terms, one complex normal and the arc
+    # entries, against y^H z / (sigma ||z||_2) = sum_i |y_i| exp(1j xi_i) /
+    # (sigma sqrt(m)) with xi_i ~ U[-tau, tau]
     m, sigma = 8, per_part_sigma(8, VarianceConvention.PHASE_ONLY)
     size = _chunk_trials(2, m)  # 8,192: the draws are chunks 0 to 2 of the cell
-    yz = np.concatenate([_draw_chunk("po", 4, 2, m, tau, 45, c, min(size, KS_DRAWS - c * size))[3]
+    rho = np.concatenate([_draw_chunk("po", 4, 2, m, tau, 45, c, min(size, KS_DRAWS - c * size))[3]
                          for c in range(-(-KS_DRAWS // size))])
     gen = RngStream(46).generator()
     modulus = sigma * np.sqrt(2.0 * gen.standard_exponential((KS_DRAWS, m)))
     direct = (modulus * np.exp(1j * gen.uniform(-tau, tau, (KS_DRAWS, m)))).sum(axis=1)
+    direct /= sigma * math.sqrt(m)
     for part in (np.real, np.imag, np.abs):
-        assert ks_statistic(part(yz), part(direct)) < KS_CRITICAL
+        assert ks_statistic(part(rho), part(direct)) < KS_CRITICAL
+
+
+RHO_DRAWS = 40_000
+
+
+def drawn_rho(scheme, m, tau):
+    """``rho`` of the first RHO_DRAWS trials of the cell (n, s) = (2, 1), seed 27."""
+    size = _chunk_trials(1, m)
+    return np.concatenate([_draw_chunk(scheme, 2, 1, m, tau, 27, c,
+                                       min(size, RHO_DRAWS - c * size))[3]
+                           for c in range(-(-RHO_DRAWS // size))])
+
+
+def z_score(sample, expected):
+    return (sample.mean() - expected) / (sample.std(ddof=1) / math.sqrt(sample.size))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.7, math.pi, 1.5 * math.pi, 2.7 * math.pi])
+@pytest.mark.parametrize("m", [1, 8, 64])
+def test_first_two_moments_of_rho_po(m, tau):
+    # rho = sum_i sqrt(2 E_i) exp(1j xi_i) / sqrt(m): with E sqrt(2 E_i) = sqrt(pi / 2)
+    # and E exp(1j xi_i) = sin(tau) / tau, E rho = sqrt(pi m / 2) sin(tau) / tau and
+    # E |rho|^2 = 2 + (m - 1) (pi / 2) (sin(tau) / tau)^2, past pi (the mixture law) too
+    rho = drawn_rho("po", m, tau)
+    sinc = math.sin(tau) / tau if tau else 1.0
+    assert abs(z_score(rho.real, math.sqrt(math.pi * m / 2.0) * sinc)) < 4.0
+    if tau:  # at tau = 0 rho is real
+        assert abs(z_score(rho.imag, 0.0)) < 4.0
+    assert abs(z_score(np.abs(rho) ** 2, 2.0 + (m - 1) * math.pi / 2.0 * sinc * sinc)) < 4.0
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+def test_second_moment_of_rho_cs(m):
+    # rho = ||y||_2 / sigma = sqrt(2 Gamma(m, 1)): E rho^2 = 2m
+    rho = drawn_rho("cs", m, 0.0)
+    assert abs(z_score(rho * rho, 2.0 * m)) < 4.0
 
 
 def test_mixture_parameters_stay_in_range():
