@@ -12,6 +12,7 @@ emits deterministic CSV or JSON tables.
 """
 
 from .core import (
+    ConfigError,
     DegenerateEstimateError,
     adjoint_matvec,
     csign,
@@ -21,7 +22,6 @@ from .core import (
 )
 from .experiments import (
     CellAggregate,
-    ConfigError,
     SweepConfig,
     SweepResult,
     fit_rate,

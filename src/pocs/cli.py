@@ -2,10 +2,11 @@
 
 Subcommands: ``sweep-m``, ``sweep-tau``, ``rip-estimate``, ``rip-bound``,
 ``fit-rate``. Results go to ``--out`` (or stdout when omitted or ``-``) as
-CSV or JSON. Exit codes: 0 success, 2 configuration error (``rip-bound``
-included, when the bound has no finite value), 3 I/O error, 4 internal
-numerical failure. ``main(argv)`` may be called repeatedly in one process;
-it builds its parser once per process.
+CSV or JSON. Exit codes: 0 success; 2 input from the caller that a rule
+rejects, a :class:`pocs.ConfigError` naming the field (``rip-bound``
+included, when the bound has no finite value); 3 I/O error; 4 a numerical
+failure or any error that is not the caller's. ``main(argv)`` may be called
+repeatedly in one process; it builds its parser once per process.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from typing import Sequence
 
 from . import experiments, rip
+from .core import ConfigError
 from .experiments import SweepConfig
 
 
@@ -137,7 +139,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _dispatch(args)
-    except ValueError as exc:  # ConfigError included
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -145,6 +147,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a fault that is not the caller's, a numpy ValueError say
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     return 0
 

@@ -5,12 +5,34 @@ Componentwise signum, hard thresholding ``H_s``, the adjoint product
 ``complex128`` arrays; support sets are sorted integer index arrays. Because
 phase-only measurements carry no amplitude, PBP estimates the direction of
 ``x0`` only, and the error is taken against the l2-normalized estimate. All
-are pure functions, safe for concurrent use.
+are pure functions, safe for concurrent use. Also here, as every module imports
+this one: :class:`ConfigError`, and one check for each input rule they share.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Invalid input from the caller; the message starts with the offending field."""
+
+
+def _check_at_least(field: str, value, low) -> None:
+    if not value >= low:  # NaN fails it
+        raise ConfigError(f"{field}: must be >= {low}, got {value}")
+
+
+def _check_s(field: str, s: int, n: int) -> None:
+    if not 1 <= s <= n:
+        raise ConfigError(f"{field}: s={s} outside [1, n={n}]")
+
+
+def _check_tau(field: str, tau: float) -> None:
+    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
+        raise ConfigError(f"{field}: need tau >= 0 with 2 tau finite, got {tau:g}")
 
 
 def csign(v) -> np.ndarray:
@@ -42,10 +64,8 @@ def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 0:
-        raise ValueError("hard_threshold expects a vector or a stack of rows")
-    n = v.shape[-1]
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity level s={s} out of range [1, {n}]")
+        raise ConfigError("v: hard_threshold expects a vector or a stack of rows")
+    _check_s("s", s, v.shape[-1])
     support = np.sort(np.argsort(-np.abs(v), axis=-1, kind="stable")[..., :s], axis=-1)
     out = np.zeros_like(v)
     np.put_along_axis(out, support, np.take_along_axis(v, support, axis=-1), axis=-1)
@@ -57,7 +77,7 @@ def adjoint_matvec(A, v) -> np.ndarray:
     A = np.asarray(A)
     v = np.asarray(v)
     if A.ndim != 2 or v.ndim != 1 or A.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape}^H @ {v.shape}")
+        raise ConfigError(f"v: dimension mismatch: {A.shape}^H @ {v.shape}")
     # conj(conj(v) A) == A^H v, without materialising the conjugated matrix
     return (v.conj() @ A).conj()
 
@@ -81,7 +101,8 @@ def direction_error(x0, xhat) -> float:
     ref = np.asarray(x0)
     est = np.asarray(xhat)
     if ref.ndim != 1 or est.ndim != 1:
-        raise ValueError(f"direction_error expects two vectors, got {ref.shape} and {est.shape}")
+        raise ConfigError(f"xhat: direction_error expects two vectors, got {ref.shape} "
+                          f"and {est.shape}")
 
     def norm(v):
         return np.sqrt((v.real * v.real).sum() + (v.imag * v.imag).sum())

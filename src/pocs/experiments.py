@@ -37,7 +37,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import DegenerateEstimateError
+from .core import ConfigError, DegenerateEstimateError, _check_at_least, _check_s, _check_tau
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import VarianceConvention, sample_sensing_matrix
@@ -64,10 +64,6 @@ _QUANTITIES = ("v", "redraw", "g", "beta", "gaps", "circle", "c", "arc", "law")
 # (phi - 1) 2^128 outputs rounded to odd. Streams a multiple of 2^64 apart
 # share the low half of the LCG state, and their outputs are correlated.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-
-
-class ConfigError(ValueError):
-    """Invalid sweep configuration; the message names the offending field."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -312,10 +308,10 @@ def run_trial(
     the s strongest entries (PBP) and return the direction error, NaN if the
     estimate is zero. The trial is row ``trial_index % size`` of its chunk
     of ``size`` trials, drawn with the rows before it only."""
+    _check_n(n)
     _check_cell(scheme, n, s, m, tau)
     _check_master_seed(master_seed)
-    if trial_index < 0:
-        raise ConfigError(f"trial_index: must be >= 0, got {trial_index}")
+    _check_at_least("trial_index", trial_index, 0)
     chunk, row = divmod(trial_index, _chunk_trials(s, m))
     errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
     return float(errors[row])
@@ -341,8 +337,7 @@ def pool_size(workers: int, num_tasks: int) -> int:
     """Worker processes for ``num_tasks`` tasks: never more than there are
     tasks, nor than the CPUs this process may run on (a forking pool starts
     all its workers at once)."""
-    if workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {workers}")
+    _check_at_least("workers", workers, 1)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -381,20 +376,22 @@ def _run_cells(cells, n, trials, master_seed, workers):
     )
 
 
+def _check_n(n) -> None:
+    # the law of the off-support moduli takes n - s as a double
+    if n is None or not 1 <= n <= 2**53:
+        raise ConfigError(f"n: must lie in [1, 2^53], got {n}")
+
+
 def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
-    # the rules of one (scheme, s, m, tau) cell at dimension n; a ConfigError
+    # the rules of one (scheme, s, m, tau) cell at a checked n; a ConfigError
     # names the sweep field that gave the value, m_field the one that gave m
-    if not 1 <= s <= n:
-        raise ConfigError(f"sparsity_levels: s={s} outside [1, n={n}]")
+    _check_s("sparsity_levels", s, n)
     if 5 * _MIN_CHUNK * s > _MAX_ENTRIES:  # a chunk holds about five complex (32, s) arrays
         raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
                           f"about {5 * _MIN_CHUNK * s} complex entries, over {_MAX_ENTRIES}")
-    if n > 2**53:  # the law of the off-support moduli takes n - s as a double
-        raise ConfigError(f"n: must be at most 2^53, got {n}")
     if scheme not in SCHEMES:
         raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
-    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
-        raise ConfigError(f"tau_grid: need tau >= 0 with 2 tau finite, got {tau:g}")
+    _check_tau("tau_grid", tau)
     if scheme == "cs" and tau != 0:
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
     if not 1 <= m <= _MAX_ENTRIES // _MIN_CHUNK:  # a chunk draws (32, m) moduli at once
@@ -404,14 +401,15 @@ def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
 def _check_master_seed(seed) -> None:
     # RngStream keeps the low 64 bits only: outside [0, 2^64) two seeds would
     # give the same draws
-    if seed is None:
-        raise ConfigError("master_seed: a master seed is required, got None")
-    if not 0 <= seed < 1 << 64:
+    if seed is None or not 0 <= seed < 1 << 64:
         raise ConfigError(f"master_seed: must lie in [0, 2^64), got {seed}")
 
 
-def _check_distinct(field: str, values) -> None:
-    # a repeated value would give two cells with the same stream ids
+def _check_grid(field: str, values) -> None:
+    # an empty grid has no cells, and a repeated value would give two cells
+    # with the same stream ids
+    if not values:
+        raise ConfigError(f"{field}: at least one value is required")
     seen = set()
     for value in values:
         if value in seen:
@@ -422,31 +420,19 @@ def _check_distinct(field: str, values) -> None:
 def _ratio_to_m(n: int, ratio: float) -> int:
     # 2.0**ratio raises OverflowError from 1024 on; NaN fails every comparison
     scaled = n * 2.0**ratio if ratio < 1024 else math.inf
-    if not math.isfinite(scaled):
-        raise ConfigError(f"log2_m_over_n: ratio {ratio:g} gives no finite m at n={n}")
-    m = int(round(scaled))
-    if m < 1:
-        raise ConfigError(f"log2_m_over_n: ratio {ratio:g} gives m < 1 at n={n}")
-    return m
+    if not 0.5 < scaled < math.inf:  # round(scaled) >= 1
+        raise ConfigError(f"log2_m_over_n: ratio {ratio:g} gives no finite m >= 1 at n={n}")
+    return int(round(scaled))
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Direction error over the (scheme, s, m, tau) cells of ``config``, in that
     nesting order."""
-    if config.trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {config.trials}")
-    if config.n is None or not 1 <= config.n <= 2**53:  # named before a ratio turns n into m
-        raise ConfigError(f"n: must lie in [1, 2^53], got {config.n}")
+    _check_at_least("trials", config.trials, 1)
+    _check_n(config.n)  # named before a ratio turns n into m
     _check_master_seed(config.master_seed)
-    if not config.sparsity_levels:
-        raise ConfigError("sparsity_levels: at least one sparsity level is required")
-    _check_distinct("sparsity_levels", config.sparsity_levels)
-    if not config.schemes:
-        raise ConfigError("schemes: at least one scheme is required")
-    _check_distinct("schemes", config.schemes)
-    if not config.tau_grid:
-        raise ConfigError("tau_grid: at least one tau is required")
-    _check_distinct("tau_grid", config.tau_grid)
+    for field in ("sparsity_levels", "schemes", "tau_grid"):
+        _check_grid(field, getattr(config, field))
     # -0.0 is the cell 0.0: one label (trial_stream_id keys both alike)
     config = replace(config, tau_grid=tuple(0.0 if tau == 0 else tau for tau in config.tau_grid))
     if (config.m is None) == (config.log2_m_over_n is None):
@@ -454,8 +440,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     field, ms = "m", {config.m: None}  # m -> the ratio that gave it
     if config.m is None:
         field, ms = "log2_m_over_n", {}
-        if not config.log2_m_over_n:
-            raise ConfigError("log2_m_over_n: at least one ratio is required")
+        _check_grid(field, config.log2_m_over_n)
         for ratio in config.log2_m_over_n:
             m = _ratio_to_m(config.n, ratio)
             if m in ms:
@@ -499,31 +484,27 @@ def fit_rate(
     least ``min_log2_ratio``; needs three or more grid points.
     """
     if n is None:
-        raise ValueError("signal dimension n unknown; pass n explicitly")
-    if n < 1:
-        raise ValueError(f"n: must be >= 1, got {n}")
+        raise ConfigError("n: signal dimension n unknown; pass n explicitly")
+    _check_at_least("n", n, 1)
     if math.isnan(min_log2_ratio):
-        raise ValueError("min_log2_ratio: must be a number or +-inf, got nan")
+        raise ConfigError("min_log2_ratio: must be a number or +-inf, got nan")
     cells = [c for c in cells if c.scheme == scheme and c.s == s]
     for c in cells:
         if c.m < 1:
-            raise ValueError(
-                f"fit_rate: cell scheme={scheme} s={s} m={c.m}; a log-log fit needs m >= 1"
-            )
+            raise ConfigError(f"fit_rate: cell scheme={scheme} s={s} m={c.m}; "
+                              "a log-log fit needs m >= 1")
     points = sorted(
         (c.m, c.mean_error) for c in cells
         if math.log2(c.m) - math.log2(n) >= min_log2_ratio - 1e-12
     )
     if len(points) < 3:
-        raise ValueError(f"fit_rate needs at least 3 grid points, found {len(points)}")
+        raise ConfigError(f"fit_rate: needs at least 3 grid points, found {len(points)}")
     for m, mean in points:
         if not 0 < mean < math.inf:
-            raise ValueError(
-                f"fit_rate: cell scheme={scheme} s={s} m={m} has mean_error {mean:g}; "
-                "a log-log fit needs finite positive means"
-            )
-    x = np.log10([p[0] for p in points])
-    y = np.log10([p[1] for p in points])
+            raise ConfigError(f"fit_rate: cell scheme={scheme} s={s} m={m} has mean_error "
+                              f"{mean:g}; a log-log fit needs finite positive means")
+    x = [math.log10(m) for m, _ in points]  # exact for any int, as math.log2 above
+    y = np.log10([mean for _, mean in points])
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -547,17 +528,17 @@ def render_json(result: SweepResult) -> str:
 def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
     where, r = f"{path}, line {lineno}", line.split(",")
     if len(r) != len(_CSV_FIELDS):
-        raise ValueError(f"{where}: expected {len(_CSV_FIELDS)} fields, got {len(r)}")
+        raise ConfigError(f"{where}: expected {len(_CSV_FIELDS)} fields, got {len(r)}")
     try:
         return CellAggregate(**{k: kind(v) for (k, kind), v in zip(_CELL_TYPES.items(), r)})
     except ValueError as exc:  # a field that is not a number
-        raise ValueError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _json_value(where: str, value, kind):
     # a JSON value already holds its field's type; a real field takes an int too, none a bool
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
     return kind(value)
 
 
@@ -573,7 +554,7 @@ def load_sweep_cells(path: str) -> tuple[tuple[CellAggregate, ...], int | None]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
@@ -587,11 +568,11 @@ def load_sweep_cells(path: str) -> tuple[tuple[CellAggregate, ...], int | None]:
             )
         # bad JSON, a missing or unknown key, or a config or cell that is not an object
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
+            raise ConfigError(f"{path}: not a sweep JSON ({type(exc).__name__}: {exc})")
         return cells, None if n is None else _json_value(f"{path}: config.n", n, int)
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
-        raise ValueError(f"{path}: not a sweep CSV (unexpected header)")
+        raise ConfigError(f"{path}: not a sweep CSV (unexpected header)")
     return tuple(_cell_from_row(path, no, ln) for no, ln in lines[1:]), None
 
 
@@ -600,14 +581,10 @@ def rip_estimate_report(
 ) -> dict:
     """Probe a fresh PHASE_ONLY matrix and report the implied error bounds."""
     # checked before the m x n matrix is drawn
-    if m < 1:
-        raise ConfigError(f"m: must be >= 1, got {m}")
-    if n < 1:
-        raise ConfigError(f"n: must be >= 1, got {n}")
-    if not 1 <= s <= n:
-        raise ConfigError(f"s: s={s} outside [1, n={n}]")
-    if num_probes < 1:
-        raise ConfigError(f"num_probes: must be >= 1, got {num_probes}")
+    _check_at_least("m", m, 1)
+    _check_at_least("n", n, 1)
+    _check_s("s", s, n)
+    _check_at_least("num_probes", num_probes, 1)
     if m * n > _MAX_ENTRIES:
         raise ConfigError(
             f"{'m' if m >= n else 'n'}: an m x n = {m} x {n} matrix has more than "

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError, _check_at_least, _check_s, _check_tau
 from .sensing import (
     VarianceConvention,
     _support_value_batch,
@@ -138,16 +139,14 @@ def rip_distortion_probe(
     the first maximum wins.
     """
     if Phi.convention is not VarianceConvention.PHASE_ONLY:
-        raise ValueError(
-            "distortion probing requires the PHASE_ONLY variance convention "
+        raise ConfigError(
+            "Phi: distortion probing requires the PHASE_ONLY variance convention "
             "(the centered statistic assumes E||Phi x||_1 = ||x||_2)"
         )
     mat = Phi.mat
     m, n = mat.shape
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity s={s} out of range [1, {n}]")
-    if num_probes < 1:
-        raise ValueError("num_probes must be at least 1")
+    _check_s("s", s, n)
+    _check_at_least("num_probes", num_probes, 1)
 
     best_stat = -1.0
     best_support = None
@@ -222,8 +221,7 @@ def expectation_identity_test(
     passes when the empirical mean lies within 4 standard errors of
     ``||x||_2``.
     """
-    if num_draws < 100:
-        raise ValueError("num_draws must be at least 100 for a stable standard error")
+    _check_at_least("num_draws", num_draws, 100)  # for a stable standard error
     if x is None:
         parts = gen.standard_normal((n, 2))
         x = parts.view(np.complex128)[..., 0]
@@ -257,10 +255,10 @@ def concentration_test(
     empirical tail frequency does not exceed that bound by more than 4
     binomial standard errors.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if num_draws < 1:
-        raise ValueError("num_draws must be at least 1")
+    _check_at_least("m", m, 1)
+    _check_at_least("num_draws", num_draws, 1)
+    if not t > 0:  # NaN fails it
+        raise ConfigError(f"t: must be > 0, got {t}")
     center = m * math.sqrt(math.pi / 2.0)
     hits = 0
     chunk = int(np.clip(2_000_000 // max(1, 2 * m), 1, num_draws))
@@ -287,14 +285,12 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     Evaluates ceil((36/pi) delta^-2 [s ln(e n / s (1 + 6/delta)^2) + ln(2/eta)])
     with natural logarithms, in log space, so a huge n or a tiny eta gives its
     count; a tiny delta or an s too large for a float, whose count is past the
-    float range, is a ValueError naming both.
+    float range, is a :class:`pocs.ConfigError` naming both.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity s={s} out of range [1, {n}]")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    for field, x in (("delta", delta), ("eta", eta)):
+        if not 0.0 < x < 1.0:  # NaN fails it
+            raise ConfigError(f"{field}: must lie in (0, 1), got {x}")
+    _check_s("s", s, n)
     try:
         value = (36.0 / math.pi) / delta / delta * (
             s * (1.0 + math.log(n) - math.log(s) + 2.0 * math.log1p(6.0 / delta))
@@ -303,20 +299,19 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     except OverflowError:  # s past the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"no finite bound: the measurement count at delta={delta!r} "
-                         f"and s={s!r} is past the float range")
+        raise ConfigError(f"delta, s: no finite bound: the measurement count at "
+                          f"delta={delta!r} and s={s!r} is past the float range")
     return math.ceil(value)
 
 
 def pbp_error_bound(delta: float, tau: float) -> float:
     """Direction-error bound 2 sqrt(5 delta) + 4 tau for PBP at level 2s."""
-    if delta < 0 or tau < 0:
-        raise ValueError("delta and tau must be nonnegative")
+    _check_at_least("delta", delta, 0)
+    _check_tau("tau", tau)
     return 2.0 * math.sqrt(5.0 * delta) + 4.0 * tau
 
 
 def oracle_support_error_bound(delta: float) -> float:
     """Error bound sqrt(5 delta) for noiseless back-projection on a known support."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_at_least("delta", delta, 0)
     return math.sqrt(5.0 * delta)

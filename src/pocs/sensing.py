@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import csign
+from .core import _check_at_least, _check_s, _check_tau, csign
 
 
 class VarianceConvention(str, Enum):
@@ -57,8 +57,8 @@ def sample_sensing_matrix(
     convention: VarianceConvention | str,
 ) -> SensingMatrix:
     """Draw an m x n complex Gaussian matrix under the given convention."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
+    _check_at_least("m", m, 1)
+    _check_at_least("n", n, 1)
     convention = VarianceConvention(convention)
     parts = gen.standard_normal((m, n, 2))
     mat = parts.view(np.complex128)[..., 0]
@@ -94,8 +94,7 @@ def sample_sparse_signal(
     are i.i.d. uniform on [-1, 1] on the real axis, then the vector is
     normalized to unit l2 norm.
     """
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity s={s} out of range [1, {n}]")
+    _check_s("s", s, n)
     supports, values = _support_value_batch(gen, n, s, 1)
     x0 = np.zeros(n, dtype=np.complex128)
     x0[supports[0]] = values[0]
@@ -116,8 +115,7 @@ def measure_phase_only(
     ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
     ``Phi x0`` follow the csign convention.
     """
-    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) needs 2 tau finite
-        raise ValueError(f"tau: need tau >= 0 with 2 tau finite, got {tau:g}")
+    _check_tau("tau", tau)
     y = measure_linear(Phi, x0)
     xi = gen.uniform(-tau, tau, size=y.shape[0])
     return csign(y) * np.exp(1j * xi), xi

@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pocs import cli, experiments
@@ -481,6 +483,10 @@ class TestFitRate:
         float(capsys.readouterr().out)
         assert run_main(*argv, "--min-log2-ratio", "0") == 2
         assert "needs at least 3 grid points, found 0" in capsys.readouterr().err
+        # a cell count past numpy's integer types is logged exactly too
+        path.write_text(sweep_json({"m": 2**64}))
+        assert run_main(*argv) == 0
+        float(capsys.readouterr().out)
 
     def test_missing_input_exits_3(self):
         assert run_main(
@@ -501,6 +507,98 @@ def test_numerical_failure_maps_to_exit_4(monkeypatch, tmp_path):
         "--trials", "5", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 4
+
+
+# Each subcommand's valid command line, and for each validated flag the field its
+# ConfigError names and the invalid values nearest the valid range, below it and
+# above it (None where that side has none)
+EXIT_CODE_CASES = {
+    "sweep-m": (
+        {"--n": "16", "--s": "2", "--log2-ratio": "0", "--trials": "3", "--seed": "1"},
+        {"--n": ("n", 0, 2**53 + 1), "--s": ("sparsity_levels", 0, 17),
+         # m = round(16 2^ratio) must lie in [1, 2^23]
+         "--log2-ratio": ("log2_m_over_n", -5.0, 19.0000001),
+         # two schemes: two cells of 2^27 trials are the most bookkeeping a sweep keeps
+         "--trials": ("trials", 0, 2**27 + 1), "--seed": ("master_seed", -1, 2**64),
+         "--workers": ("workers", 0, None)},
+    ),
+    "sweep-tau": (
+        {"--n": "16", "--s": "2", "--m": "8", "--tau": "0.5", "--trials": "3", "--seed": "1"},
+        {"--n": ("n", 0, 2**53 + 1), "--s": ("sparsity_levels", 0, 17),
+         "--m": ("m", 0, 2**23 + 1),
+         # 2 tau must be finite
+         "--tau": ("tau_grid", -5e-324, float(np.nextafter(sys.float_info.max / 2, math.inf))),
+         "--trials": ("trials", 0, 2**28 + 1), "--seed": ("master_seed", -1, 2**64),
+         "--workers": ("workers", 0, None)},
+    ),
+    "rip-estimate": (
+        {"--m": "8", "--n": "4", "--s": "2", "--probes": "5", "--seed": "1"},
+        # m x n must hold at most 2^28 entries; the larger side is named
+        {"--m": ("m", 0, 2**26 + 1), "--n": ("n", 0, 2**25 + 1), "--s": ("s", 0, 5),
+         "--probes": ("num_probes", 0, None), "--seed": ("master_seed", -1, 2**64)},
+    ),
+    "rip-bound": (
+        {"--delta": "0.5", "--s": "10", "--n": "256", "--eta": "0.01"},
+        {"--delta": ("delta", 0.0, 1.0), "--eta": ("eta", 0.0, 1.0), "--s": ("s", 0, 257),
+         # n below s breaks the rule s in [1, n], which names s
+         "--n": ("s", 9, None)},
+    ),
+    "fit-rate": (
+        {"--scheme": "po", "--s": "2"},
+        {"--n": ("n", 0, None), "--min-log2-ratio": ("min_log2_ratio", None, None)},
+    ),
+}
+FLOAT_FLAGS = {"--log2-ratio", "--tau", "--delta", "--eta", "--min-log2-ratio"}
+
+
+def invalid_values(rng, below, above, is_float):
+    """Each edge and three draws beyond it on a log scale (an int up to about 2^70
+    beyond, a float up to 1e300 times its size, overflow included), then, for a
+    float, the infinity beyond each edge and NaN."""
+    values = []
+    for edge, sign in ((below, -1), (above, 1)):
+        if edge is None:
+            continue
+        values.append(edge)
+        for _ in range(3):
+            if is_float:
+                values.append(edge + sign * max(1.0, abs(edge)) * 10.0 ** rng.uniform(-16, 300))
+            else:
+                values.append(edge + sign * int(2.0 ** rng.uniform(0.0, 70.0)))
+        if is_float:
+            values.append(sign * math.inf)
+    return values + [math.nan] * is_float
+
+
+def test_exit_codes_blame_the_right_party(monkeypatch, capsys, tmp_path):
+    # the caller's fault exits 2 naming its field, before anything is drawn; any
+    # other fault exits 4
+    monkeypatch.setattr(experiments, "_run_chunk", lambda *a: pytest.fail("a sweep ran"))
+    monkeypatch.setattr(experiments, "sample_sensing_matrix",
+                        lambda *a: pytest.fail("a matrix was drawn"))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(sweep_json())
+    rng = np.random.default_rng(20261020)
+    for command, (valid, fields) in EXIT_CODE_CASES.items():
+        source = ["--in", str(sweep)] if command == "fit-rate" else []
+        for flag, (field, below, above) in fields.items():
+            for value in invalid_values(rng, below, above, flag in FLOAT_FLAGS):
+                args = {**valid, flag: repr(value) if flag in FLOAT_FLAGS else str(value)}
+                argv = [command, *source, *(f"{k}={v}" for k, v in args.items())]
+                code, err = cli.main(argv), capsys.readouterr().err
+                assert code == 2, (argv, err)
+                assert err.startswith(f"configuration error: {field}:"), (argv, err)
+                assert "Traceback" not in err
+    argv = ["sweep-m", *(f"{k}={v}" for k, v in EXIT_CODE_CASES["sweep-m"][0].items())]
+    for exc in (ValueError("operands could not be broadcast"), TypeError("unhashable")):
+        def fault(config, workers=1, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(experiments, "run_sweep", fault)
+        code, err = cli.main(argv), capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"internal error: {type(exc).__name__}: ")
+        assert "Traceback" not in err
 
 
 def test_stdout_default_via_subprocess():

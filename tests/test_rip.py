@@ -359,6 +359,10 @@ class TestConcentration:
             concentration_test(4, 100, 0.0, RngStream(0).generator())
         with pytest.raises(ValueError):
             concentration_test(4, 0, 0.5, RngStream(0).generator())
+        with pytest.raises(ValueError):
+            concentration_test(4, 100, math.nan, RngStream(0).generator())
+        with pytest.raises(ValueError):  # no rows: it would pass with frequency 0
+            concentration_test(0, 100, 0.5, RngStream(0).generator())
 
 
 def independent_bound_evaluation(delta, s, n, eta):
@@ -406,6 +410,10 @@ class TestSampleComplexityBound:
             sample_complexity_bound(0.5, 300, 256, 0.01)
         with pytest.raises(ValueError):
             sample_complexity_bound(0.5, 10, 256, 0.0)
+        with pytest.raises(ValueError):
+            sample_complexity_bound(math.nan, 10, 256, 0.01)
+        with pytest.raises(ValueError):
+            sample_complexity_bound(0.5, 10, 256, math.nan)
         # in range, but the count is not a finite double
         with pytest.raises(ValueError, match="delta="):
             sample_complexity_bound(1e-300, 10, 256, 0.01)
@@ -450,3 +458,9 @@ class TestErrorBounds:
             pbp_error_bound(0.1, -0.1)
         with pytest.raises(ValueError):
             oracle_support_error_bound(-0.1)
+        with pytest.raises(ValueError):
+            pbp_error_bound(math.nan, 0.0)
+        with pytest.raises(ValueError):
+            pbp_error_bound(0.0, math.nan)
+        with pytest.raises(ValueError):
+            oracle_support_error_bound(math.nan)

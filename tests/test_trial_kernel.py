@@ -524,7 +524,7 @@ def test_second_moment_of_rho_cs(m):
 def test_mixture_parameters_stay_in_range():
     # tau = k pi, where q steps (r = 0, or k pi as a double lies just off the
     # multiple), its neighbours on both sides, and 1e300, whose quotient by
-    # pi is rounded; Generator.binomial raises ValueError (exit 2 on the CLI)
+    # pi is rounded; Generator.binomial raises ValueError (exit 4 on the CLI)
     # for p > 1
     taus = [float(t) for k in range(1, 65) for t in
             (np.nextafter(k * math.pi, 0.0), k * math.pi, np.nextafter(k * math.pi, math.inf))]
