@@ -6,12 +6,15 @@ Componentwise signum, hard thresholding ``H_s``, the adjoint product
 phase-only measurements carry no amplitude, PBP estimates the direction of
 ``x0`` only, and the error is taken against the l2-normalized estimate. All
 are pure functions, safe for concurrent use. Also here, as every module imports
-this one: :class:`ConfigError`, and one check for each input rule they share.
+this one: :class:`ConfigError`, and one helper for each input rule they share:
+an integer in [low, high] (each call site states its bounds), and a real >= 0
+whose double 2 x is finite.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -20,19 +23,24 @@ class ConfigError(ValueError):
     """Invalid input from the caller; the message starts with the offending field."""
 
 
-def _check_at_least(field: str, value, low) -> None:
-    if not value >= low:  # NaN fails it
-        raise ConfigError(f"{field}: must be >= {low}, got {value}")
+def _check_int(field: str, value, low, high=math.inf) -> int:
+    # value as a Python int, so that an np.int64 compares exactly
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):  # a bool is never a count or a size
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    if not low <= number <= high:
+        bound = f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+        raise ConfigError(f"{field}: must {bound}, got {number}")
+    return number
 
 
-def _check_s(field: str, s: int, n: int) -> None:
-    if not 1 <= s <= n:
-        raise ConfigError(f"{field}: s={s} outside [1, n={n}]")
-
-
-def _check_tau(field: str, tau: float) -> None:
-    if not (tau >= 0 and math.isfinite(2.0 * tau)):  # uniform(-tau, tau) spans 2 tau
-        raise ConfigError(f"{field}: need tau >= 0 with 2 tau finite, got {tau:g}")
+def _check_real(field: str, value: float) -> None:
+    # a real >= 0 whose double 2 value is finite: the noise uniform(-tau, tau) spans 2 tau
+    if not (value >= 0 and math.isfinite(2.0 * value)):  # NaN fails it
+        raise ConfigError(f"{field}: need {field} >= 0 with 2 {field} finite, got {value:g}")
 
 
 def csign(v) -> np.ndarray:
@@ -65,7 +73,7 @@ def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 0:
         raise ConfigError("v: hard_threshold expects a vector or a stack of rows")
-    _check_s("s", s, v.shape[-1])
+    s = _check_int("s", s, 1, v.shape[-1])
     support = np.sort(np.argsort(-np.abs(v), axis=-1, kind="stable")[..., :s], axis=-1)
     out = np.zeros_like(v)
     np.put_along_axis(out, support, np.take_along_axis(v, support, axis=-1), axis=-1)

@@ -37,7 +37,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import ConfigError, DegenerateEstimateError, _check_at_least, _check_s, _check_tau
+from .core import ConfigError, DegenerateEstimateError, _check_int, _check_real
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 from .sensing import VarianceConvention, sample_sensing_matrix
@@ -308,10 +308,10 @@ def run_trial(
     the s strongest entries (PBP) and return the direction error, NaN if the
     estimate is zero. The trial is row ``trial_index % size`` of its chunk
     of ``size`` trials, drawn with the rows before it only."""
-    _check_n(n)
-    _check_cell(scheme, n, s, m, tau)
-    _check_master_seed(master_seed)
-    _check_at_least("trial_index", trial_index, 0)
+    n = _check_int("n", n, 1, 2**53)  # n - s is taken as a double
+    scheme, s, m, tau = _check_cell(scheme, n, s, m, tau)
+    master_seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # RngStream keeps 64 bits
+    trial_index = _check_int("trial_index", trial_index, 0)
     chunk, row = divmod(trial_index, _chunk_trials(s, m))
     errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
     return float(errors[row])
@@ -337,7 +337,7 @@ def pool_size(workers: int, num_tasks: int) -> int:
     """Worker processes for ``num_tasks`` tasks: never more than there are
     tasks, nor than the CPUs this process may run on (a forking pool starts
     all its workers at once)."""
-    _check_at_least("workers", workers, 1)
+    workers = _check_int("workers", workers, 1)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -376,39 +376,26 @@ def _run_cells(cells, n, trials, master_seed, workers):
     )
 
 
-def _check_n(n) -> None:
-    # the law of the off-support moduli takes n - s as a double
-    if n is None or not 1 <= n <= 2**53:
-        raise ConfigError(f"n: must lie in [1, 2^53], got {n}")
-
-
-def _check_cell(scheme, n, s, m, tau, m_field="m") -> None:
-    # the rules of one (scheme, s, m, tau) cell at a checked n; a ConfigError
-    # names the sweep field that gave the value, m_field the one that gave m
-    _check_s("sparsity_levels", s, n)
+def _check_cell(scheme, n, s, m, tau, m_field="m"):
+    # the rules of one (scheme, s, m, tau) cell at a checked n, returned with int s and
+    # m; a ConfigError names the sweep field that gave the value, m_field that of m
+    s = _check_int("sparsity_levels", s, 1, n)
     if 5 * _MIN_CHUNK * s > _MAX_ENTRIES:  # a chunk holds about five complex (32, s) arrays
         raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
                           f"about {5 * _MIN_CHUNK * s} complex entries, over {_MAX_ENTRIES}")
     if scheme not in SCHEMES:
         raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
-    _check_tau("tau_grid", tau)
+    _check_real("tau_grid", tau)
     if scheme == "cs" and tau != 0:
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
-    if not 1 <= m <= _MAX_ENTRIES // _MIN_CHUNK:  # a chunk draws (32, m) moduli at once
-        raise ConfigError(f"{m_field}: m = {m} outside [1, {_MAX_ENTRIES // _MIN_CHUNK}]")
-
-
-def _check_master_seed(seed) -> None:
-    # RngStream keeps the low 64 bits only: outside [0, 2^64) two seeds would
-    # give the same draws
-    if seed is None or not 0 <= seed < 1 << 64:
-        raise ConfigError(f"master_seed: must lie in [0, 2^64), got {seed}")
+    m = _check_int(m_field, m, 1, _MAX_ENTRIES // _MIN_CHUNK)  # a chunk draws (32, m) at once
+    return scheme, s, m, tau
 
 
 def _check_grid(field: str, values) -> None:
     # an empty grid has no cells, and a repeated value would give two cells
     # with the same stream ids
-    if not values:
+    if len(values) == 0:  # not `not values`: a numpy grid has no truth value
         raise ConfigError(f"{field}: at least one value is required")
     seen = set()
     for value in values:
@@ -428,46 +415,39 @@ def _ratio_to_m(n: int, ratio: float) -> int:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Direction error over the (scheme, s, m, tau) cells of ``config``, in that
     nesting order."""
-    _check_at_least("trials", config.trials, 1)
-    _check_n(config.n)  # named before a ratio turns n into m
-    _check_master_seed(config.master_seed)
+    trials = _check_int("trials", config.trials, 1)
+    # the law of the off-support moduli takes n - s as a double; n is named before
+    # a ratio turns it into m
+    n = _check_int("n", config.n, 1, 2**53)
+    # RngStream keeps a seed's low 64 bits: a wider seed would alias another
+    seed = _check_int("master_seed", config.master_seed, 0, 2**64 - 1)
     for field in ("sparsity_levels", "schemes", "tau_grid"):
         _check_grid(field, getattr(config, field))
     # -0.0 is the cell 0.0: one label (trial_stream_id keys both alike)
     config = replace(config, tau_grid=tuple(0.0 if tau == 0 else tau for tau in config.tau_grid))
     if (config.m is None) == (config.log2_m_over_n is None):
         raise ConfigError("m: set exactly one of m and log2_m_over_n")
-    field, ms = "m", {config.m: None}  # m -> the ratio that gave it
-    if config.m is None:
-        field, ms = "log2_m_over_n", {}
-        _check_grid(field, config.log2_m_over_n)
-        for ratio in config.log2_m_over_n:
-            m = _ratio_to_m(config.n, ratio)
-            if m in ms:
-                raise ConfigError(
-                    f"log2_m_over_n: ratios {ms[m]:g} and {ratio:g} both give m={m} "
-                    f"at n={config.n}"
-                )
-            ms[m] = ratio
+    field, ms = "m", (config.m,)
+    if config.m is None:  # a repeated ratio, or two that round alike, repeat an m
+        field, ms = "log2_m_over_n", tuple(_ratio_to_m(n, r) for r in config.log2_m_over_n)
+        _check_grid(field, ms)
     cells = [
-        (scheme, s, m, float(tau))
+        _check_cell(scheme, n, s, m, float(tau), field)
         for scheme in config.schemes
         for s in config.sparsity_levels
         for m in ms
         for tau in config.tau_grid
     ]
-    for scheme, s, m, tau in cells:
-        _check_cell(scheme, config.n, s, m, tau, field)
     # bookkeeping held from before the first draw: per 32 trials of each cell,
     # 32 float64 errors and at most one task (about 240 bytes, its arguments; a
     # task is a chunk), so about 16 bytes, one complex entry, per trial
-    entries = len(cells) * -(-config.trials // _MIN_CHUNK) * _MIN_CHUNK
+    entries = len(cells) * -(-trials // _MIN_CHUNK) * _MIN_CHUNK
     if entries > _MAX_ENTRIES:
         raise ConfigError(
-            f"trials: {config.trials} trials in each of {len(cells)} cells keep about "
+            f"trials: {trials} trials in each of {len(cells)} cells keep about "
             f"{entries} complex entries of bookkeeping, more than {_MAX_ENTRIES}"
         )
-    aggregates = _run_cells(cells, config.n, config.trials, config.master_seed, workers)
+    aggregates = _run_cells(cells, n, trials, seed, workers)
     return SweepResult(config=config, cells=aggregates)
 
 
@@ -485,7 +465,7 @@ def fit_rate(
     """
     if n is None:
         raise ConfigError("n: signal dimension n unknown; pass n explicitly")
-    _check_at_least("n", n, 1)
+    n = _check_int("n", n, 1)
     if math.isnan(min_log2_ratio):
         raise ConfigError("min_log2_ratio: must be a number or +-inf, got nan")
     cells = [c for c in cells if c.scheme == scheme and c.s == s]
@@ -522,7 +502,11 @@ def render_csv(result: SweepResult) -> str:
 def render_json(result: SweepResult) -> str:
     payload = {"engine": ENGINE, "config": asdict(result.config),
                "cells": [asdict(c) for c in result.cells]}
-    return json.dumps(payload, indent=2, default=list) + "\n"  # a range field, say, as a list
+
+    def plain(value):  # a numpy value or grid as its Python value, a range, say, as a list
+        return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else list(value)
+
+    return json.dumps(payload, indent=2, default=plain) + "\n"
 
 
 def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:
@@ -581,16 +565,15 @@ def rip_estimate_report(
 ) -> dict:
     """Probe a fresh PHASE_ONLY matrix and report the implied error bounds."""
     # checked before the m x n matrix is drawn
-    _check_at_least("m", m, 1)
-    _check_at_least("n", n, 1)
-    _check_s("s", s, n)
-    _check_at_least("num_probes", num_probes, 1)
+    m, n = _check_int("m", m, 1), _check_int("n", n, 1)
+    s = _check_int("s", s, 1, n)
+    num_probes = _check_int("num_probes", num_probes, 1)
     if m * n > _MAX_ENTRIES:
         raise ConfigError(
             f"{'m' if m >= n else 'n'}: an m x n = {m} x {n} matrix has more than "
             f"{_MAX_ENTRIES} entries"
         )
-    _check_master_seed(master_seed)
+    master_seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # RngStream keeps 64 bits
     gen = RngStream(master_seed).generator()
     Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)
     estimate = rip_distortion_probe(Phi, s, num_probes, gen)

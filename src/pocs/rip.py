@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, _check_at_least, _check_s, _check_tau
+from .core import ConfigError, _check_int, _check_real
 from .sensing import (
     VarianceConvention,
     _support_value_batch,
@@ -145,8 +145,8 @@ def rip_distortion_probe(
         )
     mat = Phi.mat
     m, n = mat.shape
-    _check_s("s", s, n)
-    _check_at_least("num_probes", num_probes, 1)
+    s = _check_int("s", s, 1, n)
+    num_probes = _check_int("num_probes", num_probes, 1)
 
     best_stat = -1.0
     best_support = None
@@ -221,7 +221,7 @@ def expectation_identity_test(
     passes when the empirical mean lies within 4 standard errors of
     ``||x||_2``.
     """
-    _check_at_least("num_draws", num_draws, 100)  # for a stable standard error
+    num_draws = _check_int("num_draws", num_draws, 100)  # for a stable standard error
     if x is None:
         parts = gen.standard_normal((n, 2))
         x = parts.view(np.complex128)[..., 0]
@@ -255,8 +255,7 @@ def concentration_test(
     empirical tail frequency does not exceed that bound by more than 4
     binomial standard errors.
     """
-    _check_at_least("m", m, 1)
-    _check_at_least("num_draws", num_draws, 1)
+    m, num_draws = _check_int("m", m, 1), _check_int("num_draws", num_draws, 1)
     if not t > 0:  # NaN fails it
         raise ConfigError(f"t: must be > 0, got {t}")
     center = m * math.sqrt(math.pi / 2.0)
@@ -290,7 +289,7 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     for field, x in (("delta", delta), ("eta", eta)):
         if not 0.0 < x < 1.0:  # NaN fails it
             raise ConfigError(f"{field}: must lie in (0, 1), got {x}")
-    _check_s("s", s, n)
+    s = _check_int("s", s, 1, n)
     try:
         value = (36.0 / math.pi) / delta / delta * (
             s * (1.0 + math.log(n) - math.log(s) + 2.0 * math.log1p(6.0 / delta))
@@ -306,12 +305,12 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
 
 def pbp_error_bound(delta: float, tau: float) -> float:
     """Direction-error bound 2 sqrt(5 delta) + 4 tau for PBP at level 2s."""
-    _check_at_least("delta", delta, 0)
-    _check_tau("tau", tau)
+    _check_real("delta", delta)
+    _check_real("tau", tau)
     return 2.0 * math.sqrt(5.0 * delta) + 4.0 * tau
 
 
 def oracle_support_error_bound(delta: float) -> float:
     """Error bound sqrt(5 delta) for noiseless back-projection on a known support."""
-    _check_at_least("delta", delta, 0)
+    _check_real("delta", delta)
     return math.sqrt(5.0 * delta)

@@ -27,12 +27,16 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _check_at_least, _check_s, _check_tau, csign
+from .core import ConfigError, _check_int, _check_real, csign
 
 
 class VarianceConvention(str, Enum):
     PHASE_ONLY = "po"
     CLASSICAL_CS = "cs"
+
+    @classmethod
+    def _missing_(cls, value):  # every coercion of an unknown value, in one place
+        raise ConfigError(f"convention: unknown convention {value!r}, use 'po' or 'cs'")
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,7 @@ def sample_sensing_matrix(
     convention: VarianceConvention | str,
 ) -> SensingMatrix:
     """Draw an m x n complex Gaussian matrix under the given convention."""
-    _check_at_least("m", m, 1)
-    _check_at_least("n", n, 1)
+    m, n = _check_int("m", m, 1), _check_int("n", n, 1)
     convention = VarianceConvention(convention)
     parts = gen.standard_normal((m, n, 2))
     mat = parts.view(np.complex128)[..., 0]
@@ -94,7 +97,8 @@ def sample_sparse_signal(
     are i.i.d. uniform on [-1, 1] on the real axis, then the vector is
     normalized to unit l2 norm.
     """
-    _check_s("s", s, n)
+    n = _check_int("n", n, 1)
+    s = _check_int("s", s, 1, n)
     supports, values = _support_value_batch(gen, n, s, 1)
     x0 = np.zeros(n, dtype=np.complex128)
     x0[supports[0]] = values[0]
@@ -115,7 +119,7 @@ def measure_phase_only(
     ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
     ``Phi x0`` follow the csign convention.
     """
-    _check_tau("tau", tau)
+    _check_real("tau", tau)
     y = measure_linear(Phi, x0)
     xi = gen.uniform(-tau, tau, size=y.shape[0])
     return csign(y) * np.exp(1j * xi), xi

@@ -116,6 +116,8 @@ class TestHardThreshold:
             hard_threshold(v, 0)
         with pytest.raises(ValueError):
             hard_threshold(v, 4)
+        with pytest.raises(ValueError, match="^s:"):
+            hard_threshold(v, 2.0)
 
 
 class TestMatvec:

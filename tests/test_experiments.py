@@ -81,6 +81,8 @@ class TestSeeding:
             # a chunk's five (32, s) complex arrays past 2^28 entries (trial 0 keeps a
             # missed check to one row; at t = 31 it would draw 32 rows, several GB)
             (("po", 2**21, 1_677_722, 8, 0.0, 0, 0), "sparsity_levels"),
+            # a fractional n would run the law of a pool of n - s = 14.5 moduli
+            (("po", 16.5, 2, 8, 0.0, 3, 0), "n"),
         ],
     )
     def test_run_trial_rejects_what_a_sweep_rejects(self, args, field):
@@ -167,6 +169,13 @@ class TestMSweep:
             (dict(n=2**21, sparsity_levels=(2, 1677722)), "sparsity_levels"),
             # m = 16 * 2^19.00001 just past 2^23
             (dict(log2_m_over_n=(19.00001,)), "log2_m_over_n"),
+            # every count, size, seed and s is an integer, and a bool is none of them
+            (dict(n=16.5), "n"),
+            (dict(trials=2.5), "trials"),
+            (dict(m=8.0, log2_m_over_n=None), "m"),
+            (dict(sparsity_levels=(2.0,)), "sparsity_levels"),
+            (dict(master_seed=1.5), "master_seed"),
+            (dict(master_seed=True), "master_seed"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field, monkeypatch):
@@ -399,6 +408,16 @@ class TestCsvContract:
         config = dataclasses.replace(TINY, sparsity_levels=range(2, 4), schemes=["po"])
         echo = json.loads(render_json(run_sweep(config)))["config"]
         assert (echo["sparsity_levels"], echo["schemes"]) == ([2, 3], ["po"])
+        # numpy grids and values echo as plain JSON, and run as the plain config does
+        plain = dataclasses.replace(TINY, sparsity_levels=[2, 3], log2_m_over_n=None, m=8)
+        arrays = dataclasses.replace(plain, sparsity_levels=np.array([2, 3]), m=np.int64(8))
+        ints = dataclasses.replace(plain, n=np.int64(16), sparsity_levels=[np.int64(2), np.int64(3)],
+                                   m=np.int64(8), trials=np.int64(20), master_seed=np.int64(7))
+        ratios = dataclasses.replace(TINY, log2_m_over_n=np.array([-1.0, 0.0]))
+        for config, like in ((arrays, plain), (ints, plain), (ratios, TINY)):
+            result, expected = run_sweep(config), run_sweep(like)
+            assert render_csv(result) == render_csv(expected)
+            assert render_json(result) == render_json(expected)
 
 
 class TestZeroSignHits:

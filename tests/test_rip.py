@@ -1,6 +1,7 @@
 """Restricted-isometry diagnostics: probe search, self-tests, closed forms."""
 
 import decimal
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
@@ -296,6 +297,62 @@ class TestProbeKernel:
         assert report["delta_lower"] == pytest.approx(col_stats.max(), rel=1e-12)
 
 
+def certified_distortion_s2(mat, tol):
+    """A value within ``tol`` below the exact max of | ||Phi x||_1 - 1 | over unit
+    x with at most 2 nonzeros: Piyavskii-Shubert branch and bound.
+
+    Modulo a global phase, which ||Phi x||_1 ignores, a unit x on the support
+    {j, k} is ``(cos t, e^{ip} sin t)`` with t in [0, pi/2] and p in [0, 2 pi). On
+    the sphere |dx|^2 = dt^2 + sin^2 t dp^2, so a cell of half-widths (a, b) in
+    (t, p) lies within a + b of its center, and ||Phi_S x||_1 is Lipschitz in x
+    with constant sum_i ||row_i(Phi_S)||_2. Every support and both sides,
+    ||Phi x||_1 - 1 and 1 - ||Phi x||_1, share one incumbent: each round splits
+    every cell whose bound still exceeds it by more than tol into four.
+    """
+    pairs = np.array(list(itertools.combinations(range(mat.shape[1]), 2)))
+    lip = np.sqrt(np.abs(mat[:, pairs[:, 0]]) ** 2 + np.abs(mat[:, pairs[:, 1]]) ** 2).sum(0)
+    a = b = math.pi / 16  # 4 x 16 cells per support and side
+    t, p = (c.ravel() for c in np.meshgrid(a * np.arange(1, 8, 2), b * np.arange(1, 32, 2)))
+    cell = np.arange(pairs.shape[0] * 2 * t.size)  # (support, side, start cell)
+    pair, side = cell // (2 * t.size), np.where(cell // t.size % 2, -1.0, 1.0)
+    t, p = t[cell % t.size], p[cell % t.size]
+    best = -math.inf
+    while True:
+        stat = np.empty(pair.size)
+        for i in range(0, pair.size, 4096):  # (m, 4096) columns at a time
+            j, k = pairs[pair[i : i + 4096]].T
+            c, e = np.cos(t[i : i + 4096]), np.exp(1j * p[i : i + 4096]) * np.sin(t[i : i + 4096])
+            stat[i : i + 4096] = np.abs(mat[:, j] * c + mat[:, k] * e).sum(axis=0) - 1.0
+        stat *= side
+        best = max(best, stat.max())
+        keep = stat + lip[pair] * (a + b) > best + tol
+        if not keep.any():
+            return best
+        a, b = a / 2, b / 2
+        pair, side = np.repeat(pair[keep], 4), np.repeat(side[keep], 4)
+        t = (t[keep, None] + np.array([-a, -a, a, a])).ravel()
+        p = (p[keep, None] + np.array([-b, b, -b, b])).ravel()
+
+
+# (16, 12) and (32, 16) certify in about 0.1-0.5 s each
+@pytest.mark.parametrize("m,n,seed", [(16, 12, k) for k in range(3)] + [(32, 16, k) for k in range(3)])
+def test_search_never_reports_more_than_the_certified_distortion(m, n, seed):
+    # the search reports a lower bound, and a lower bound that overshoots the
+    # certified value is a bug (in _screen's bound, say)
+    tol = 1e-3
+    gen = RngStream(seed, 13).generator()
+    Phi = sample_sensing_matrix(gen, m, n, "po")
+    certified = certified_distortion_s2(Phi.mat, tol)
+    assert rip_distortion_probe(Phi, 2, 1000, gen).delta_lower <= certified + tol
+    # complex probes, which the search's real values never try, stay below it too
+    parts = gen.standard_normal((20_000, 2, 2))
+    x = parts.view(np.complex128)[..., 0]
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    supports = np.sort(np.argsort(gen.random((20_000, n)), axis=1)[:, :2], axis=1)
+    stats = np.abs(np.abs(np.einsum("mik,ik->im", Phi.mat[:, supports], x)).sum(1) - 1.0)
+    assert stats.max() <= certified + tol
+
+
 class TestExpectationIdentity:
     def test_unit_vector_mean_is_one(self):
         report = expectation_identity_test(16, 32, 800, RngStream(60).generator())
@@ -414,6 +471,8 @@ class TestSampleComplexityBound:
             sample_complexity_bound(math.nan, 10, 256, 0.01)
         with pytest.raises(ValueError):
             sample_complexity_bound(0.5, 10, 256, math.nan)
+        with pytest.raises(ValueError, match="^s:"):
+            sample_complexity_bound(0.5, 10.5, 256, 0.01)
         # in range, but the count is not a finite double
         with pytest.raises(ValueError, match="delta="):
             sample_complexity_bound(1e-300, 10, 256, 0.01)
@@ -464,3 +523,8 @@ class TestErrorBounds:
             pbp_error_bound(0.0, math.nan)
         with pytest.raises(ValueError):
             oracle_support_error_bound(math.nan)
+        # delta follows the tau rule: a real >= 0 whose double 2 delta is finite
+        with pytest.raises(ValueError, match="^delta:"):
+            pbp_error_bound(math.inf, 0.0)
+        with pytest.raises(ValueError, match="^delta:"):
+            oracle_support_error_bound(math.inf)

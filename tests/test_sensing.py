@@ -53,8 +53,10 @@ class TestSamplingConventions:
         assert per_part_sigma(8, convention.value) == per_part_sigma(8, convention)
 
     def test_sigma_rejects_an_unknown_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^convention:"):
             per_part_sigma(8, "linear")
+        with pytest.raises(ValueError, match="^convention:"):
+            sample_sensing_matrix(RngStream(0).generator(), 4, 4, "linear")
 
 
 class TestSparseSignal:
@@ -91,6 +93,8 @@ class TestSparseSignal:
             sample_sparse_signal(RngStream(0).generator(), 4, 0)
         with pytest.raises(ValueError):
             sample_sparse_signal(RngStream(0).generator(), 4, 5)
+        with pytest.raises(ValueError, match="^s:"):
+            sample_sparse_signal(RngStream(0).generator(), 8, 2.5)
 
 
 class _ScriptedUniforms:
