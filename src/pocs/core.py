@@ -14,6 +14,7 @@ whose double 2 x is finite.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -39,6 +40,8 @@ def _check_int(field: str, value, low, high=math.inf) -> int:
 
 def _check_real(field: str, value: float) -> None:
     # a real >= 0 whose double 2 value is finite: the noise uniform(-tau, tau) spans 2 tau
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # "0.5", True, None
+        raise ConfigError(f"{field}: must be a real number, got {value!r}")
     if not (value >= 0 and math.isfinite(2.0 * value)):  # NaN fails it
         raise ConfigError(f"{field}: need {field} >= 0 with 2 {field} finite, got {value:g}")
 

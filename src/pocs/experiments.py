@@ -377,8 +377,8 @@ def _run_cells(cells, n, trials, master_seed, workers):
 
 
 def _check_cell(scheme, n, s, m, tau, m_field="m"):
-    # the rules of one (scheme, s, m, tau) cell at a checked n, returned with int s and
-    # m; a ConfigError names the sweep field that gave the value, m_field that of m
+    # the rules of one (scheme, s, m, tau) cell at a checked n, returned with int s, m and
+    # float tau; a ConfigError names the sweep field that gave the value, m_field that of m
     s = _check_int("sparsity_levels", s, 1, n)
     if 5 * _MIN_CHUNK * s > _MAX_ENTRIES:  # a chunk holds about five complex (32, s) arrays
         raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
@@ -386,6 +386,7 @@ def _check_cell(scheme, n, s, m, tau, m_field="m"):
     if scheme not in SCHEMES:
         raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
     _check_real("tau_grid", tau)
+    tau = float(tau)
     if scheme == "cs" and tau != 0:
         raise ConfigError("tau_grid: the linear scheme 'cs' has no phase noise; tau must be 0")
     m = _check_int(m_field, m, 1, _MAX_ENTRIES // _MIN_CHUNK)  # a chunk draws (32, m) at once
@@ -393,8 +394,10 @@ def _check_cell(scheme, n, s, m, tau, m_field="m"):
 
 
 def _check_grid(field: str, values) -> None:
-    # an empty grid has no cells, and a repeated value would give two cells
-    # with the same stream ids
+    # a grid is read more than once, so a generator would be spent; an empty grid has
+    # no cells, and a repeated value would give two cells with the same stream ids
+    if not hasattr(values, "__len__"):
+        raise ConfigError(f"{field}: must have a length, got a {type(values).__name__}")
     if len(values) == 0:  # not `not values`: a numpy grid has no truth value
         raise ConfigError(f"{field}: at least one value is required")
     seen = set()
@@ -429,10 +432,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         raise ConfigError("m: set exactly one of m and log2_m_over_n")
     field, ms = "m", (config.m,)
     if config.m is None:  # a repeated ratio, or two that round alike, repeat an m
+        _check_grid("log2_m_over_n", config.log2_m_over_n)  # the JSON echo reads it again
         field, ms = "log2_m_over_n", tuple(_ratio_to_m(n, r) for r in config.log2_m_over_n)
         _check_grid(field, ms)
     cells = [
-        _check_cell(scheme, n, s, m, float(tau), field)
+        _check_cell(scheme, n, s, m, tau, field)
         for scheme in config.schemes
         for s in config.sparsity_levels
         for m in ms

@@ -83,6 +83,8 @@ class TestSeeding:
             (("po", 2**21, 1_677_722, 8, 0.0, 0, 0), "sparsity_levels"),
             # a fractional n would run the law of a pool of n - s = 14.5 moduli
             (("po", 16.5, 2, 8, 0.0, 3, 0), "n"),
+            # a str tau is not a number, even one that reads as one
+            (("po", 16, 2, 8, "0.5", 3, 0), "tau_grid"),
         ],
     )
     def test_run_trial_rejects_what_a_sweep_rejects(self, args, field):
@@ -176,6 +178,11 @@ class TestMSweep:
             (dict(sparsity_levels=(2.0,)), "sparsity_levels"),
             (dict(master_seed=1.5), "master_seed"),
             (dict(master_seed=True), "master_seed"),
+            # a str tau is rejected before it is converted; a grid is read once per
+            # cell and echoed, so one without a length (a generator) is rejected
+            (dict(tau_grid=("0.5",)), "tau_grid"),
+            (dict(sparsity_levels=(s for s in (2,))), "sparsity_levels"),
+            (dict(log2_m_over_n=(r for r in (0.0,))), "log2_m_over_n"),
         ],
     )
     def test_config_errors_name_the_field(self, patch, field, monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pocs import (
+    ConfigError,
     RngStream,
     SensingMatrix,
     VarianceConvention,
@@ -56,10 +57,11 @@ class TestDistortionProbe:
         assert np.count_nonzero(est.worst_probe) <= 3
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_more_probes_never_decrease_the_bound(self, seed):
+    def test_more_probes_never_decrease_the_bound(self, seed, monkeypatch):
+        monkeypatch.setattr(pocs.rip, "_CLIMB_ROUNDS", 0)
         Phi = sample_sensing_matrix(RngStream(48, seed).generator(), 16, 10, "po")
-        small = rip_distortion_probe(Phi, 2, 50, RngStream(49, seed).generator(), local_search_rounds=0)
-        large = rip_distortion_probe(Phi, 2, 100, RngStream(49, seed).generator(), local_search_rounds=0)
+        small = rip_distortion_probe(Phi, 2, 50, RngStream(49, seed).generator())
+        large = rip_distortion_probe(Phi, 2, 100, RngStream(49, seed).generator())
         assert large.delta_lower >= small.delta_lower
 
     def test_monotone_with_default_search_at_fixed_seed(self):
@@ -76,9 +78,10 @@ class TestDistortionProbe:
         assert np.array_equal(a.worst_probe, b.worst_probe)
         assert a.num_probes == b.num_probes
 
-    def test_probe_count_includes_all_stages(self):
+    def test_probe_count_includes_all_stages(self, monkeypatch):
+        monkeypatch.setattr(pocs.rip, "_CLIMB_ROUNDS", 0)
         Phi = sample_sensing_matrix(RngStream(54).generator(), 16, 10, "po")
-        est = rip_distortion_probe(Phi, 3, 64, RngStream(55).generator(), local_search_rounds=0)
+        est = rip_distortion_probe(Phi, 3, 64, RngStream(55).generator())
         assert est.num_probes == 64 + 10  # random draws plus canonical vectors
 
     def test_reference_scale_distortion_is_small(self):
@@ -241,7 +244,8 @@ class TestProbeKernel:
         else:
             rows[:count], rows[count:] = first, second
         sizes = batch_sizes(monkeypatch)
-        est = rip_distortion_probe(Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0)
+        monkeypatch.setattr(pocs.rip, "_CLIMB_ROUNDS", 0)
+        est = rip_distortion_probe(Phi, s, 2 * count, ScriptedUniforms(rows))
         assert sizes == [64, 64, 32]
         best, worst, _ = reference_search(
             Phi, s, 2 * count, ScriptedUniforms(rows), local_search_rounds=0
@@ -360,15 +364,6 @@ class TestExpectationIdentity:
         assert report.expected == pytest.approx(1.0, abs=1e-12)
         assert report.empirical_mean == pytest.approx(1.0, abs=5 * report.standard_error)
 
-    def test_homogeneous_in_the_probe_norm(self):
-        gen = RngStream(61).generator()
-        parts = gen.standard_normal((16, 2))
-        x = parts.view(np.complex128)[..., 0]
-        x = 3.0 * x / np.linalg.norm(x)
-        report = expectation_identity_test(8, 16, 800, gen, x=x)
-        assert report.expected == pytest.approx(3.0, abs=1e-12)
-        assert report.passed
-
     def test_grand_mean_over_fresh_matrix_signal_pairs(self):
         # the identity holds per pair, so the grand mean over fresh (Phi, x)
         # pairs converges to 1 at the usual 1/sqrt(N) rate
@@ -391,6 +386,9 @@ class TestExpectationIdentity:
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
             expectation_identity_test(4, 4, 99, RngStream(0).generator())
+        # the probe's length is an integer
+        with pytest.raises(ConfigError, match="^n:"):
+            expectation_identity_test(8, 4.5, 100, RngStream(0).generator())
 
 
 class TestConcentration:
@@ -473,6 +471,11 @@ class TestSampleComplexityBound:
             sample_complexity_bound(0.5, 10, 256, math.nan)
         with pytest.raises(ValueError, match="^s:"):
             sample_complexity_bound(0.5, 10.5, 256, 0.01)
+        # n is an integer too: a fractional n would run the closed form at n = 256.5
+        with pytest.raises(ValueError, match="^n:"):
+            sample_complexity_bound(0.5, 10, 256.5, 0.01)
+        with pytest.raises(ValueError, match="^n:"):
+            sample_complexity_bound(0.5, 10, True, 0.01)
         # in range, but the count is not a finite double
         with pytest.raises(ValueError, match="delta="):
             sample_complexity_bound(1e-300, 10, 256, 0.01)
@@ -528,3 +531,6 @@ class TestErrorBounds:
             pbp_error_bound(math.inf, 0.0)
         with pytest.raises(ValueError, match="^delta:"):
             oracle_support_error_bound(math.inf)
+        # a str is not a number, even one that reads as one
+        with pytest.raises(ValueError, match="^tau:"):
+            pbp_error_bound(0.1, "0.5")

@@ -216,9 +216,9 @@ class TestMeasurePhaseOnly:
         with pytest.raises(ValueError):
             measure_phase_only(inject(np.eye(2)), np.ones(2, complex), -0.1, RngStream(0).generator())
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 1e308, "0.5"])
     def test_non_finite_tau_rejected(self, tau):
-        # uniform(-tau, tau) needs a finite width 2 tau
+        # uniform(-tau, tau) needs a finite width 2 tau, of a real number (not a str)
         with pytest.raises(ValueError, match="^tau:"):
             measure_phase_only(inject(np.eye(2)), np.ones(2, complex), tau, RngStream(0).generator())
 
