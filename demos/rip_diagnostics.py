@@ -1,11 +1,10 @@
 """Probe the (l1, l2) restricted isometry of a phase-only sensing matrix.
 
 Walks through the diagnostic toolkit on one drawn matrix: the statistical
-self-test of the expectation identity E ||Phi x||_1 = ||x||_2, the Gaussian
-concentration tail it rests on, the empirical distortion lower bound found
-by randomized probing, the reconstruction-error bounds that distortion
-implies, and the closed-form measurement budget that would guarantee a
-target distortion with high probability.
+self-test of the expectation identity E ||Phi x||_1 = ||x||_2, the empirical
+distortion lower bound found by randomized probing, the reconstruction-error
+bounds that distortion implies, and the closed-form measurement budget that
+would guarantee a target distortion with high probability.
 
 Run:
     python demos/rip_diagnostics.py
@@ -13,7 +12,6 @@ Run:
 
 from pocs import (
     RngStream,
-    concentration_test,
     expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
@@ -32,11 +30,6 @@ def main() -> None:
     print(f"  mean over {rep.num_draws} draws: {rep.empirical_mean:.5f}  "
           f"(expected {rep.expected:.1f}, 4 SE = {4 * rep.standard_error:.5f})  "
           f"-> {'pass' if rep.passed else 'FAIL'}")
-
-    conc = concentration_test(64, 20_000, 0.5, gen)
-    print("concentration of the l1 statistic around its mean")
-    print(f"  tail frequency {conc.frequency:.2e} vs bound {conc.bound:.2e}  "
-          f"-> {'pass' if conc.passed else 'FAIL'}")
 
     Phi = sample_sensing_matrix(gen, m, n, "po")
     estimate = rip_distortion_probe(Phi, s, 2000, gen)

@@ -5,7 +5,7 @@ its complex Gaussian random measurements, a complex-field analogue of
 one-bit acquisition. The package provides the projected back-projection
 (PBP) estimator and the supporting (l1, l2) restricted-isometry machinery:
 empirical distortion probing, the matching reconstruction-error and
-sample-complexity bounds, and statistical self-tests of the underlying
+sample-complexity bounds, and a statistical self-test of the underlying
 expectation identity. A seeded Monte Carlo harness (library API plus the
 ``pocs`` command line) sweeps measurement count or phase-noise amplitude and
 emits deterministic CSV or JSON tables.
@@ -34,10 +34,8 @@ from .experiments import (
     trial_stream_id,
 )
 from .rip import (
-    ConcentrationReport,
     ExpectationIdentityReport,
     RipEstimate,
-    concentration_test,
     expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellAggregate",
-    "ConcentrationReport",
     "ConfigError",
     "DegenerateEstimateError",
     "ExpectationIdentityReport",
@@ -69,7 +66,6 @@ __all__ = [
     "SweepResult",
     "VarianceConvention",
     "adjoint_matvec",
-    "concentration_test",
     "csign",
     "direction_error",
     "expectation_identity_test",

@@ -15,10 +15,10 @@ the screen in cache-sized row blocks rather than copying it, and evaluates in
 float64 only the probes the bound cannot rule out, so it reports what a full
 float64 search reports, first maximum included.
 
-Also here: statistical self-tests of the expectation identity and of the
-Gaussian concentration rate that controls it, the closed-form minimum
-measurement count guaranteeing the RIP with a target failure probability,
-and the reconstruction-error bounds implied by a known distortion.
+Also here: a statistical self-test of the expectation identity, the
+closed-form minimum measurement count guaranteeing the RIP with a target
+failure probability, and the reconstruction-error bounds implied by a known
+distortion.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ class ExpectationIdentityReport:
     empirical_mean: float
     standard_error: float
     expected: float
-    num_draws: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    frequency: float
-    bound: float
-    standard_error: float
     num_draws: int
     passed: bool
 
@@ -234,40 +225,6 @@ def expectation_identity_test(
     )
 
 
-def concentration_test(
-    m: int, num_draws: int, t: float, gen: np.random.Generator
-) -> ConcentrationReport:
-    """Check the Gaussian tail bound behind the distortion concentration.
-
-    For standard Gaussian pairs, the row-modulus sum of an m-row draw
-    concentrates around ``m sqrt(pi/2)``; the relative deviation beyond ``t``
-    has probability at most ``2 exp(-(pi/4) t^2 m)``. Passes when the
-    empirical tail frequency does not exceed that bound by more than 4
-    binomial standard errors.
-    """
-    m, num_draws = _check_int("m", m, 1), _check_int("num_draws", num_draws, 1)
-    if not t > 0:  # NaN fails it
-        raise ConfigError(f"t: must be > 0, got {t}")
-    center = m * math.sqrt(math.pi / 2.0)
-    hits = 0
-    chunk = int(np.clip(2_000_000 // max(1, 2 * m), 1, num_draws))
-    for done in range(0, num_draws, chunk):
-        count = min(chunk, num_draws - done)
-        parts = gen.standard_normal((count, m, 2))
-        stat = np.hypot(parts[..., 0], parts[..., 1]).sum(axis=1)
-        hits += int(np.count_nonzero(np.abs(stat - center) > t * center))
-    freq = hits / num_draws
-    bound = 2.0 * math.exp(-(math.pi / 4.0) * t * t * m)
-    se = math.sqrt(freq * (1.0 - freq) / num_draws)
-    return ConcentrationReport(
-        frequency=freq,
-        bound=bound,
-        standard_error=se,
-        num_draws=num_draws,
-        passed=freq <= bound + 4.0 * se,
-    )
-
-
 def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     """Minimum rows m guaranteeing the (l1,l2)-RIP(s, delta) w.p. >= 1 - eta.
 
@@ -277,6 +234,7 @@ def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:
     float range, is a :class:`pocs.ConfigError` naming both.
     """
     for field, x in (("delta", delta), ("eta", eta)):
+        _check_real(field, x)  # a real number first: "0.5" or None is no probability
         if not 0.0 < x < 1.0:  # NaN fails it
             raise ConfigError(f"{field}: must lie in (0, 1), got {x}")
     n = _check_int("n", n, -math.inf)  # an integer; its range is the rule s in [1, n]

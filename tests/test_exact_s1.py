@@ -14,9 +14,9 @@ the largest of the n - 1 ``Exp(1)``, for both schemes:
 
 So the mean error is ``sqrt(2) (1 - E[(1 - e^-X)^(n-1)])``. The expectation
 is computed with no random numbers, over cell masses placed at the centres
-of a grid of step h: the Gamma cell masses from its survival function, and
-the m-fold FFT convolution power of the Rayleigh cell masses. Both are off
-by O(h^2), far below the sweep's standard error.
+of a grid of step h (:mod:`exact_laws`): the Gamma cell masses from its
+survival function, and the m-fold FFT convolution power of the Rayleigh cell
+masses. Both are off by O(h^2), far below the sweep's standard error.
 """
 
 import math
@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from exact_laws import gamma_cells, rayleigh_sum_cells
 from pocs import SweepConfig, run_sweep
 
 N = 256
@@ -38,23 +39,15 @@ def kept_probability(x, mass, n):
 
 
 def exact_cs(m, n):
-    # X = G ~ Gamma(m, 1): its mass of the cells [k h, (k + 1) h) up to m + 20 sqrt(m) + 50,
-    # from the survival function e^-x sum_{j < m} x^j / j!, placed at the cell centres
-    edges = np.arange(int((m + 20 * math.sqrt(m) + 50) / STEP) + 1) * STEP
-    survival = np.exp(-edges) * sum(edges**j / math.factorial(j) for j in range(m))
-    mass = -np.diff(survival)
+    # X = G ~ Gamma(m, 1)
+    x, mass = gamma_cells(m, STEP)
     assert abs(mass.sum() - 1.0) < 1e-9
-    return math.sqrt(2.0) * (1.0 - kept_probability(edges[:-1] + 0.5 * STEP, mass, n))
+    return math.sqrt(2.0) * (1.0 - kept_probability(x, mass, n))
 
 
 def exact_po(m, n):
-    # Rayleigh(1) mass of the cells [k h, (k + 1) h) up to 10, where the tail is e^-50;
-    # a sum of m cell centres (k_i + 1/2) h is (K + m/2) h, K the sum of the indices
-    edges = np.arange(int(10.0 / STEP) + 1) * STEP
-    cell = -np.diff(np.exp(-0.5 * edges * edges))
-    size = m * (cell.size - 1) + 1
-    mass = np.fft.irfft(np.fft.rfft(cell, size) ** m, size)
-    r = (np.arange(size) + 0.5 * m) * STEP
+    # R a sum of m i.i.d. Rayleigh(1)
+    r, mass = rayleigh_sum_cells(m, STEP)
     assert abs(mass.sum() - 1.0) < 1e-9
     return math.sqrt(2.0) * (1.0 - kept_probability(r * r / (2.0 * m), mass, n))
 

@@ -9,12 +9,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from exact_laws import RAYLEIGH_CUT, rayleigh_sum_cells
 from pocs import (
     ConfigError,
     RngStream,
     SensingMatrix,
     VarianceConvention,
-    concentration_test,
     expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
@@ -392,32 +392,24 @@ class TestExpectationIdentity:
 
 
 class TestConcentration:
-    def test_bound_value_and_zero_frequency(self):
-        report = concentration_test(64, 100_000, 0.5, RngStream(63).generator())
-        assert report.bound == pytest.approx(2.0 * math.exp(-4.0 * math.pi), rel=1e-12)
-        assert report.bound == pytest.approx(7.0e-6, abs=5e-7)
-        assert report.frequency == 0.0
-        assert report.passed
-
-    def test_huge_threshold_is_trivially_met(self):
-        report = concentration_test(8, 2000, 50.0, RngStream(64).generator())
-        assert report.frequency == 0.0
-        assert report.passed
-
-    def test_single_row_tail(self):
-        report = concentration_test(1, 1_000_000, 0.1, RngStream(65).generator())
-        assert report.passed
-        assert report.frequency <= report.bound + 4.0 * report.standard_error
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            concentration_test(4, 100, 0.0, RngStream(0).generator())
-        with pytest.raises(ValueError):
-            concentration_test(4, 0, 0.5, RngStream(0).generator())
-        with pytest.raises(ValueError):
-            concentration_test(4, 100, math.nan, RngStream(0).generator())
-        with pytest.raises(ValueError):  # no rows: it would pass with frequency 0
-            concentration_test(0, 100, 0.5, RngStream(0).generator())
+    def test_tail_bound_against_the_exact_law(self):
+        # the lemma behind the RIP: a sum R of m i.i.d. Rayleigh(1) leaves its mean
+        # m sqrt(pi/2) by a relative t with probability at most 2 exp(-(pi/4) t^2 m).
+        # The exact tail comes from the FFT law of R on a grid of step h, made an upper
+        # bound: a cell centre lies within m h / 2 of the sum it stands for, and a
+        # Rayleigh(1) passes the grid's cut with probability e^-50
+        step = 1e-3
+        for m in (1, 2, 4, 8, 16, 32, 64, 128):
+            centres, mass = rayleigh_sum_cells(m, step)
+            mean = m * math.sqrt(math.pi / 2.0)
+            for t in (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5):
+                far = np.abs(centres - mean) > t * mean - 0.5 * m * step
+                tail = mass[far].sum() + m * math.exp(-0.5 * RAYLEIGH_CUT**2)
+                bound = 2.0 * math.exp(-(math.pi / 4.0) * t * t * m)
+                if tail > 1e-12:  # above the FFT's rounding floor
+                    assert tail <= 0.5 * bound, (m, t, tail, bound)
+                if bound < 1e-12:
+                    assert abs(tail) < 1e-12, (m, t, tail, bound)
 
 
 def independent_bound_evaluation(delta, s, n, eta):
@@ -469,6 +461,13 @@ class TestSampleComplexityBound:
             sample_complexity_bound(math.nan, 10, 256, 0.01)
         with pytest.raises(ValueError):
             sample_complexity_bound(0.5, 10, 256, math.nan)
+        # a probability is a real number first: a string or None names its field
+        with pytest.raises(ConfigError, match="^delta:"):
+            sample_complexity_bound("0.5", 10, 256, 0.01)
+        with pytest.raises(ConfigError, match="^eta:"):
+            sample_complexity_bound(0.5, 10, 256, "0.01")
+        with pytest.raises(ConfigError, match="^delta:"):
+            sample_complexity_bound(None, 10, 256, 0.01)
         with pytest.raises(ValueError, match="^s:"):
             sample_complexity_bound(0.5, 10.5, 256, 0.01)
         # n is an integer too: a fractional n would run the closed form at n = 256.5
