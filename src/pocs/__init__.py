@@ -14,11 +14,17 @@ emits deterministic CSV or JSON tables.
 from .core import (
     ConfigError,
     DegenerateEstimateError,
+    SensingMatrix,
+    VarianceConvention,
     adjoint_matvec,
     csign,
     direction_error,
     hard_threshold,
+    measure_linear,
+    measure_phase_only,
     pbp,
+    sample_sensing_matrix,
+    sample_sparse_signal,
 )
 from .experiments import (
     CellAggregate,
@@ -43,14 +49,6 @@ from .rip import (
     sample_complexity_bound,
 )
 from .rng import RngStream, fnv1a64
-from .sensing import (
-    SensingMatrix,
-    VarianceConvention,
-    measure_linear,
-    measure_phase_only,
-    sample_sensing_matrix,
-    sample_sparse_signal,
-)
 
 __version__ = "0.1.0"
 

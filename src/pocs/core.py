@@ -1,14 +1,33 @@
-"""The paper's operators: PBP is ``H_s(Phi^H z)`` with ``z = csign(Phi x0) e^{i xi}``.
+"""The paper's full-matrix model: PBP is ``H_s(Phi^H z)`` with ``z = csign(Phi x0) e^{i xi}``.
 
-Componentwise signum, hard thresholding ``H_s``, the adjoint product
-``Phi^H z``, PBP itself and the direction error that scores it, over
-``complex128`` arrays; support sets are sorted integer index arrays. Because
-phase-only measurements carry no amplitude, PBP estimates the direction of
-``x0`` only, and the error is taken against the l2-normalized estimate. All
-are pure functions, safe for concurrent use. Also here, as every module imports
-this one: :class:`ConfigError`, and one helper for each input rule they share:
-an integer in [low, high] (each call site states its bounds), and a real >= 0
-whose double 2 x is finite.
+A sensing matrix ``Phi`` has i.i.d. entries whose real and imaginary parts
+are independent zero-mean Gaussians, under one of two variance conventions:
+
+``PHASE_ONLY``
+    per-part standard deviation ``sigma = sqrt(2/pi) / m``, the scaling under
+    which ``E ||Phi x||_1 = ||x||_2`` for every x (each ``|(Phi x)_i|`` is
+    Rayleigh with mean ``||x||_2 / m``).
+``CLASSICAL_CS``
+    per-part variance ``1 / (2m)``, i.e. total entry variance ``1/m``, the
+    standard scaling with ``E ||Phi x||_2^2 = ||x||_2^2``.
+
+The signal ``x0`` is unit-norm and s-sparse. The phase-only channel keeps
+only the componentwise complex signum of the linear measurements ``Phi x0``,
+optionally rotated by bounded phase noise ``xi``. PBP hard-thresholds
+(``H_s``) the adjoint product ``Phi^H z``, and the direction error scores
+it, over ``complex128`` arrays; support sets are sorted integer index
+arrays. Because phase-only measurements carry no amplitude, PBP estimates
+the direction of ``x0`` only, and the error is taken against the
+l2-normalized estimate. The operators are pure functions, safe for
+concurrent use; the samplers draw from the generator they are given. Sweep
+trials sample PBP's input from its exact law instead
+(:func:`pocs.experiments._draw_chunk`); the statistical gate in
+``tests/test_engine.py`` checks them against this model.
+
+Also here, as every module imports this one: :class:`ConfigError`, and one
+helper for each input rule they share: an integer in [low, high] (each call
+site states its bounds), a real >= 0 whose double 2 x is finite, and a 1-D
+array of a given length.
 """
 
 from __future__ import annotations
@@ -16,6 +35,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -46,6 +67,91 @@ def _check_real(field: str, value: float) -> None:
         raise ConfigError(f"{field}: need {field} >= 0 with 2 {field} finite, got {value:g}")
 
 
+def _check_vector(field: str, value, length: int) -> np.ndarray:
+    # value as a 1-D array of `length` entries: numpy would broadcast a length-1
+    # array, and blame any other mismatch on no field
+    v = np.asarray(value)
+    if v.shape != (length,):
+        raise ConfigError(f"{field}: must be a vector of length {length}, got shape {v.shape}")
+    return v
+
+
+class VarianceConvention(str, Enum):
+    PHASE_ONLY = "po"
+    CLASSICAL_CS = "cs"
+
+    @classmethod
+    def _missing_(cls, value):  # every coercion of an unknown value, in one place
+        names = " or ".join(repr(c.value) for c in cls)
+        raise ConfigError(f"convention: unknown convention {value!r}, use {names}")
+
+
+@dataclass(frozen=True)
+class SensingMatrix:
+    """m x n complex Gaussian matrix with its variance convention recorded."""
+
+    mat: np.ndarray
+    convention: VarianceConvention
+
+
+def per_part_sigma(m: int, convention: VarianceConvention | str) -> float:
+    """Per-part standard deviation implied by a convention at m rows."""
+    if VarianceConvention(convention) is VarianceConvention.PHASE_ONLY:
+        return math.sqrt(2.0 / math.pi) / m
+    return math.sqrt(1.0 / (2.0 * m))
+
+
+def sample_sensing_matrix(
+    gen: np.random.Generator,
+    m: int,
+    n: int,
+    convention: VarianceConvention | str,
+) -> SensingMatrix:
+    """Draw an m x n complex Gaussian matrix under the given convention."""
+    m, n = _check_int("m", m, 1), _check_int("n", n, 1)
+    convention = VarianceConvention(convention)
+    parts = gen.standard_normal((m, n, 2))
+    mat = parts.view(np.complex128)[..., 0]
+    mat *= per_part_sigma(m, convention)
+    return SensingMatrix(mat=mat, convention=convention)
+
+
+def _support_value_batch(gen, n, s, count):
+    # One contiguous block of n+s uniforms per draw. The support comes from a
+    # partial sort of the first n (uniform over all (n choose s) subsets), the
+    # values from the last s mapped onto [-1, 1] and normalized.
+    u = gen.random((count, n + s))
+    # The values 2u - 1 of a row are all zero only when every value uniform is
+    # exactly 0.5 (probability 2^-53 each). Such a row has no direction: redraw
+    # its value uniforms, all such rows of a pass in one draw after the batch.
+    # Draw k of a batch consumes the same stream slice as the k-th of single
+    # draws except in that event, where a single draw redraws from the next
+    # uniforms: from such a row on, the samples depend on the batch size.
+    while (bad := (u[:, n:] == 0.5).all(axis=1)).any():
+        u[bad, n:] = gen.random((int(bad.sum()), s))
+    supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
+    values = 2.0 * u[:, n:] - 1.0
+    norms = np.sqrt((values * values).sum(axis=1))
+    return supports, values / norms[:, None]
+
+
+def sample_sparse_signal(
+    gen: np.random.Generator, n: int, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a unit-norm s-sparse signal of dimension n: ``(x0, support)``.
+
+    The support is uniform over all (n choose s) subsets. On-support values
+    are i.i.d. uniform on [-1, 1] on the real axis, then the vector is
+    normalized to unit l2 norm.
+    """
+    n = _check_int("n", n, 1)
+    s = _check_int("s", s, 1, n)
+    supports, values = _support_value_batch(gen, n, s, 1)
+    x0 = np.zeros(n, dtype=np.complex128)
+    x0[supports[0]] = values[0]
+    return x0, supports[0]
+
+
 def csign(v) -> np.ndarray:
     """Componentwise complex signum ``v_i / |v_i|``.
 
@@ -57,6 +163,26 @@ def csign(v) -> np.ndarray:
     mod = np.abs(v)
     zero = mod == 0.0
     return np.where(zero, np.complex128(1.0), v / np.where(zero, 1.0, mod))
+
+
+def measure_linear(Phi: SensingMatrix, x0) -> np.ndarray:
+    """Unaltered linear measurements ``Phi x0``."""
+    return Phi.mat @ _check_vector("x0", x0, Phi.mat.shape[1])
+
+
+def measure_phase_only(
+    Phi: SensingMatrix, x0, tau: float, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-only measurements ``z_i = csign((Phi x0)_i) exp(1j xi_i)``: ``(z, xi)``.
+
+    The phase noise is i.i.d. ``xi_i ~ Uniform[-tau, tau]`` (radians). With
+    ``tau = 0`` the output equals ``csign(Phi x0)`` exactly. Zero entries of
+    ``Phi x0`` follow the csign convention.
+    """
+    _check_real("tau", tau)
+    y = measure_linear(Phi, x0)
+    xi = gen.uniform(-tau, tau, size=y.shape[0])
+    return csign(y) * np.exp(1j * xi), xi
 
 
 def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +212,9 @@ def hard_threshold(v, s: int) -> tuple[np.ndarray, np.ndarray]:
 def adjoint_matvec(A, v) -> np.ndarray:
     """Conjugate-transpose product ``A^H v``."""
     A = np.asarray(A)
-    v = np.asarray(v)
-    if A.ndim != 2 or v.ndim != 1 or A.shape[0] != v.shape[0]:
-        raise ConfigError(f"v: dimension mismatch: {A.shape}^H @ {v.shape}")
+    if A.ndim != 2:
+        raise ConfigError(f"A: adjoint_matvec expects a matrix, got shape {A.shape}")
+    v = _check_vector("v", v, A.shape[0])
     # conj(conj(v) A) == A^H v, without materialising the conjugated matrix
     return (v.conj() @ A).conj()
 
@@ -97,23 +223,20 @@ class DegenerateEstimateError(ArithmeticError):
     """Raised when an estimate is identically zero and has no direction."""
 
 
-def pbp(Phi, z, s: int) -> tuple[np.ndarray, np.ndarray]:
+def pbp(Phi: SensingMatrix, z, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Hard-threshold ``Phi^H z`` to its s strongest entries: ``(xhat, support)``."""
-    return hard_threshold(adjoint_matvec(Phi.mat, np.asarray(z)), s)
+    return hard_threshold(adjoint_matvec(Phi.mat, z), s)
 
 
 def direction_error(x0, xhat) -> float:
     """l2 distance between ``x0`` and the normalized estimate ``xhat/||xhat||_2``.
 
-    Both arguments are vectors. Scale invariant in ``xhat``; at most 2 when
-    both directions are unit vectors. A zero estimate has no direction and
-    raises :class:`DegenerateEstimateError`.
+    Both arguments are vectors of one length. Scale invariant in ``xhat``; at
+    most 2 when both directions are unit vectors. A zero estimate has no
+    direction and raises :class:`DegenerateEstimateError`.
     """
-    ref = np.asarray(x0)
-    est = np.asarray(xhat)
-    if ref.ndim != 1 or est.ndim != 1:
-        raise ConfigError(f"xhat: direction_error expects two vectors, got {ref.shape} "
-                          f"and {est.shape}")
+    ref = _check_vector("x0", x0, np.size(x0))  # any length, on one axis
+    est = _check_vector("xhat", xhat, ref.size)
 
     def norm(v):
         return np.sqrt((v.real * v.real).sum() + (v.imag * v.imag).sum())

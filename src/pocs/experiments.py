@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -37,14 +38,14 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import ConfigError, DegenerateEstimateError, _check_int, _check_real
+from .core import (ConfigError, DegenerateEstimateError, VarianceConvention, _check_int,
+                   _check_real, sample_sensing_matrix)
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
-from .rng import RngStream, fnv1a64
-from .sensing import VarianceConvention, sample_sensing_matrix
+from .rng import _MASK64, RngStream, fnv1a64
 
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
-SCHEMES = ("po", "cs")
+SCHEMES = tuple(c.value for c in VarianceConvention)
 
 # The chunk size (_chunk_trials) is a multiple of this, and at least this.
 # It and _CHUNK_ENTRIES are part of the stream key: changing either needs a
@@ -310,7 +311,7 @@ def run_trial(
     of ``size`` trials, drawn with the rows before it only."""
     n = _check_int("n", n, 1, 2**53)  # n - s is taken as a double
     scheme, s, m, tau = _check_cell(scheme, n, s, m, tau)
-    master_seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # RngStream keeps 64 bits
+    master_seed = _check_int("master_seed", master_seed, 0, _MASK64)  # before any work
     trial_index = _check_int("trial_index", trial_index, 0)
     chunk, row = divmod(trial_index, _chunk_trials(s, m))
     errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
@@ -384,7 +385,8 @@ def _check_cell(scheme, n, s, m, tau, m_field="m"):
         raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
                           f"about {5 * _MIN_CHUNK * s} complex entries, over {_MAX_ENTRIES}")
     if scheme not in SCHEMES:
-        raise ConfigError(f"schemes: unknown scheme {scheme!r}, use 'po' or 'cs'")
+        names = " or ".join(map(repr, SCHEMES))
+        raise ConfigError(f"schemes: unknown scheme {scheme!r}, use {names}")
     _check_real("tau_grid", tau)
     tau = float(tau)
     if scheme == "cs" and tau != 0:
@@ -422,8 +424,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     # the law of the off-support moduli takes n - s as a double; n is named before
     # a ratio turns it into m
     n = _check_int("n", config.n, 1, 2**53)
-    # RngStream keeps a seed's low 64 bits: a wider seed would alias another
-    seed = _check_int("master_seed", config.master_seed, 0, 2**64 - 1)
+    seed = _check_int("master_seed", config.master_seed, 0, _MASK64)  # before any work
     for field in ("sparsity_levels", "schemes", "tau_grid"):
         _check_grid(field, getattr(config, field))
     # -0.0 is the cell 0.0: one label (trial_stream_id keys both alike)
@@ -470,8 +471,9 @@ def fit_rate(
     if n is None:
         raise ConfigError("n: signal dimension n unknown; pass n explicitly")
     n = _check_int("n", n, 1)
-    if math.isnan(min_log2_ratio):
-        raise ConfigError("min_log2_ratio: must be a number or +-inf, got nan")
+    if (not isinstance(min_log2_ratio, numbers.Real) or isinstance(min_log2_ratio, bool)
+            or math.isnan(min_log2_ratio)):  # "0", True, NaN
+        raise ConfigError(f"min_log2_ratio: must be a number or +-inf, got {min_log2_ratio!r}")
     cells = [c for c in cells if c.scheme == scheme and c.s == s]
     for c in cells:
         if c.m < 1:
@@ -577,15 +579,15 @@ def rip_estimate_report(
             f"{'m' if m >= n else 'n'}: an m x n = {m} x {n} matrix has more than "
             f"{_MAX_ENTRIES} entries"
         )
-    master_seed = _check_int("master_seed", master_seed, 0, 2**64 - 1)  # RngStream keeps 64 bits
-    gen = RngStream(master_seed).generator()
+    stream = RngStream(master_seed)
+    gen = stream.generator()
     Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)
     estimate = rip_distortion_probe(Phi, s, num_probes, gen)
     return {
         "m": m,
         "n": n,
         "s": s,
-        "master_seed": master_seed,
+        "master_seed": stream.master_seed,
         "requested_probes": num_probes,
         "evaluated_probes": estimate.num_probes,
         "delta_lower": estimate.delta_lower,

@@ -28,12 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, _check_int, _check_real
-from .sensing import (
-    VarianceConvention,
-    _support_value_batch,
-    sample_sensing_matrix,
-)
+from .core import (ConfigError, VarianceConvention, _check_int, _check_real,
+                   _support_value_batch, sample_sensing_matrix)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def rip_distortion_probe(
 
     Three probe stages, all counted in ``num_probes`` of the result:
     ``num_probes`` random unit-norm s-sparse vectors (same sampler as
-    :func:`pocs.sensing.sample_sparse_signal`), all n canonical basis
+    :func:`pocs.core.sample_sparse_signal`), all n canonical basis
     vectors (whose distortion is a column statistic), and at most
     ``_CLIMB_ROUNDS`` (2) rounds of a sign-flip hill climb around the worst
     probe found. Deterministic given the stream.

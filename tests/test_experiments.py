@@ -560,8 +560,9 @@ class TestFitRate:
         assert fit_rate(cells, "po", 2, 64, min_log2_ratio=1.0) == pytest.approx(-0.5, abs=1e-9)
         with pytest.raises(ValueError):
             fit_rate(cells, "po", 2, 64, min_log2_ratio=2.0)  # only 2 points remain
-        with pytest.raises(ValueError, match="^min_log2_ratio:"):
-            fit_rate(cells, "po", 2, 64, min_log2_ratio=math.nan)
+        for ratio in (math.nan, "0", True):
+            with pytest.raises(ValueError, match="^min_log2_ratio:"):
+                fit_rate(cells, "po", 2, 64, min_log2_ratio=ratio)
 
     def test_dimension_past_the_float_range(self):
         # m / n underflows to 0.0 at n = 10^400; the ratio is taken in log2

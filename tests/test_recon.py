@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pocs import (
+    ConfigError,
     DegenerateEstimateError,
     RngStream,
     SensingMatrix,
@@ -161,3 +162,10 @@ class TestDirectionError:
         x0 = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
             direction_error(x0, x0)
+
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(ConfigError, match="^xhat:"):
+            direction_error(np.ones(3), np.ones(4))
+        # numpy would broadcast the length-1 x0 against xhat and score sqrt(2)
+        with pytest.raises(ConfigError, match="^xhat:"):
+            direction_error(np.ones(1), np.array([1.0, 0.0, 0.0]))

@@ -23,9 +23,9 @@ from pocs import (
     sample_sensing_matrix,
 )
 import pocs.rip
+from pocs.core import _support_value_batch
 from pocs.experiments import rip_estimate_report
 from pocs.rip import _probe_stat, _screen
-from pocs.sensing import _support_value_batch
 
 
 class TestDistortionProbe:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pocs import (
+    ConfigError,
     RngStream,
     SensingMatrix,
     VarianceConvention,
@@ -16,7 +17,7 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-from pocs.sensing import _support_value_batch, per_part_sigma
+from pocs.core import _support_value_batch, per_part_sigma
 
 
 class TestSamplingConventions:
@@ -164,8 +165,11 @@ class TestMeasureLinear:
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^x0:"):
             measure_linear(inject(np.eye(3)), np.ones(4, complex))
+        with pytest.raises(ConfigError, match="^x0:"):
+            measure_phase_only(inject(np.eye(3)), np.ones(4, complex), 0.0,
+                               RngStream(10).generator())
 
 
 class TestMeasurePhaseOnly:

@@ -31,6 +31,7 @@ from pocs import (
     run_trial,
     trial_stream_id,
 )
+from pocs.core import VarianceConvention, _support_value_batch, per_part_sigma
 from pocs.experiments import (
     _arc_law,
     _chunk_trials,
@@ -38,7 +39,6 @@ from pocs.experiments import (
     _largest_exponentials,
     _run_chunk,
 )
-from pocs.sensing import VarianceConvention, _support_value_batch, per_part_sigma
 from test_engine import ks_statistic
 
 GOLDEN_SWEEP_M = """\
