@@ -1,7 +1,6 @@
 """Probe the (l1, l2) restricted isometry of a phase-only sensing matrix.
 
-Walks through the diagnostic toolkit on one drawn matrix: the statistical
-self-test of the expectation identity E ||Phi x||_1 = ||x||_2, the empirical
+Walks through the diagnostic toolkit on one drawn matrix: the empirical
 distortion lower bound found by randomized probing, the reconstruction-error
 bounds that distortion implies, and the closed-form measurement budget that
 would guarantee a target distortion with high probability.
@@ -12,7 +11,6 @@ Run:
 
 from pocs import (
     RngStream,
-    expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
     rip_distortion_probe,
@@ -24,12 +22,6 @@ from pocs import (
 def main() -> None:
     m, n, s = 512, 128, 5
     gen = RngStream(2024).generator()
-
-    rep = expectation_identity_test(64, 128, 2000, gen)
-    print("expectation identity  E||Phi x||_1 = ||x||_2")
-    print(f"  mean over {rep.num_draws} draws: {rep.empirical_mean:.5f}  "
-          f"(expected {rep.expected:.1f}, 4 SE = {4 * rep.standard_error:.5f})  "
-          f"-> {'pass' if rep.passed else 'FAIL'}")
 
     Phi = sample_sensing_matrix(gen, m, n, "po")
     estimate = rip_distortion_probe(Phi, s, 2000, gen)

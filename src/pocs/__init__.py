@@ -4,9 +4,8 @@ Estimates the direction of a sparse complex signal from only the phases of
 its complex Gaussian random measurements, a complex-field analogue of
 one-bit acquisition. The package provides the projected back-projection
 (PBP) estimator and the supporting (l1, l2) restricted-isometry machinery:
-empirical distortion probing, the matching reconstruction-error and
-sample-complexity bounds, and a statistical self-test of the underlying
-expectation identity. A seeded Monte Carlo harness (library API plus the
+empirical distortion probing and the matching reconstruction-error and
+sample-complexity bounds. A seeded Monte Carlo harness (library API plus the
 ``pocs`` command line) sweeps measurement count or phase-noise amplitude and
 emits deterministic CSV or JSON tables.
 """
@@ -40,9 +39,7 @@ from .experiments import (
     trial_stream_id,
 )
 from .rip import (
-    ExpectationIdentityReport,
     RipEstimate,
-    expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
     rip_distortion_probe,
@@ -56,7 +53,6 @@ __all__ = [
     "CellAggregate",
     "ConfigError",
     "DegenerateEstimateError",
-    "ExpectationIdentityReport",
     "RipEstimate",
     "RngStream",
     "SensingMatrix",
@@ -66,7 +62,6 @@ __all__ = [
     "adjoint_matvec",
     "csign",
     "direction_error",
-    "expectation_identity_test",
     "fit_rate",
     "fnv1a64",
     "hard_threshold",

@@ -211,8 +211,9 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     7. on the phase-only channel with tau > 0, the arc phases: the m - K of
        each row, flat in row order, uniform on [-r, r] ((rows, m) uniforms
        on [-tau, tau] at q = 0);
-    8. the law of ``rho``: ``po`` draws ``E ~ Exp(1)`` for the arc entries,
-       flat in row order ((rows, m) at q = 0, summed per row by
+    8. the law of ``rho``: ``po`` draws the Rayleigh(1) moduli
+       ``sqrt(2 E)``, ``E ~ Exp(1)`` (numpy's ``rayleigh``), for the arc
+       entries, flat in row order ((rows, m) at q = 0, summed per row by
        ``np.bincount`` past it); ``cs`` draws ``G ~ Gamma(m, 1)``, and
        ``rho = sqrt(2 G)``.
 
@@ -253,8 +254,7 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     # conj(y_i) csign(y_i) = |y_i|, and an exact zero adds 0 whatever csign maps it to
     if not q:
         xi = at("arc").uniform(-tau, tau, (rows, m)) if tau > 0 else None
-        mod = at("law").standard_exponential((rows, m))  # becomes |y_i| / sigma in place
-        np.sqrt(np.multiply(mod, 2.0, out=mod), out=mod)
+        mod = at("law").rayleigh(size=(rows, m))  # |y_i| / sigma
         rho = mod.sum(axis=1) if xi is None else (
             np.einsum("...i,...i->...", mod, np.cos(xi))
             + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)))
@@ -264,7 +264,7 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         counts = m - circle  # arc entries per row
         drawn = int(counts.sum())
         u = at("arc").uniform(-r, r, drawn)
-        mod = np.sqrt(2.0 * at("law").standard_exponential(drawn))
+        mod = at("law").rayleigh(size=drawn)
         owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
         re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
         rho = (-1.0 if q % 2 else 1.0) * (re + 1j * im) + np.sqrt(circle) * c  # K circle terms

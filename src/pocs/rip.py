@@ -15,10 +15,9 @@ the screen in cache-sized row blocks rather than copying it, and evaluates in
 float64 only the probes the bound cannot rule out, so it reports what a full
 float64 search reports, first maximum included.
 
-Also here: a statistical self-test of the expectation identity, the
-closed-form minimum measurement count guaranteeing the RIP with a target
-failure probability, and the reconstruction-error bounds implied by a known
-distortion.
+Also here: the closed-form minimum measurement count guaranteeing the RIP
+with a target failure probability, and the reconstruction-error bounds
+implied by a known distortion.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, VarianceConvention, _check_int, _check_real,
-                   _support_value_batch, sample_sensing_matrix)
+from .core import ConfigError, VarianceConvention, _check_int, _check_real, _support_value_batch
 
 
 @dataclass(frozen=True)
@@ -39,15 +37,6 @@ class RipEstimate:
     delta_lower: float
     num_probes: int  # total candidates evaluated, all stages included
     worst_probe: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExpectationIdentityReport:
-    empirical_mean: float
-    standard_error: float
-    expected: float
-    num_draws: int
-    passed: bool
 
 
 # sign-flip rounds of the climb from the best probe, each scoring s + 1 probes in one
@@ -191,34 +180,6 @@ def rip_distortion_probe(
     worst = np.zeros(n, dtype=np.complex128)
     worst[support] = values
     return RipEstimate(delta_lower=stat, num_probes=evaluated, worst_probe=worst)
-
-
-def expectation_identity_test(
-    m: int, n: int, num_draws: int, gen: np.random.Generator
-) -> ExpectationIdentityReport:
-    """Check ``E ||Phi x||_1 = ||x||_2`` over fresh PHASE_ONLY matrix draws.
-
-    Uses one fixed random unit probe vector and passes when the empirical mean
-    lies within 4 standard errors of ``||x||_2``.
-    """
-    m, n = _check_int("m", m, 1), _check_int("n", n, 1)
-    num_draws = _check_int("num_draws", num_draws, 100)  # for a stable standard error
-    x = gen.standard_normal((n, 2)).view(np.complex128)[..., 0]
-    x = x / np.linalg.norm(x)
-    expected = float(np.linalg.norm(x))
-    vals = np.empty(num_draws)
-    for i in range(num_draws):
-        Phi = sample_sensing_matrix(gen, m, n, VarianceConvention.PHASE_ONLY)
-        vals[i] = np.linalg.norm(Phi.mat @ x, 1)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(num_draws))
-    return ExpectationIdentityReport(
-        empirical_mean=mean,
-        standard_error=se,
-        expected=expected,
-        num_draws=num_draws,
-        passed=abs(mean - expected) <= 4.0 * se,
-    )
 
 
 def sample_complexity_bound(delta: float, s: int, n: int, eta: float) -> int:

@@ -495,16 +495,16 @@ class TestZeroSignHits:
 
 
 class _FirstModuliZero:
-    """A generator whose exponential draws, the law of the moduli ``|y_i|``,
-    start each row with ``count`` exact zeros."""
+    """A generator whose Rayleigh draws, the moduli ``|y_i| / sigma``, start
+    each row with ``count`` exact zeros."""
 
     def __init__(self, gen, count):
         self._gen, self._count = gen, count
 
-    def standard_exponential(self, size=None, out=None):
-        e = self._gen.standard_exponential(size, out=out)
-        e[..., : self._count] = 0.0  # the first moduli of every trial
-        return e
+    def rayleigh(self, scale=1.0, size=None):
+        mod = self._gen.rayleigh(scale, size)
+        mod[..., : self._count] = 0.0  # the first moduli of every trial
+        return mod
 
     def __getattr__(self, name):
         return getattr(self._gen, name)

@@ -1,4 +1,4 @@
-"""Restricted-isometry diagnostics: probe search, self-tests, closed forms."""
+"""Restricted-isometry diagnostics: probe search, the exact laws behind it, closed forms."""
 
 import decimal
 import itertools
@@ -15,7 +15,6 @@ from pocs import (
     RngStream,
     SensingMatrix,
     VarianceConvention,
-    expectation_identity_test,
     oracle_support_error_bound,
     pbp_error_bound,
     rip_distortion_probe,
@@ -23,7 +22,7 @@ from pocs import (
     sample_sensing_matrix,
 )
 import pocs.rip
-from pocs.core import _support_value_batch
+from pocs.core import _support_value_batch, per_part_sigma
 from pocs.experiments import rip_estimate_report
 from pocs.rip import _probe_stat, _screen
 
@@ -358,11 +357,13 @@ def test_search_never_reports_more_than_the_certified_distortion(m, n, seed):
 
 
 class TestExpectationIdentity:
-    def test_unit_vector_mean_is_one(self):
-        report = expectation_identity_test(16, 32, 800, RngStream(60).generator())
-        assert report.passed
-        assert report.expected == pytest.approx(1.0, abs=1e-12)
-        assert report.empirical_mean == pytest.approx(1.0, abs=5 * report.standard_error)
+    def test_phase_only_scaling_makes_the_mean_exactly_one(self):
+        # under the phase-only scaling the identity E ||Phi x||_1 = ||x||_2 is exact:
+        # for a unit x each |(Phi x)_i| is Rayleigh with mean sigma sqrt(pi/2), and m
+        # rows of sigma = sqrt(2/pi)/m sum to 1, to rounding at every m
+        for m in [*range(1, 5000), *(2**k for k in range(24))]:
+            mean = m * per_part_sigma(m, "po") * math.sqrt(math.pi / 2.0)
+            assert abs(mean - 1.0) <= 4.0 * 2.0**-53, m
 
     def test_grand_mean_over_fresh_matrix_signal_pairs(self):
         # the identity holds per pair, so the grand mean over fresh (Phi, x)
@@ -377,18 +378,6 @@ class TestExpectationIdentity:
             vals[i] = np.linalg.norm(Phi.mat @ x, 1)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 4.0 * se
-
-    def test_scalar_case_matches_rayleigh_mean(self):
-        # m = n = 1: |Phi x| is Rayleigh with mean sigma sqrt(pi/2) = 1
-        report = expectation_identity_test(1, 1, 4000, RngStream(62).generator())
-        assert report.passed
-
-    def test_requires_enough_draws(self):
-        with pytest.raises(ValueError):
-            expectation_identity_test(4, 4, 99, RngStream(0).generator())
-        # the probe's length is an integer
-        with pytest.raises(ConfigError, match="^n:"):
-            expectation_identity_test(8, 4.5, 100, RngStream(0).generator())
 
 
 class TestConcentration:

@@ -66,6 +66,9 @@ def test_keys_outside_64_bits_are_refused(field, key):
       "0x1.c9c8d5a143880p-4", "-0x1.3afbac3f99d90p-4"]),
     ("standard_gamma", lambda g: g.standard_gamma(64, 3),
      ["0x1.193c7be84c6cep+6", "0x1.3d25de182e606p+5", "0x1.2a39fe3f7ce4ep+6"]),
+    ("rayleigh", lambda g: g.rayleigh(size=(2, 2)),
+     ["0x1.4471e5bf54962p+0", "0x1.bf867b8039d61p-1",
+      "0x1.b4f57c9dd389ep-1", "0x1.076ff98b06e44p+0"]),
 ])
 def test_generator_methods_keep_their_algorithms(method, draw, expected):
     values = draw(RngStream(0, 1).generator()).ravel().tolist()

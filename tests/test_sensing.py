@@ -139,6 +139,20 @@ class TestSupportValueBatch:
         supports, values = batches(uniforms, 4, 1, [1, 1])
         assert supports.ravel().tolist() == [3, 3] and values.ravel().tolist() == [-1.0, 1.0]
 
+    def test_batched_supports_are_uniform(self):
+        # 200 batches of 1,000 draws at (n, s) = (16, 3) hit each of the 560 subsets,
+        # and Pearson's chi^2 over them lies within 4 SD, sqrt(2 df), of its df
+        n, s, batch, rounds = 16, 3, 1000, 200
+        gen = RngStream(16).generator()
+        codes = np.concatenate([(1 << _support_value_batch(gen, n, s, batch)[0]).sum(axis=1)
+                                for _ in range(rounds)])  # a subset as its bit mask
+        _, hits = np.unique(codes, return_counts=True)
+        assert hits.size == math.comb(n, s) == 560
+        expected = batch * rounds / hits.size
+        df = hits.size - 1
+        chi2 = ((hits - expected) ** 2 / expected).sum()
+        assert abs(chi2 / df - 1.0) <= 4.0 * math.sqrt(2.0 / df), chi2 / df
+
 
 def inject(mat):
     mat = np.asarray(mat, dtype=np.complex128)

@@ -539,18 +539,17 @@ def test_mixture_parameters_stay_in_range():
 
 
 class _ZeroEveryModulus:
-    """A generator whose moduli draws (those of the scalar law: (rows, m) or
-    flat) have every ``step``-th entry at an exact zero, counted from the
-    draw's first entry."""
+    """A generator whose moduli draws (the Rayleigh draws of the scalar law:
+    (rows, m) or flat) have every ``step``-th entry at an exact zero, counted
+    from the draw's first entry."""
 
-    def __init__(self, gen, m, step):
-        self._gen, self._m, self._step = gen, m, step
+    def __init__(self, gen, step):
+        self._gen, self._step = gen, step
 
-    def standard_exponential(self, size=None, out=None):
-        e = self._gen.standard_exponential(size, out=out)
-        if not isinstance(size, tuple) or size[-1] == self._m:  # not the top-k gaps
-            e.reshape(-1)[:: self._step] = 0.0
-        return e
+    def rayleigh(self, scale=1.0, size=None):
+        mod = self._gen.rayleigh(scale, size)
+        mod.reshape(-1)[:: self._step] = 0.0
+        return mod
 
     def __getattr__(self, name):
         return getattr(self._gen, name)
@@ -568,7 +567,7 @@ def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, cell_errors, 
     assert _chunk_trials(s, m) == 1024
     plain = RngStream.generator
     monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroEveryModulus(plain(self), m, 7))
+                        lambda self: _ZeroEveryModulus(plain(self), 7))
     run_sweep(SweepConfig(n=n, sparsity_levels=(s,), m=m, tau_grid=(tau,), schemes=(scheme,),
                           trials=trials, master_seed=seed))
     [(cell, cell_zeros)] = cell_errors
@@ -628,8 +627,9 @@ def test_substreams_are_not_correlated():
 
 
 class _Recorder:
-    """A generator that logs each draw: its method, its first argument and the
-    state of the bit generator it starts from."""
+    """A generator that logs each draw: its method, its first argument (its
+    ``size`` when passed by keyword) and the state of the bit generator it
+    starts from."""
 
     def __init__(self, gen, log):
         self._gen, self._log = gen, log
@@ -640,7 +640,8 @@ class _Recorder:
             return attr
 
         def draw(*args, **kwargs):
-            self._log.append((name, args[0], self._gen.bit_generator.state["state"]["state"]))
+            self._log.append((name, args[0] if args else kwargs["size"],
+                              self._gen.bit_generator.state["state"]["state"]))
             return attr(*args, **kwargs)
 
         return draw
@@ -674,7 +675,7 @@ def test_range_chunks_run_on_the_cell_stream(monkeypatch):
         methods = {"v": "random", "g": "standard_normal", "beta": "beta",
                    "gaps": "standard_exponential", "circle": "binomial", "c": "standard_normal",
                    "arc": "uniform",
-                   "law": "standard_gamma" if scheme == "cs" else "standard_exponential"}
+                   "law": "standard_gamma" if scheme == "cs" else "rayleigh"}
         stream = RngStream(seed, ids[0])
         expected = [
             (methods[name], substream(stream, c, name).bit_generator.state["state"]["state"])
@@ -685,9 +686,9 @@ def test_range_chunks_run_on_the_cell_stream(monkeypatch):
 
 
 class _ZeroModuli:
-    """A generator whose moduli draws (the top-k gaps are (rows, 1) here)
-    have the first two moduli of row ``row`` at exact zeros; in a flat draw a
-    row's entries follow the arc entries, m - K, of the rows before it."""
+    """A generator whose moduli draws (its Rayleigh draws) have the first two
+    moduli of row ``row`` at exact zeros; in a flat draw a row's entries
+    follow the arc entries, m - K, of the rows before it."""
 
     def __init__(self, gen, m, row):
         self._gen, self._m, self._row = gen, m, row
@@ -697,14 +698,12 @@ class _ZeroModuli:
         self._circle = self._gen.binomial(*args)
         return self._circle
 
-    def standard_exponential(self, size=None, out=None):
-        e = self._gen.standard_exponential(size, out=out)
-        if isinstance(size, tuple) and size[-1] != self._m:  # the top-k gaps
-            return e
+    def rayleigh(self, scale=1.0, size=None):
+        mod = self._gen.rayleigh(scale, size)
         arcs = self._m - self._circle
         assert arcs[self._row] >= 2
-        e.reshape(-1)[arcs[: self._row].sum() :][:2] = 0.0
-        return e
+        mod.reshape(-1)[arcs[: self._row].sum() :][:2] = 0.0
+        return mod
 
     def __getattr__(self, name):
         return getattr(self._gen, name)
