@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -97,7 +96,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return experiments._json_text(report)
     return experiments.csv_text(list(report), [report.values()])
 
 

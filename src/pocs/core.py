@@ -26,8 +26,11 @@ trials sample PBP's input from its exact law instead
 
 Also here, as every module imports this one: :class:`ConfigError`, and one
 helper for each input rule they share: an integer in [low, high] (each call
-site states its bounds), a real >= 0 whose double 2 x is finite, and a 1-D
-array of a given length.
+site states its bounds), a real >= 0 whose double 2 x is finite, a 1-D
+array of a given length, and a scheme, ``'po'`` or ``'cs'`` or its
+:class:`VarianceConvention`, taken as its plain name. The signal value law
+of the model, the RIP probes and the sweep engine is here too, once
+(:func:`_unit_values`).
 """
 
 from __future__ import annotations
@@ -81,9 +84,18 @@ class VarianceConvention(str, Enum):
     CLASSICAL_CS = "cs"
 
     @classmethod
-    def _missing_(cls, value):  # every coercion of an unknown value, in one place
-        names = " or ".join(repr(c.value) for c in cls)
-        raise ConfigError(f"convention: unknown convention {value!r}, use {names}")
+    def _missing_(cls, value):  # every coercion of an unknown value
+        return cls(_check_scheme("convention", value))
+
+
+def _check_scheme(field: str, value) -> str:
+    # the plain name 'po' or 'cs' of a scheme given by name or as its VarianceConvention:
+    # a sweep labels its cells and keys its streams with it
+    names = tuple(c.value for c in VarianceConvention)
+    if value not in names:
+        raise ConfigError(f"{field}: unknown scheme {value!r}, use "
+                          + " or ".join(map(repr, names)))
+    return names[names.index(value)]
 
 
 @dataclass(frozen=True)
@@ -116,23 +128,32 @@ def sample_sensing_matrix(
     return SensingMatrix(mat=mat, convention=convention)
 
 
+def _unit_values(v, redraw) -> np.ndarray:
+    # The signal values of the uniform rows v: 2v - 1, normalized per row. A
+    # row's values are all zero only when each of its uniforms is exactly 0.5
+    # (probability 2^-53 each). Such a row has no direction: its uniforms are
+    # redrawn in place, row by row in row order, until they are not all 0.5,
+    # from the generator that redraw() returns, called only when a row needs it.
+    if 0.5 in v:
+        gen = redraw()
+        for row in np.flatnonzero((v == 0.5).all(axis=1)):
+            while (v[row] == 0.5).all():
+                v[row] = gen.random(v.shape[1])
+    values = 2.0 * v - 1.0
+    values /= np.sqrt((values * values).sum(axis=1))[:, None]
+    return values
+
+
 def _support_value_batch(gen, n, s, count):
     # One contiguous block of n+s uniforms per draw. The support comes from a
     # partial sort of the first n (uniform over all (n choose s) subsets), the
-    # values from the last s mapped onto [-1, 1] and normalized.
+    # values from the last s (_unit_values). Draw k of a batch consumes the
+    # same stream slice as the k-th of single draws except where a row is
+    # redrawn: a batch redraws from the uniforms after it, a single draw from
+    # the next ones, so from such a row on the samples depend on the batch size.
     u = gen.random((count, n + s))
-    # The values 2u - 1 of a row are all zero only when every value uniform is
-    # exactly 0.5 (probability 2^-53 each). Such a row has no direction: redraw
-    # its value uniforms, all such rows of a pass in one draw after the batch.
-    # Draw k of a batch consumes the same stream slice as the k-th of single
-    # draws except in that event, where a single draw redraws from the next
-    # uniforms: from such a row on, the samples depend on the batch size.
-    while (bad := (u[:, n:] == 0.5).all(axis=1)).any():
-        u[bad, n:] = gen.random((int(bad.sum()), s))
     supports = np.sort(np.argpartition(u[:, :n], s - 1, axis=1)[:, :s], axis=1)
-    values = 2.0 * u[:, n:] - 1.0
-    norms = np.sqrt((values * values).sum(axis=1))
-    return supports, values / norms[:, None]
+    return supports, _unit_values(u[:, n:], lambda: gen)
 
 
 def sample_sparse_signal(
@@ -225,7 +246,7 @@ class DegenerateEstimateError(ArithmeticError):
 
 def pbp(Phi: SensingMatrix, z, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Hard-threshold ``Phi^H z`` to its s strongest entries: ``(xhat, support)``."""
-    return hard_threshold(adjoint_matvec(Phi.mat, z), s)
+    return hard_threshold(adjoint_matvec(Phi.mat, _check_vector("z", z, Phi.mat.shape[0])), s)
 
 
 def direction_error(x0, xhat) -> float:

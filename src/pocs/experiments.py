@@ -39,9 +39,9 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .core import (ConfigError, DegenerateEstimateError, VarianceConvention, _check_int,
-                   _check_real, sample_sensing_matrix)
+                   _check_real, _check_scheme, _unit_values, sample_sensing_matrix)
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
-from .rng import _MASK64, RngStream, fnv1a64
+from .rng import RngStream, fnv1a64
 
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
@@ -198,7 +198,7 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     array call for the ``rows`` rows:
 
     0. ``v``, (rows, s) uniforms, the signal values ``2v - 1`` on S,
-       normalized;
+       normalized by :func:`pocs.core._unit_values`, which also draws
     1. the redraws of the rows whose values are all zero: row by row, in row
        order, each row's s uniforms until they are not all 0.5;
     2. ``g``, (rows, s) standard complex normals, its entries on S;
@@ -235,14 +235,7 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         return gen
 
     k = min(s, n - s)
-    v = at("v").random((rows, s))
-    if 0.5 in v:  # a row's values 2v - 1 are all zero only where each v is 0.5
-        at("redraw")
-        for row in np.flatnonzero((v == 0.5).all(axis=1)):
-            while (v[row] == 0.5).all():
-                v[row] = gen.random(s)
-    x0 = 2.0 * v - 1.0
-    x0 /= np.sqrt((x0 * x0).sum(axis=1))[:, None]
+    x0 = _unit_values(at("v").random((rows, s)), lambda: at("redraw"))
     g = at("g").standard_normal((rows, 2 * s)).view(np.complex128)
     top = np.empty((rows, 0))
     if k:
@@ -311,7 +304,7 @@ def run_trial(
     of ``size`` trials, drawn with the rows before it only."""
     n = _check_int("n", n, 1, 2**53)  # n - s is taken as a double
     scheme, s, m, tau = _check_cell(scheme, n, s, m, tau)
-    master_seed = _check_int("master_seed", master_seed, 0, _MASK64)  # before any work
+    master_seed = RngStream(master_seed).master_seed  # before any work
     trial_index = _check_int("trial_index", trial_index, 0)
     chunk, row = divmod(trial_index, _chunk_trials(s, m))
     errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
@@ -378,15 +371,11 @@ def _run_cells(cells, n, trials, master_seed, workers):
 
 
 def _check_cell(scheme, n, s, m, tau, m_field="m"):
-    # the rules of one (scheme, s, m, tau) cell at a checked n, returned with int s, m and
-    # float tau; a ConfigError names the sweep field that gave the value, m_field that of m
-    s = _check_int("sparsity_levels", s, 1, n)
-    if 5 * _MIN_CHUNK * s > _MAX_ENTRIES:  # a chunk holds about five complex (32, s) arrays
-        raise ConfigError(f"sparsity_levels: a chunk of {_MIN_CHUNK} trials at s = {s} holds "
-                          f"about {5 * _MIN_CHUNK * s} complex entries, over {_MAX_ENTRIES}")
-    if scheme not in SCHEMES:
-        names = " or ".join(map(repr, SCHEMES))
-        raise ConfigError(f"schemes: unknown scheme {scheme!r}, use {names}")
+    # the rules of one (scheme, s, m, tau) cell at a checked n, returned with the plain
+    # scheme name, int s, m and float tau; a ConfigError names the sweep field that gave
+    # the value, m_field that of m. A chunk holds about five complex (32, s) arrays.
+    s = _check_int("sparsity_levels", s, 1, min(n, _MAX_ENTRIES // (5 * _MIN_CHUNK)))
+    scheme = _check_scheme("schemes", scheme)
     _check_real("tau_grid", tau)
     tau = float(tau)
     if scheme == "cs" and tau != 0:
@@ -420,11 +409,10 @@ def _ratio_to_m(n: int, ratio: float) -> int:
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Direction error over the (scheme, s, m, tau) cells of ``config``, in that
     nesting order."""
-    trials = _check_int("trials", config.trials, 1)
     # the law of the off-support moduli takes n - s as a double; n is named before
     # a ratio turns it into m
     n = _check_int("n", config.n, 1, 2**53)
-    seed = _check_int("master_seed", config.master_seed, 0, _MASK64)  # before any work
+    seed = RngStream(config.master_seed).master_seed  # before any work
     for field in ("sparsity_levels", "schemes", "tau_grid"):
         _check_grid(field, getattr(config, field))
     # -0.0 is the cell 0.0: one label (trial_stream_id keys both alike)
@@ -446,12 +434,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     # bookkeeping held from before the first draw: per 32 trials of each cell,
     # 32 float64 errors and at most one task (about 240 bytes, its arguments; a
     # task is a chunk), so about 16 bytes, one complex entry, per trial
-    entries = len(cells) * -(-trials // _MIN_CHUNK) * _MIN_CHUNK
-    if entries > _MAX_ENTRIES:
-        raise ConfigError(
-            f"trials: {trials} trials in each of {len(cells)} cells keep about "
-            f"{entries} complex entries of bookkeeping, more than {_MAX_ENTRIES}"
-        )
+    bound = _MIN_CHUNK * (_MAX_ENTRIES // _MIN_CHUNK // len(cells))
+    trials = _check_int("trials", config.trials, 1, bound)
     aggregates = _run_cells(cells, n, trials, seed, workers)
     return SweepResult(config=config, cells=aggregates)
 
@@ -471,6 +455,7 @@ def fit_rate(
     if n is None:
         raise ConfigError("n: signal dimension n unknown; pass n explicitly")
     n = _check_int("n", n, 1)
+    scheme, s = _check_scheme("scheme", scheme), _check_int("s", s, 1)
     if (not isinstance(min_log2_ratio, numbers.Real) or isinstance(min_log2_ratio, bool)
             or math.isnan(min_log2_ratio)):  # "0", True, NaN
         raise ConfigError(f"min_log2_ratio: must be a number or +-inf, got {min_log2_ratio!r}")
@@ -505,14 +490,17 @@ def render_csv(result: SweepResult) -> str:
     return csv_text(_CSV_FIELDS, ([getattr(c, f) for f in _CSV_FIELDS] for c in result.cells))
 
 
-def render_json(result: SweepResult) -> str:
-    payload = {"engine": ENGINE, "config": asdict(result.config),
-               "cells": [asdict(c) for c in result.cells]}
-
+def _json_text(payload: dict) -> str:
+    # the JSON of a sweep or a rip-estimate report: indented by 2, LF-terminated
     def plain(value):  # a numpy value or grid as its Python value, a range, say, as a list
         return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else list(value)
 
     return json.dumps(payload, indent=2, default=plain) + "\n"
+
+
+def render_json(result: SweepResult) -> str:
+    return _json_text({"engine": ENGINE, "config": asdict(result.config),
+                       "cells": [asdict(c) for c in result.cells]})
 
 
 def _cell_from_row(path: str, lineno: int, line: str) -> CellAggregate:

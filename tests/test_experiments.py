@@ -16,6 +16,7 @@ from pocs import (
     ConfigError,
     SweepConfig,
     SweepResult,
+    VarianceConvention,
     fit_rate,
     fnv1a64,
     load_sweep_cells,
@@ -91,6 +92,27 @@ class TestSeeding:
         with pytest.raises(ConfigError) as err:
             run_trial(*args)
         assert str(err.value).startswith(f"{field}:")
+
+    def test_a_convention_member_is_its_scheme_name(self):
+        # a VarianceConvention labels its cells and keys its streams with its plain
+        # name, so it draws the experiment of that name, byte for byte
+        for member in VarianceConvention:
+            name = member.value
+            configs = [SweepConfig(n=32, sparsity_levels=(2,), m=16, schemes=(scheme,),
+                                   trials=40, master_seed=1) for scheme in (member, name)]
+            by_member, by_name = (run_sweep(config) for config in configs)
+            assert render_csv(by_member) == render_csv(by_name)
+            assert render_json(by_member) == render_json(by_name)
+            assert by_member.cells[0].scheme == name and type(by_member.cells[0].scheme) is str
+            for t in (0, 39):
+                replays = [run_trial(scheme, 32, 2, 16, 0.0, 1, t) for scheme in (member, name)]
+                assert replays[0] == replays[1]
+        errors = []
+        for scheme in (VarianceConvention.CLASSICAL_CS, "cs"):
+            with pytest.raises(ConfigError) as err:
+                run_trial(scheme, 32, 2, 16, 0.5, 1, 0)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 class TestMSweep:
@@ -577,6 +599,18 @@ class TestFitRate:
         with pytest.raises(ValueError) as err:
             fit_rate(cells, "po", 2, 64)
         assert f"m={cells[1].m}" in str(err.value)
+
+    @pytest.mark.parametrize("s", [2.0, True, "2"])
+    def test_rejects_an_s_that_is_not_an_integer(self, s):
+        # True == 1 and 2.0 == 2 would select the s = 1 and s = 2 cells
+        with pytest.raises(ConfigError, match="^s:"):
+            fit_rate(synthetic_power_law(-0.5), "po", s, 64)
+
+    def test_rejects_an_unknown_scheme(self):
+        with pytest.raises(ConfigError, match="^scheme:"):
+            fit_rate(synthetic_power_law(-0.5), "xx", 2, 64)
+        slope = fit_rate(synthetic_power_law(-0.5), VarianceConvention.PHASE_ONLY, 2, 64)
+        assert slope == pytest.approx(-0.5, abs=1e-9)
 
     def test_needs_dimension_for_csv_loads(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -67,6 +67,11 @@ class TestPbp:
         with pytest.raises(ValueError):
             pbp(Phi, np.ones(3, complex), 0)
 
+    def test_measurement_length_error_names_z(self):
+        Phi = inject(np.ones((8, 4)))
+        with pytest.raises(ConfigError, match=r"^z: must be a vector of length 8, got shape"):
+            pbp(Phi, np.ones(7), 2)
+
     def test_noiseless_error_within_distortion_bound(self):
         # small instance where the probed distortion makes the bound honest
         gen = RngStream(23).generator()

@@ -139,6 +139,17 @@ class TestSupportValueBatch:
         supports, values = batches(uniforms, 4, 1, [1, 1])
         assert supports.ravel().tolist() == [3, 3] and values.ravel().tolist() == [-1.0, 1.0]
 
+    def test_all_zero_value_rows_are_redrawn_row_by_row(self):
+        # (n, s) = (3, 2): rows 0 and 2 have all value uniforms 0.5. Row 0 is
+        # redrawn to completion first, its first redraw all 0.5 again, then row 2
+        rows = [[0.9, 0.1, 0.8, 0.5, 0.5], [0.2, 0.7, 0.4, 0.25, 0.75], [0.3, 0.6, 0.9, 0.5, 0.5]]
+        redraws = [[0.5, 0.5], [0.1, 0.4], [0.95, 0.35]]
+        supports, values = batches([*np.ravel(rows), *np.ravel(redraws)], 3, 2, [3])
+        assert supports.tolist() == [[1, 2], [0, 2], [0, 1]]
+        expected = 2.0 * np.array([[0.1, 0.4], [0.25, 0.75], [0.95, 0.35]]) - 1.0
+        expected /= np.sqrt((expected * expected).sum(axis=1))[:, None]
+        assert np.array_equal(values, expected)
+
     def test_batched_supports_are_uniform(self):
         # 200 batches of 1,000 draws at (n, s) = (16, 3) hit each of the 560 subsets,
         # and Pearson's chi^2 over them lies within 4 SD, sqrt(2 df), of its df
