@@ -10,75 +10,14 @@ sample-complexity bounds. A seeded Monte Carlo harness (library API plus the
 emits deterministic CSV or JSON tables.
 """
 
-from .core import (
-    ConfigError,
-    DegenerateEstimateError,
-    SensingMatrix,
-    VarianceConvention,
-    adjoint_matvec,
-    csign,
-    direction_error,
-    hard_threshold,
-    measure_linear,
-    measure_phase_only,
-    pbp,
-    sample_sensing_matrix,
-    sample_sparse_signal,
-)
-from .experiments import (
-    CellAggregate,
-    SweepConfig,
-    SweepResult,
-    fit_rate,
-    load_sweep_cells,
-    render_csv,
-    render_json,
-    rip_estimate_report,
-    run_sweep,
-    run_trial,
-    trial_stream_id,
-)
-from .rip import (
-    RipEstimate,
-    oracle_support_error_bound,
-    pbp_error_bound,
-    rip_distortion_probe,
-    sample_complexity_bound,
-)
-from .rng import RngStream, fnv1a64
+# each module declares the names it exports in its own __all__; the package
+# re-exports them all
+from . import core, experiments, rip, rng
+from .core import *
+from .experiments import *
+from .rip import *
+from .rng import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CellAggregate",
-    "ConfigError",
-    "DegenerateEstimateError",
-    "RipEstimate",
-    "RngStream",
-    "SensingMatrix",
-    "SweepConfig",
-    "SweepResult",
-    "VarianceConvention",
-    "adjoint_matvec",
-    "csign",
-    "direction_error",
-    "fit_rate",
-    "fnv1a64",
-    "hard_threshold",
-    "load_sweep_cells",
-    "measure_linear",
-    "measure_phase_only",
-    "oracle_support_error_bound",
-    "pbp",
-    "pbp_error_bound",
-    "render_csv",
-    "render_json",
-    "rip_distortion_probe",
-    "rip_estimate_report",
-    "run_sweep",
-    "run_trial",
-    "sample_complexity_bound",
-    "sample_sensing_matrix",
-    "sample_sparse_signal",
-    "trial_stream_id",
-]
+__all__ = core.__all__ + experiments.__all__ + rip.__all__ + rng.__all__

@@ -43,6 +43,22 @@ from enum import Enum
 
 import numpy as np
 
+__all__ = [
+    "ConfigError",
+    "DegenerateEstimateError",
+    "SensingMatrix",
+    "VarianceConvention",
+    "adjoint_matvec",
+    "csign",
+    "direction_error",
+    "hard_threshold",
+    "measure_linear",
+    "measure_phase_only",
+    "pbp",
+    "sample_sensing_matrix",
+    "sample_sparse_signal",
+]
+
 
 class ConfigError(ValueError):
     """Invalid input from the caller; the message starts with the offending field."""

@@ -43,6 +43,20 @@ from .core import (ConfigError, DegenerateEstimateError, VarianceConvention, _ch
 from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_probe
 from .rng import RngStream, fnv1a64
 
+__all__ = [
+    "CellAggregate",
+    "SweepConfig",
+    "SweepResult",
+    "fit_rate",
+    "load_sweep_cells",
+    "render_csv",
+    "render_json",
+    "rip_estimate_report",
+    "run_sweep",
+    "run_trial",
+    "trial_stream_id",
+]
+
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
 SCHEMES = tuple(c.value for c in VarianceConvention)
@@ -113,7 +127,10 @@ class SweepResult:
 
 def trial_stream_id(scheme: str, s: int, m: int, tau: float, trial_index: int) -> int:
     """Documented stream-id derivation; identical across configs and runs. A
-    cell runs on the stream id of its trial 0."""
+    cell runs on the stream id of its trial 0. The scheme is keyed by its
+    plain name, ``'po'`` or ``'cs'``, also when given as its
+    :class:`VarianceConvention`."""
+    scheme = _check_scheme("scheme", scheme)  # a member formats as its name from Python 3.11
     key = f"{ENGINE}|{scheme}|s={s}|m={m}|tau={tau + 0.0:.17g}|trial={trial_index}"
     return fnv1a64(key.encode("ascii"))
 
@@ -301,11 +318,13 @@ def run_trial(
     """One trial: draw x0 and the back-projection of its measurements, keep
     the s strongest entries (PBP) and return the direction error, NaN if the
     estimate is zero. The trial is row ``trial_index % size`` of its chunk
-    of ``size`` trials, drawn with the rows before it only."""
+    of ``size`` trials, drawn with the rows before it only. ``trial_index``
+    lies in [0, 2^28), the trials a sweep can run."""
     n = _check_int("n", n, 1, 2**53)  # n - s is taken as a double
     scheme, s, m, tau = _check_cell(scheme, n, s, m, tau)
     master_seed = RngStream(master_seed).master_seed  # before any work
-    trial_index = _check_int("trial_index", trial_index, 0)
+    # a sweep runs fewer trials; far past it the sub-stream offsets wrap at 2^128 and alias
+    trial_index = _check_int("trial_index", trial_index, 0, _MAX_ENTRIES - 1)
     chunk, row = divmod(trial_index, _chunk_trials(s, m))
     errors, _ = _run_chunk(scheme, n, s, m, tau, master_seed, chunk, row + 1)
     return float(errors[row])

@@ -29,6 +29,14 @@ import numpy as np
 
 from .core import ConfigError, VarianceConvention, _check_int, _check_real, _support_value_batch
 
+__all__ = [
+    "RipEstimate",
+    "oracle_support_error_bound",
+    "pbp_error_bound",
+    "rip_distortion_probe",
+    "sample_complexity_bound",
+]
+
 
 @dataclass(frozen=True)
 class RipEstimate:

@@ -20,6 +20,11 @@ import numpy as np
 
 from .core import _check_int
 
+__all__ = [
+    "RngStream",
+    "fnv1a64",
+]
+
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

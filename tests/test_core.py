@@ -153,10 +153,12 @@ class TestMatvec:
 
 
 def test_public_names_are_exactly_all():
-    # __init__ keeps its imports and __all__ by hand; they must list the same names
+    # each module declares its own exports in __all__, and pocs re-exports them:
+    # one owner per public name, and pocs binds no other public name
     import types
 
     import pocs
+    from pocs import core, experiments, rip, rng
 
     public = {
         name
@@ -165,3 +167,11 @@ def test_public_names_are_exactly_all():
     }
     assert public == set(pocs.__all__)
     assert len(pocs.__all__) == len(set(pocs.__all__))
+    owned = []
+    for module in (core, experiments, rip, rng):
+        assert "__all__" in vars(module), module.__name__
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+        owned += module.__all__
+    assert len(owned) == len(set(owned))  # the four lists are disjoint
+    assert set(owned) == set(pocs.__all__)

@@ -58,6 +58,21 @@ class TestSeeding:
         ]
         assert len({a, *others}) == 6
 
+    def test_stream_id_keys_a_convention_member_by_its_name(self):
+        # a member's format() is its qualified name from Python 3.11 on, so keying the
+        # member itself would give an id that depends on the interpreter
+        for member in VarianceConvention:
+            ids = {trial_stream_id(scheme, 2, 8, 0.0, 0) for scheme in (member, member.value)}
+            assert len(ids) == 1
+        with pytest.raises(ConfigError, match="^scheme:"):
+            trial_stream_id("xx", 2, 8, 0.0, 0)
+
+    def test_run_trial_takes_the_indices_a_sweep_can_run(self):
+        # a sweep runs at most 2^28 trials; an index 2^128 chunks on would replay the same trial
+        assert 0.0 <= run_trial("po", 16, 2, 8, 0.0, 1, 2**28 - 1) <= 2.0
+        with pytest.raises(ConfigError, match="^trial_index:"):
+            run_trial("po", 16, 2, 8, 0.0, 1, 2**28)
+
     def test_run_trial_replayable(self):
         error = run_trial("po", 32, 3, 16, 0.2, 99, 5)
         assert error == run_trial("po", 32, 3, 16, 0.2, 99, 5)
