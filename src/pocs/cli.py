@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import experiments, rip
-from .core import ConfigError
+from .core import ConfigError, VarianceConvention
 from .experiments import SweepConfig
 
 
@@ -41,13 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-only compressive sensing sweeps and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = [c.value for c in VarianceConvention]
 
     sm = sub.add_parser("sweep-m", help="direction error vs measurement count")
     sm.add_argument("--s", type=int, action="append", required=True,
                     help="sparsity level (repeatable)")
     sm.add_argument("--log2-ratio", dest="log2_ratio", type=float, action="append",
                     required=True, help="log2(m/n) grid point (repeatable)")
-    sm.add_argument("--scheme", choices=experiments.SCHEMES, action="append",
+    sm.add_argument("--scheme", choices=schemes, action="append",
                     help="measurement scheme (repeatable; default both)")
     _add_common(sm)
 
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("fit-rate", help="decay exponent of error vs m")
     fr.add_argument("--in", dest="input_path", required=True, metavar="PATH",
                     help="sweep result (csv or json)")
-    fr.add_argument("--scheme", choices=experiments.SCHEMES, required=True)
+    fr.add_argument("--scheme", choices=schemes, required=True)
     fr.add_argument("--s", type=int, required=True)
     fr.add_argument("--min-log2-ratio", dest="min_log2_ratio", type=float,
                     default=float("-inf"), help="use grid points at or above this ratio")
@@ -97,17 +98,16 @@ def _emit(text: str, out_path: str | None) -> None:
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return experiments._json_text(report)
-    return experiments.csv_text(list(report), [report.values()])
+    return experiments._csv_text(list(report), [report.values()])
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     common = dict(n=args.n, trials=args.trials, master_seed=args.seed)
     if args.command == "sweep-m":
+        if args.scheme:  # else SweepConfig's default: every scheme
+            common["schemes"] = tuple(args.scheme)
         return SweepConfig(
-            sparsity_levels=tuple(args.s),
-            log2_m_over_n=tuple(args.log2_ratio),
-            schemes=tuple(args.scheme) if args.scheme else experiments.SCHEMES,
-            **common,
+            sparsity_levels=tuple(args.s), log2_m_over_n=tuple(args.log2_ratio), **common
         )
     return SweepConfig(
         sparsity_levels=(args.s,), m=args.m, tau_grid=tuple(args.tau), schemes=("po",), **common

@@ -55,6 +55,7 @@ __all__ = [
     "measure_linear",
     "measure_phase_only",
     "pbp",
+    "per_part_sigma",
     "sample_sensing_matrix",
     "sample_sparse_signal",
 ]

@@ -8,11 +8,14 @@ that PBP can keep, without forming the m x n sensing matrix: the channel
 (phase-only with bounded phase noise, or unaltered linear) enters only
 through ``rho = y^H z / (sigma ||z||_2)``. It keeps the s strongest, as PBP
 does, and records the direction error (:func:`_score_chunk`). A cell runs
-on one stream, in chunks of :func:`_chunk_trials` trials; a chunk is a pool
-task (:func:`_run_chunk`). :func:`_draw_chunk` specifies the law, the
-stream key and the order of the draws. Aggregation folds trials in index
-order, so a sweep gives the same bytes for one ``ENGINE`` whatever the
-worker count, and :func:`run_trial` replays any trial alone.
+on one stream, in chunks of :func:`_chunk_trials` trials.
+:func:`_draw_chunk` specifies the law, the stream key and the order of the
+draws. A pool task (:func:`_run_batch`) is a batch of whole chunks that
+share s, from one cell or several: it draws each chunk, then scores all
+their rows in one pass, as scoring is row by row. Aggregation folds trials
+in index order, so a sweep gives the same bytes for one ``ENGINE`` whatever
+the worker count or the batches, and :func:`run_trial` replays any trial
+alone.
 
 CSV schema (fixed column order, UTF-8, LF line endings, floats at 10
 significant digits):
@@ -44,6 +47,8 @@ from .rip import oracle_support_error_bound, pbp_error_bound, rip_distortion_pro
 from .rng import RngStream, fnv1a64
 
 __all__ = [
+    "CSV_HEADER",
+    "ENGINE",
     "CellAggregate",
     "SweepConfig",
     "SweepResult",
@@ -59,7 +64,6 @@ __all__ = [
 
 # Stream-key version: names how a chunk consumes its stream.
 ENGINE = "stat-v4"
-SCHEMES = tuple(c.value for c in VarianceConvention)
 
 # The chunk size (_chunk_trials) is a multiple of this, and at least this.
 # It and _CHUNK_ENTRIES are part of the stream key: changing either needs a
@@ -72,6 +76,10 @@ _MAX_ENTRIES = 2**28
 # Widest draw of a chunk, in entries (512 KiB of float64): rows x max(m, 2s).
 # Past it more rows cost memory traffic, not fewer calls.
 _CHUNK_ENTRIES = 2**16
+# Widest batch of chunks scored in one pass (_run_batch), in entries of its
+# (rows, 2s) normals (128 KiB of float64), unless one chunk alone is wider. It
+# moves no bit; a batch of 2^16 held more draws than a sweep's memory bound.
+_BATCH_ENTRIES = 2**14
 # What a chunk draws, each quantity from its own sub-stream, in this order
 # (_draw_chunk)
 _QUANTITIES = ("v", "redraw", "g", "beta", "gaps", "circle", "c", "arc", "law")
@@ -95,7 +103,7 @@ class SweepConfig:
     log2_m_over_n: Sequence[float] | None = None
     m: int | None = None
     tau_grid: Sequence[float] = (0.0,)
-    schemes: Sequence[str] = SCHEMES
+    schemes: Sequence[str] = tuple(c.value for c in VarianceConvention)
     trials: int
     master_seed: int
 
@@ -247,8 +255,10 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     cell = bits.state
 
     def at(quantity):  # gen, at the start of the quantity's sub-stream
-        bits.state = cell
-        bits.advance((chunk * len(_QUANTITIES) + _QUANTITIES.index(quantity)) * _JUMP)
+        jumps = chunk * len(_QUANTITIES) + _QUANTITIES.index(quantity)
+        if jumps:  # chunk 0 draws "v" first, from the cell's stream as it starts
+            bits.state = cell
+            bits.advance(jumps * _JUMP)
         return gen
 
     k = min(s, n - s)
@@ -265,9 +275,12 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
     if not q:
         xi = at("arc").uniform(-tau, tau, (rows, m)) if tau > 0 else None
         mod = at("law").rayleigh(size=(rows, m))  # |y_i| / sigma
-        rho = mod.sum(axis=1) if xi is None else (
-            np.einsum("...i,...i->...", mod, np.cos(xi))
-            + 1j * np.einsum("...i,...i->...", mod, np.sin(xi)))
+        if xi is None:
+            rho = mod.sum(axis=1)
+        else:  # the cosines, then the sines, in one buffer
+            trig = np.empty_like(xi)
+            re, im = (np.einsum("...i,...i->...", mod, f(xi, out=trig)) for f in (np.cos, np.sin))
+            rho = re + 1j * im
     else:
         circle = at("circle").binomial(m, p, rows)
         c = at("c").standard_normal((rows, 2)).view(np.complex128)[:, 0]
@@ -276,9 +289,12 @@ def _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
         u = at("arc").uniform(-r, r, drawn)
         mod = at("law").rayleigh(size=drawn)
         owner = np.repeat(np.arange(rows), counts)  # the row of each arc entry
-        re, im = (np.bincount(owner, mod * f(u), rows) for f in (np.cos, np.sin))
+        prod = np.empty_like(u)  # mod cos(u), then mod sin(u)
+        re, im = (np.bincount(owner, np.multiply(f(u, out=prod), mod, out=prod), rows)
+                  for f in (np.cos, np.sin))
         rho = (-1.0 if q % 2 else 1.0) * (re + 1j * im) + np.sqrt(circle) * c  # K circle terms
-    return x0, g, top, rho / math.sqrt(m), int(np.count_nonzero(mod == 0.0))
+    zero_signs = 0 if mod.all() else int(np.count_nonzero(mod == 0.0))
+    return x0, g, top, rho / math.sqrt(m), zero_signs
 
 
 def _score_chunk(x0, g, top, rho):
@@ -305,11 +321,25 @@ def _score_chunk(x0, g, top, rho):
     return np.sqrt((residual.real * residual.real + residual.imag * residual.imag).sum(axis=1) + off)
 
 
+def _run_batch(tasks):
+    """A pool task: the chunks ``tasks``, each given by :func:`_draw_chunk`'s
+    arguments, all at one n and one s. Each chunk is drawn on its own, and
+    :func:`_score_chunk` scores the rows of all of them in one pass. Scoring
+    is row by row, with only correctly rounded arithmetic, partitions and
+    row sums across a row, so a trial scores the same bits in any batch.
+    Returns the errors, chunk after chunk, and each chunk's zero-signum
+    count."""
+    *draws, zero_signs = zip(*(_draw_chunk(*task) for task in tasks))
+    batch = [np.concatenate(d) for d in draws]
+    del draws  # the chunks' own arrays, freed before the scoring's temporaries
+    return _score_chunk(*batch), list(zero_signs)
+
+
 def _run_chunk(scheme, n, s, m, tau, master_seed, chunk, rows):
-    """The first ``rows`` trials of chunk ``chunk`` of one cell, a pool task:
-    :func:`_score_chunk` of :func:`_draw_chunk`, ``(errors, zero_signs)``."""
-    *draws, zero_signs = _draw_chunk(scheme, n, s, m, tau, master_seed, chunk, rows)
-    return _score_chunk(*draws), zero_signs
+    """The first ``rows`` trials of chunk ``chunk`` of one cell, as a batch of
+    that chunk alone (:func:`_run_batch`): ``(errors, zero_signs)``."""
+    errors, (zero_signs,) = _run_batch([(scheme, n, s, m, tau, master_seed, chunk, rows)])
+    return errors, zero_signs
 
 
 def run_trial(
@@ -333,29 +363,33 @@ def run_trial(
 def _aggregate_cell(cell, errors: np.ndarray, zero_signs: int) -> CellAggregate:
     scheme, s, m, tau = cell
     failed = np.isnan(errors)
-    ok = errors[~failed]
+    failures = int(np.count_nonzero(failed))
+    ok = errors[~failed] if failures else errors
     if ok.size == 0:
         raise DegenerateEstimateError(
             f"cell scheme={scheme} s={s} m={m} tau={tau:g}: no successful trials"
         )
-    mean = float(ok.mean())
+    # the mean and the sample deviation as ndarray.mean and .std(ddof=1) sum them
+    mean = float(np.add.reduce(ok) / ok.size)
     db = float(10.0 * np.log10(mean)) if mean > 0 else float("-inf")
-    se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-    failures = int(np.count_nonzero(failed))
+    se = 0.0
+    if ok.size > 1:
+        dev = ok - mean
+        se = math.sqrt(np.add.reduce(dev * dev) / (ok.size - 1)) / math.sqrt(ok.size)
     return CellAggregate(scheme, int(s), int(m), float(tau), int(errors.size), failures,
                          mean, db, se, int(zero_signs))
 
 
-def pool_size(workers: int, num_tasks: int) -> int:
-    """Worker processes for ``num_tasks`` tasks: never more than there are
-    tasks, nor than the CPUs this process may run on (a forking pool starts
-    all its workers at once)."""
+def _pool_size(workers: int, num_chunks: int) -> int:
+    # worker processes for num_chunks chunks: never more than there are chunks, nor
+    # than the CPUs this process may run on (a forking pool starts all its workers
+    # at once)
     workers = _check_int("workers", workers, 1)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(workers, num_tasks, cpus)
+    return min(workers, num_chunks, cpus)
 
 
 def _chunk_trials(s, m) -> int:
@@ -364,26 +398,49 @@ def _chunk_trials(s, m) -> int:
     return _MIN_CHUNK * max(1, _CHUNK_ENTRIES // (_MIN_CHUNK * max(m, 2 * s)))
 
 
+def _plan_batches(cells, n, trials, master_seed, workers):
+    # the pool size and the pool tasks of a sweep. Its chunks, each (cell index, first
+    # trial, _draw_chunk's arguments), are grouped by s, cells in nesting order and
+    # chunks in order, and cut into batches of whole chunks whose (rows, 2s) normals
+    # hold at most _BATCH_ENTRIES entries, or of one wider chunk. A pool gets at least
+    # about four batches per worker, one round trip each.
+    by_s = {}
+    for ci, (scheme, s, m, tau) in enumerate(cells):
+        size = _chunk_trials(s, m)
+        for c in range(-(-trials // size)):
+            task = (scheme, n, s, m, tau, master_seed, c, min(size, trials - c * size))
+            by_s.setdefault(s, []).append((ci, c * size, task))
+    count = sum(map(len, by_s.values()))
+    processes = _pool_size(workers, count)
+    cap = -(-count // (4 * processes)) if processes > 1 else count
+    batches = []
+    for s, chunks in by_s.items():
+        entries = _BATCH_ENTRIES  # full: an s starts a batch
+        for chunk in chunks:
+            wide = 2 * s * chunk[2][-1]
+            if entries + wide > _BATCH_ENTRIES or len(batches[-1]) == cap:
+                batches.append([])
+                entries = 0
+            batches[-1].append(chunk)
+            entries += wide
+    return processes, batches
+
+
 def _run_cells(cells, n, trials, master_seed, workers):
-    tasks = [  # _run_chunk's arguments, cell by cell, chunk by chunk
-        (scheme, n, s, m, tau, master_seed, c, min(size, trials - c * size))
-        for scheme, s, m, tau in cells
-        for size in (_chunk_trials(s, m),)
-        for c in range(-(-trials // size))
-    ]
-    errors = np.empty((len(cells), trials))
-    flat, zero_signs, done = errors.reshape(-1), [0] * len(cells), 0
-    size = pool_size(workers, len(tasks))
+    errors, zero_signs = np.empty((len(cells), trials)), [0] * len(cells)
+    size, batches = _plan_batches(cells, n, trials, master_seed, workers)
     if size > 1:  # imported here: a serial run does not pay for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(size) if size > 1 else contextlib.nullcontext() as pool:
-        args = _run_chunk, *zip(*tasks)
-        # a pool gets about four batches of chunks per worker, one round trip each
-        outputs = pool.map(*args, chunksize=-(-len(tasks) // (4 * size))) if pool else map(*args)
-        for errs, zeros in outputs:  # in task order
-            flat[done : done + errs.size] = errs
-            zero_signs[done // trials] += zeros
-            done += errs.size
+        tasks = ([task for *_, task in batch] for batch in batches)
+        outputs = pool.map(_run_batch, tasks) if pool else map(_run_batch, tasks)
+        for batch, (errs, zeros) in zip(batches, outputs):  # in batch order
+            done = 0
+            for (ci, start, task), z in zip(batch, zeros):
+                rows = task[-1]
+                errors[ci, start : start + rows] = errs[done : done + rows]
+                zero_signs[ci] += z
+                done += rows
     return tuple(
         _aggregate_cell(cell, errors[ci], zero_signs[ci]) for ci, cell in enumerate(cells)
     )
@@ -451,8 +508,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         for tau in config.tau_grid
     ]
     # bookkeeping held from before the first draw: per 32 trials of each cell,
-    # 32 float64 errors and at most one task (about 240 bytes, its arguments; a
-    # task is a chunk), so about 16 bytes, one complex entry, per trial
+    # 32 float64 errors and at most one chunk (about 240 bytes: its arguments, its
+    # cell and first trial), so about 16 bytes, one complex entry, per trial
     bound = _MIN_CHUNK * (_MAX_ENTRIES // _MIN_CHUNK // len(cells))
     trials = _check_int("trials", config.trials, 1, bound)
     aggregates = _run_cells(cells, n, trials, seed, workers)
@@ -498,15 +555,15 @@ def fit_rate(
     return float(np.polyfit(x, y, 1)[0])
 
 
-def csv_text(header: Sequence[str], rows) -> str:
-    """CSV of the column names ``header`` and the value sequences ``rows``:
-    floats at 10 significant digits, anything else by ``str``, LF endings."""
+def _csv_text(header: Sequence[str], rows) -> str:
+    # CSV of the column names `header` and the value sequences `rows`: floats at 10
+    # significant digits, anything else by str, LF endings
     lines = [header, *([f"{v:.10g}" if isinstance(v, float) else str(v) for v in r] for r in rows)]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
 def render_csv(result: SweepResult) -> str:
-    return csv_text(_CSV_FIELDS, ([getattr(c, f) for f in _CSV_FIELDS] for c in result.cells))
+    return _csv_text(_CSV_FIELDS, ([getattr(c, f) for f in _CSV_FIELDS] for c in result.cells))
 
 
 def _json_text(payload: dict) -> str:

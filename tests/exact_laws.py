@@ -14,10 +14,16 @@ RAYLEIGH_CUT = 10.0  # the Rayleigh(1) cells stop here: the mass beyond is e^-50
 def gamma_cells(m, step):
     """``(centres, mass)`` of Gamma(m, 1) on the cells up to m + 20 sqrt(m) + 50.
 
-    The masses come from the survival function e^-x sum_{j < m} x^j / j!.
+    The masses come from the survival function sum_{j < m} e^-x x^j / j!, each
+    term taken in log space, ``exp(j log x - x - lgamma(j + 1))``, so that no
+    power or factorial leaves the float range (171! is the last that fits).
     """
     edges = np.arange(int((m + 20 * math.sqrt(m) + 50) / step) + 1) * step
-    survival = np.exp(-edges) * sum(edges**j / math.factorial(j) for j in range(m))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: every term but j = 0 is 0 at x = 0
+        log_edges = np.log(edges)
+    survival = np.exp(-edges)  # the term j = 0
+    for j in range(1, m):
+        survival += np.exp(j * log_edges - edges - math.lgamma(j + 1))
     return edges[:-1] + 0.5 * step, -np.diff(survival)
 
 

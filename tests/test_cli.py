@@ -573,7 +573,7 @@ def invalid_values(rng, below, above, is_float):
 def test_exit_codes_blame_the_right_party(monkeypatch, capsys, tmp_path):
     # the caller's fault exits 2 naming its field, before anything is drawn; any
     # other fault exits 4
-    monkeypatch.setattr(experiments, "_run_chunk", lambda *a: pytest.fail("a sweep ran"))
+    monkeypatch.setattr(experiments, "_draw_chunk", lambda *a: pytest.fail("a sweep ran"))
     monkeypatch.setattr(experiments, "sample_sensing_matrix",
                         lambda *a: pytest.fail("a matrix was drawn"))
     sweep = tmp_path / "sweep.json"

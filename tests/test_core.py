@@ -170,8 +170,15 @@ def test_public_names_are_exactly_all():
     owned = []
     for module in (core, experiments, rip, rng):
         assert "__all__" in vars(module), module.__name__
-        for name in module.__all__:
-            assert getattr(module, name).__module__ == module.__name__, name
+        # every non-underscore name the module defines is in its __all__, and no name
+        # it imports; a constant has no __module__, and belongs where it is bound
+        defined = {
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+            and getattr(value, "__module__", module.__name__) == module.__name__
+        }
+        assert sorted(defined) == sorted(module.__all__), module.__name__
         owned += module.__all__
     assert len(owned) == len(set(owned))  # the four lists are disjoint
     assert set(owned) == set(pocs.__all__)

@@ -28,7 +28,7 @@ from pocs import (
     trial_stream_id,
 )
 from pocs import cli
-from pocs.experiments import ENGINE, pool_size
+from pocs.experiments import ENGINE, _pool_size as pool_size
 
 TINY = SweepConfig(
     n=16,

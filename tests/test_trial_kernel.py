@@ -14,6 +14,7 @@ depend on the trial count, the worker count or being replayed alone.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,10 +34,13 @@ from pocs import (
 )
 from pocs.core import VarianceConvention, _support_value_batch, per_part_sigma
 from pocs.experiments import (
+    _BATCH_ENTRIES,
     _arc_law,
     _chunk_trials,
     _draw_chunk,
     _largest_exponentials,
+    _plan_batches,
+    _run_batch,
     _run_chunk,
 )
 from test_engine import ks_statistic
@@ -606,6 +610,57 @@ def test_run_trial_equals_the_rows_of_a_range(scheme, tau):
                              _run_chunk(scheme, 20, 4, 9, tau, 5, 1, 30)[0]])
     for t in (size - 40, size - 1, size, size + 1):
         assert run_trial(scheme, 20, 4, 9, tau, 5, t) == errors[t - size + 40]
+
+
+@pytest.mark.parametrize("s", [3, 24])  # k = 3, and s = n: k = 0
+def test_a_batch_scores_each_chunk_as_it_scores_alone(monkeypatch, s):
+    # chunks of six cells at one s, po and cs, tau = 0, 0.9, 1.5 pi and 2 pi, whole
+    # and partial, scored in one pass: each row gives the bits it gives in its own
+    # chunk, and each chunk its own zero count. Every 5th drawn modulus is an exact zero.
+    n, seed = 24, 21
+    plain = RngStream.generator
+    monkeypatch.setattr(pocs.rng.RngStream, "generator",
+                        lambda self: _ZeroEveryModulus(plain(self), 5))
+    cells = [("cs", 5, 0.0), ("po", 40, 0.9), ("po", 2048, 1.5 * math.pi),
+             ("cs", 2048, 0.0), ("po", 5, 2.0 * math.pi), ("po", 40, 0.0)]
+    tasks = [(scheme, n, s, m, tau, seed, c, rows) for scheme, m, tau in cells
+             for c, rows in ((0, _chunk_trials(s, m)), (1, 11))]
+    errors, zeros = _run_batch(tasks)
+    alone = [_run_chunk(*task) for task in tasks]
+    assert np.array_equal(errors, np.concatenate([e for e, _ in alone]), equal_nan=True)
+    assert zeros == [z for _, z in alone]
+    # every po chunk draws moduli but those at tau = 2 pi, where every entry is a circle term
+    assert [z > 0 for z in zeros] == [t[0] == "po" and t[4] < 6 for t in tasks]
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_batches_cover_every_chunk_once_within_the_budget(monkeypatch, workers):
+    # 27 cells of 3,000 trials: 975 chunks of 32 to 2,048 trials, the last partial.
+    # The largest batch the budget allows holds 82 chunks, so 8 workers' cap of 31 binds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    n, trials, seed = 256, 3000, 7
+    cells = [(scheme, s, m, tau) for scheme, tau in (("po", 0.0), ("po", 0.9), ("cs", 0.0))
+             for s in (1, 10, 50) for m in (16, 256, 4096)]
+    size, batches = _plan_batches(cells, n, trials, seed, workers)
+    chunks = [  # (cell index, first trial, _draw_chunk's arguments), in nesting order
+        (ci, c * rows, (scheme, n, s, m, tau, seed, c, min(rows, trials - c * rows)))
+        for ci, (scheme, s, m, tau) in enumerate(cells)
+        for rows in (_chunk_trials(s, m),)
+        for c in range(-(-trials // rows))
+    ]
+    assert size == workers
+    planned = [chunk for batch in batches for chunk in batch]
+    assert sorted(planned) == sorted(chunks)
+    for s in (1, 10, 50):  # each s in nesting order
+        assert [c for c in planned if c[2][2] == s] == [c for c in chunks if c[2][2] == s]
+    cap = -(-len(chunks) // (4 * workers)) if workers > 1 else len(chunks)
+    for batch in batches:
+        [s] = {task[2] for *_, task in batch}
+        assert 1 <= len(batch) <= cap
+        assert len(batch) == 1 or sum(2 * s * task[-1] for *_, task in batch) <= _BATCH_ENTRIES
+    # the benchmark's criterion-3 cells, 8 trials each, score in one pass per s
+    cells = [(scheme, s, 4096, 0.0) for scheme in ("po", "cs") for s in (2, 50)]
+    assert [len(b) for b in _plan_batches(cells, n, 8, seed, 1)[1]] == [2, 2]
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
