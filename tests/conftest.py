@@ -1,8 +1,9 @@
-"""Session-scoped Monte Carlo sweeps shared by the acceptance gate.
+"""Session-scoped Monte Carlo sweeps at the acceptance gate's reference scale, n = 256.
 
-The heavy cells (m = 4096 at 1000 trials) take around a minute each on one
-core, so each grid is computed once per session and reused by every test
-that needs it. Creation wall time is recorded for the runtime criteria.
+Each grid is run once per session, because several tests read it: criteria
+3 and 5 share the s = 2 grid at m = 4096, and the po-vs-cs tests of
+``tests/test_experiments.py`` read the s = 2 grids too. Each fixture records
+the wall time its sweep took, which criteria 1 and 3 check.
 """
 
 import time

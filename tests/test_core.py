@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pocs import (
+    ConfigError,
     RngStream,
     adjoint_matvec,
     csign,
@@ -119,6 +120,10 @@ class TestHardThreshold:
         with pytest.raises(ValueError, match="^s:"):
             hard_threshold(v, 2.0)
 
+    def test_rejects_a_0d_value(self):
+        with pytest.raises(ConfigError, match="^v:"):
+            hard_threshold(np.array(1.0 + 0j), 1)
+
 
 class TestMatvec:
     def test_adjoint_conjugates(self):
@@ -150,6 +155,12 @@ class TestMatvec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             adjoint_matvec(np.eye(2), np.ones(3))
+
+    def test_rejects_an_A_that_is_not_a_matrix(self):
+        with pytest.raises(ConfigError, match="^A:"):
+            adjoint_matvec(np.ones(4), np.ones(4))
+        with pytest.raises(ConfigError, match="^A:"):
+            adjoint_matvec(np.ones((4, 3, 2)), np.ones(4))
 
 
 def test_public_names_are_exactly_all():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pocs.experiments
+from doubles import FirstModuliZero, wrap_generators
 from pocs import (
     CellAggregate,
     ConfigError,
@@ -490,8 +491,6 @@ class TestZeroSignHits:
     )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counts_from_every_worker_are_summed_per_cell(self, monkeypatch, workers):
-        import pocs.experiments
-
         draw = pocs.experiments._draw_chunk
 
         def two_zeros_per_trial(*args):  # args end in the chunk's row count
@@ -512,11 +511,7 @@ class TestZeroSignHits:
     def test_zero_measurements_reach_the_json(self, monkeypatch, tmp_path, workers):
         # nothing that counts is patched: the stream itself yields three exact
         # zero moduli |y_i| in every trial
-        import pocs.rng
-
-        plain = pocs.rng.RngStream.generator
-        monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                            lambda self: _FirstModuliZero(plain(self), 3))
+        wrap_generators(monkeypatch, FirstModuliZero, 3)
         out = tmp_path / "sweep.json"
         assert cli.main([
             "sweep-m", "--n", "8", "--s", "2", "--log2-ratio", "-1", "--log2-ratio", "1",
@@ -529,22 +524,6 @@ class TestZeroSignHits:
         ]
         # the linear channel keeps y as it is: no signum, nothing to count
         assert [c["zero_sign_hits"] for c in cells] == [3 * 40, 3 * 40, 0, 0]
-
-
-class _FirstModuliZero:
-    """A generator whose Rayleigh draws, the moduli ``|y_i| / sigma``, start
-    each row with ``count`` exact zeros."""
-
-    def __init__(self, gen, count):
-        self._gen, self._count = gen, count
-
-    def rayleigh(self, scale=1.0, size=None):
-        mod = self._gen.rayleigh(scale, size)
-        mod[..., : self._count] = 0.0  # the first moduli of every trial
-        return mod
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
 
 
 def synthetic_power_law(exponent, coeff=0.9):

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from doubles import inject
 from pocs import (
     ConfigError,
     DegenerateEstimateError,
     RngStream,
-    SensingMatrix,
-    VarianceConvention,
     adjoint_matvec,
     csign,
     direction_error,
@@ -23,11 +22,6 @@ from pocs import (
     sample_sensing_matrix,
     sample_sparse_signal,
 )
-
-
-def inject(mat):
-    mat = np.asarray(mat, dtype=np.complex128)
-    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY)
 
 
 class TestPbp:

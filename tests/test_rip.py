@@ -9,12 +9,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from doubles import ScriptedUniforms
 from exact_laws import RAYLEIGH_CUT, rayleigh_sum_cells
 from pocs import (
     ConfigError,
     RngStream,
     SensingMatrix,
-    VarianceConvention,
     oracle_support_error_bound,
     pbp_error_bound,
     rip_distortion_probe,
@@ -138,17 +138,6 @@ def reference_search(Phi, s, num_probes, gen, local_search_rounds=2):
     worst = np.zeros(n, dtype=np.complex128)
     worst[support] = vals
     return best, worst, evaluated
-
-
-class ScriptedUniforms:
-    """Stands in for the generator of a search: hands out prepared uniform rows in order."""
-
-    def __init__(self, rows):
-        self.rows, self.used = rows, 0
-
-    def random(self, shape):
-        self.used += shape[0]
-        return self.rows[self.used - shape[0] : self.used].copy()
 
 
 def batch_sizes(monkeypatch):

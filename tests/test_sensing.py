@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from doubles import ScriptedUniforms, inject
 from pocs import (
     ConfigError,
     RngStream,
-    SensingMatrix,
     VarianceConvention,
     csign,
     measure_linear,
@@ -98,21 +98,9 @@ class TestSparseSignal:
             sample_sparse_signal(RngStream(0).generator(), 8, 2.5)
 
 
-class _ScriptedUniforms:
-    """A generator whose ``random`` hands out the given uniforms in order."""
-
-    def __init__(self, uniforms):
-        self._u, self._next = np.asarray(uniforms, dtype=float), 0
-
-    def random(self, size):
-        count = int(np.prod(size))
-        self._next += count
-        return self._u[self._next - count : self._next].reshape(size).copy()
-
-
 def batches(uniforms, n, s, sizes):
     """Supports and values of consecutive batches of the given sizes, stacked."""
-    gen = _ScriptedUniforms(uniforms)
+    gen = ScriptedUniforms(uniforms)
     drawn = [_support_value_batch(gen, n, s, size) for size in sizes]
     return np.concatenate([d[0] for d in drawn]), np.concatenate([d[1] for d in drawn])
 
@@ -163,11 +151,6 @@ class TestSupportValueBatch:
         df = hits.size - 1
         chi2 = ((hits - expected) ** 2 / expected).sum()
         assert abs(chi2 / df - 1.0) <= 4.0 * math.sqrt(2.0 / df), chi2 / df
-
-
-def inject(mat):
-    mat = np.asarray(mat, dtype=np.complex128)
-    return SensingMatrix(mat=mat, convention=VarianceConvention.PHASE_ONLY)
 
 
 class TestMeasureLinear:

@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 import pocs.experiments
-import pocs.rng
+from doubles import (
+    Recorder,
+    ZeroEveryModulus,
+    ZeroModuli,
+    ZeroValues,
+    real_generator,
+    wrap_generators,
+)
 from pocs import (
     DegenerateEstimateError,
     RngStream,
@@ -306,28 +313,6 @@ def test_kernel_rows_equal_per_trial_reference(scheme, n, s, m, tau):
             assert run_trial(scheme, n, s, m, tau, seed, t) == errors[row]
 
 
-class _ZeroValues:
-    """A generator whose first two-dimensional uniform draw has every value of
-    the given rows at 0.5, past the first ``n`` columns, and whose first
-    ``again`` one-dimensional uniform draws (a row's redraws) are all 0.5."""
-
-    def __init__(self, gen, n, rows, again=0):
-        self._gen, self._n, self._rows, self._again, self._first = gen, n, rows, again, True
-
-    def random(self, size=None):
-        u = self._gen.random(size)
-        if u.ndim == 2 and self._first:
-            self._first = False
-            u[[r for r in self._rows if r < len(u)], self._n:] = 0.5  # values 2u - 1 all zero
-        elif u.ndim == 1 and self._again:
-            self._again -= 1
-            u[...] = 0.5
-        return u
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
 def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     n, s, m, tau, seed = 12, 3, 9, 0.4, 5
     size = chunk_size(s, m)
@@ -340,10 +325,8 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     redraw.random(s)  # the first redraw of row 0, all 0.5 again
     expected[0], expected[5] = redraw.random(s), redraw.random(s)
     values = 2.0 * expected - 1.0
-    plain = RngStream.generator
     # rows 0 and 5 of chunk 1 have all values zero, and the first redraw of row 0 too
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroValues(plain(self), 0, [0, 5], again=1))
+    wrap_generators(monkeypatch, ZeroValues, 0, [0, 5], again=1)
     errors, _ = _run_chunk("po", n, s, m, tau, seed, 1, 8)
     for t in range(8):
         ref_error, _ = reference_trial("po", n, s, m, tau, seed, size + t)
@@ -355,10 +338,9 @@ def test_all_zero_signal_values_are_redrawn_before_the_normals(monkeypatch):
     # rows 0 to 2 do not depend on the rows after them, redrawn or not
     assert np.array_equal(_draw_chunk("po", n, s, m, tau, seed, 1, 3)[0], x0_redrawn[:3])
     # the signal sampler of the full-matrix model and the RIP probe redraws in one pass
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroValues(plain(self), n, [0]))
+    wrap_generators(monkeypatch, ZeroValues, n, [0])
     supports, values = _support_value_batch(stream.generator(), n, s, 1)
-    gen = plain(stream)
+    gen = real_generator(stream)
     u = gen.random(n + s)
     redrawn = 2.0 * gen.random((1, s))[0] - 1.0
     assert np.array_equal(supports[0], np.sort(np.argpartition(u[:n], s - 1)[:s]))
@@ -542,23 +524,6 @@ def test_mixture_parameters_stay_in_range():
     assert [c.failures for c in result.cells] == [0] * len(taus)
 
 
-class _ZeroEveryModulus:
-    """A generator whose moduli draws (the Rayleigh draws of the scalar law:
-    (rows, m) or flat) have every ``step``-th entry at an exact zero, counted
-    from the draw's first entry."""
-
-    def __init__(self, gen, step):
-        self._gen, self._step = gen, step
-
-    def rayleigh(self, scale=1.0, size=None):
-        mod = self._gen.rayleigh(scale, size)
-        mod.reshape(-1)[:: self._step] = 0.0
-        return mod
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
 @pytest.mark.parametrize("scheme,tau", [("cs", 0.0), ("po", 0.0), ("po", 0.9),
                                         ("po", 1.5 * math.pi), ("po", 2.5 * math.pi)])
 def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, cell_errors, scheme, tau):
@@ -569,9 +534,7 @@ def test_range_splits_give_the_bits_of_the_whole_call(monkeypatch, cell_errors, 
     # so the zero-sign counts add up too.
     n, s, m, seed, trials = 64, 3, 64, 9, 2100
     assert _chunk_trials(s, m) == 1024
-    plain = RngStream.generator
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroEveryModulus(plain(self), 7))
+    wrap_generators(monkeypatch, ZeroEveryModulus, 7)
     run_sweep(SweepConfig(n=n, sparsity_levels=(s,), m=m, tau_grid=(tau,), schemes=(scheme,),
                           trials=trials, master_seed=seed))
     [(cell, cell_zeros)] = cell_errors
@@ -618,9 +581,7 @@ def test_a_batch_scores_each_chunk_as_it_scores_alone(monkeypatch, s):
     # and partial, scored in one pass: each row gives the bits it gives in its own
     # chunk, and each chunk its own zero count. Every 5th drawn modulus is an exact zero.
     n, seed = 24, 21
-    plain = RngStream.generator
-    monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                        lambda self: _ZeroEveryModulus(plain(self), 5))
+    wrap_generators(monkeypatch, ZeroEveryModulus, 5)
     cells = [("cs", 5, 0.0), ("po", 40, 0.9), ("po", 2048, 1.5 * math.pi),
              ("cs", 2048, 0.0), ("po", 5, 2.0 * math.pi), ("po", 40, 0.0)]
     tasks = [(scheme, n, s, m, tau, seed, c, rows) for scheme, m, tau in cells
@@ -681,39 +642,12 @@ def test_substreams_are_not_correlated():
         assert abs(differ - 32.0) < 5 * 4 / math.sqrt(n), (a, b)
 
 
-class _Recorder:
-    """A generator that logs each draw: its method, its first argument (its
-    ``size`` when passed by keyword) and the state of the bit generator it
-    starts from."""
-
-    def __init__(self, gen, log):
-        self._gen, self._log = gen, log
-
-    def __getattr__(self, name):
-        attr = getattr(self._gen, name)
-        if name == "bit_generator":
-            return attr
-
-        def draw(*args, **kwargs):
-            self._log.append((name, args[0] if args else kwargs["size"],
-                              self._gen.bit_generator.state["state"]["state"]))
-            return attr(*args, **kwargs)
-
-        return draw
-
-
 def test_range_chunks_run_on_the_cell_stream(monkeypatch):
     # a call builds one generator, on the stream id of the cell's trial 0
     # (-0.0 keys as the cell 0.0), and quantity j of chunk c starts 9c + j
     # jumps into it and draws the rows asked for
-    ids, log = [], []
-    plain = RngStream.generator
-
-    def record(self):
-        ids.append(self.stream_id)
-        return _Recorder(plain(self), log)
-
-    monkeypatch.setattr(pocs.rng.RngStream, "generator", record)
+    log = []
+    ids = wrap_generators(monkeypatch, Recorder, log)
     n, s, m, seed = 40, 2, 2048, 1
     assert _chunk_trials(s, m) == 32
     for scheme, tau, quantities in [
@@ -740,40 +674,14 @@ def test_range_chunks_run_on_the_cell_stream(monkeypatch):
         assert [log[0][1], log[len(quantities)][1]] == [(32, s), (4, s)]  # values: 32 rows, 4
 
 
-class _ZeroModuli:
-    """A generator whose moduli draws (its Rayleigh draws) have the first two
-    moduli of row ``row`` at exact zeros; in a flat draw a row's entries
-    follow the arc entries, m - K, of the rows before it."""
-
-    def __init__(self, gen, m, row):
-        self._gen, self._m, self._row = gen, m, row
-        self._circle = np.zeros(row + 1, dtype=np.int64)
-
-    def binomial(self, *args):
-        self._circle = self._gen.binomial(*args)
-        return self._circle
-
-    def rayleigh(self, scale=1.0, size=None):
-        mod = self._gen.rayleigh(scale, size)
-        arcs = self._m - self._circle
-        assert arcs[self._row] >= 2
-        mod.reshape(-1)[arcs[: self._row].sum() :][:2] = 0.0
-        return mod
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
 @pytest.mark.parametrize("rows,row,hits", [(32, 3, 2)])
 def test_zero_signs_count_the_rows_asked_for_only(monkeypatch, rows, row, hits):
     # the first 32 rows of chunk 0, whose row 3 has two zero moduli: the
     # zeros of every row drawn are counted, without phase noise too; at
     # 1.5 pi (q = 1) the moduli are flat and drawn for the arc entries only
-    plain = RngStream.generator
     for m, tau in ((8, 0.0), (8, 0.5), (64, 1.5 * math.pi)):
         assert _chunk_trials(2, m) >= rows
-        monkeypatch.setattr(pocs.rng.RngStream, "generator",
-                            lambda self: _ZeroModuli(plain(self), m, row))
+        wrap_generators(monkeypatch, ZeroModuli, m, row)
         *_, zero_signs = _draw_chunk("po", 16, 2, m, tau, 3, 0, rows)
         assert zero_signs == hits
 
